@@ -26,6 +26,7 @@ from .exact import (
     SolveBudget,
     chromatic_number,
     clique_number,
+    require_clique_number,
     verify_coloring,
 )
 from .generators import (
@@ -172,9 +173,10 @@ def _cmd_color(args) -> int:
     if spec.name not in COLORERS:
         _say(f"no colorer for class {spec.name}; choose from {sorted(COLORERS)}")
         return EXIT_USAGE
-    coloring, trace = COLORERS[spec.name](g, _budget_from(args))
+    budget = _budget_from(args)
+    coloring, trace = COLORERS[spec.name](g, budget)
     print(" ".join(map(str, coloring.colors)))
-    omega = clique_number(g).lower
+    omega = require_clique_number(g, budget).lower
     _say(
         f"class={spec.name} n={g.n} palette={coloring.palette} "
         f"bound={evaluate_bound(spec.name, omega) if omega else 0} omega={omega} "

@@ -26,7 +26,7 @@ from .exact import (
     require_clique_number,
     verify_coloring,
 )
-from .graphs import Coloring, Graph, bits, distances_from, mask_of
+from .graphs import Coloring, Graph, bits, components, mask_of, reachable
 from .patterns import (
     PATTERNS,
     ClassSpec,
@@ -88,7 +88,7 @@ def cluster_color(g: Graph) -> Coloring:
     emb = find_induced(g, PATTERNS["p3"])
     if emb is not None:
         raise ClusterPreconditionError(emb)
-    colors, _ = _cluster_on_mask(g, g.full_mask)
+    colors, _ = _cluster(g, g.full_mask)
     return Coloring(tuple(colors[v] for v in range(g.n)))
 
 
@@ -115,8 +115,9 @@ def domination_reduce(g: Graph) -> tuple[Graph, DominationRule] | None:
     if pair is None:
         return None
     u, v = pair
-    keep = [w for w in g.vertices() if w != u]
-    return g.induced(keep), DominationRule(u, v)
+    # Vertices above u move down one id, as in the induced copy without u.
+    edges = [(a - (a > u), b - (b > u)) for a, b in g.edges() if u not in (a, b)]
+    return Graph(g.n - 1, edges), DominationRule(u, v)
 
 
 def domination_fixpoint(g: Graph) -> tuple[Graph, list[DominationRule]]:
@@ -139,9 +140,10 @@ def lift_coloring(reduced: Coloring, rules: list[DominationRule]) -> Coloring:
 
 # -- shared internals --------------------------------------------------------
 #
-# The recursive procedures work on subsets of the original graph, so every
-# set they audit or color is expressed in original vertex ids; only the
-# pattern searches and exact solves see renumbered induced subgraphs.
+# The recursive procedures work on subsets of the original graph, carried as
+# vertex masks.  Every set they audit or color, and every pattern search and
+# exact solve they run (through the kernels' ``within`` mask), stays in the
+# original vertex ids; no induced copy is built.
 
 
 @dataclass
@@ -151,64 +153,15 @@ class _Run:
     budget: SolveBudget | None
 
 
-def _sub(run: _Run, live: tuple[int, ...]) -> Graph:
-    return run.g.induced(live)
-
-
-def _find(run: _Run, live: tuple[int, ...], pattern_name: str) -> Embedding | None:
-    emb = find_induced(_sub(run, live), PATTERNS[pattern_name])
-    if emb is None:
-        return None
-    return Embedding(emb.pattern, tuple(live[i] for i in emb.vertices))
-
-
-def _omega(run: _Run, vertices) -> int:
-    verts = tuple(sorted(vertices))
-    if not verts:
-        return 0
-    return require_clique_number(run.g.induced(verts), run.budget).lower
-
-
-def _max_clique(run: _Run, vertices) -> list[int]:
-    verts = tuple(sorted(vertices))
-    if not verts:
-        return []
-    local = require_clique_number(run.g.induced(verts), run.budget).vertices
-    return sorted(verts[i] for i in local)
-
-
-def _chi(run: _Run, vertices) -> tuple[dict[int, int], int]:
-    verts = tuple(sorted(vertices))
-    if not verts:
-        return {}, 0
-    value, coloring = require_chromatic(run.g.induced(verts), run.budget)
-    return {verts[i]: coloring.colors[i] for i in range(len(verts))}, value
-
-
-def _cluster_on_mask(g: Graph, m: int) -> tuple[dict[int, int], int]:
+def _cluster(g: Graph, m: int) -> tuple[dict[int, int], int]:
     """Color each connected component of G[m] as a clique, ids ascending."""
     colors: dict[int, int] = {}
     palette = 0
-    rest = m
-    while rest:
-        seed = rest & -rest
-        comp = seed
-        frontier = seed
-        while frontier:
-            grown = comp
-            for v in bits(frontier):
-                grown |= g.rows[v] & m
-            frontier = grown & ~comp
-            comp = grown
+    for comp in components(g, m):
         for i, v in enumerate(bits(comp)):
             colors[v] = i
         palette = max(palette, comp.bit_count())
-        rest &= ~comp
     return colors, palette
-
-
-def _cluster(run: _Run, vertices) -> tuple[dict[int, int], int]:
-    return _cluster_on_mask(run.g, mask_of(vertices))
 
 
 def _merge(*blocks: tuple[dict[int, int], int]) -> tuple[dict[int, int], int]:
@@ -221,16 +174,33 @@ def _merge(*blocks: tuple[dict[int, int], int]) -> tuple[dict[int, int], int]:
     return out, base
 
 
-def _single_color_block(vertices) -> tuple[dict[int, int], int]:
-    verts = sorted(vertices)
-    if not verts:
-        return {}, 0
-    return {v: 0 for v in verts}, 1
+def _single_color_block(m: int) -> tuple[dict[int, int], int]:
+    return {v: 0 for v in bits(m)}, 1 if m else 0
 
 
-def _clique_block(vertices) -> tuple[dict[int, int], int]:
-    verts = sorted(vertices)
-    return {v: i for i, v in enumerate(verts)}, len(verts)
+def _clique_block(m: int) -> tuple[dict[int, int], int]:
+    return {v: i for i, v in enumerate(bits(m))}, m.bit_count()
+
+
+def _edgeless(g: Graph, m: int) -> bool:
+    return all(g.rows[v] & m == 0 for v in bits(m))
+
+
+def _triangle_free_leaf(run: _Run, live: int) -> tuple[dict[int, int], int] | None:
+    """Exact coloring of a triangle-free part, audited; None on a triangle."""
+    g = run.g
+    if find_induced(g, PATTERNS["k3"], within=live) is not None:
+        return None
+    palette, coloring = require_chromatic(g, run.budget, within=live)
+    run.trace.audit(
+        g,
+        "leaf/triangle-free",
+        "value-le",
+        "triangle-free remainder takes at most 4 colors",
+        sets={"X": live},
+        numbers={"value": palette, "bound": 4},
+    )
+    return dict(zip(bits(live), coloring.colors)), palette
 
 
 def _dominated_pair(g: Graph, m: int) -> tuple[int, int] | None:
@@ -244,10 +214,6 @@ def _dominated_pair(g: Graph, m: int) -> tuple[int, int] | None:
             if nu & ~(g.rows[v] & m) == 0:
                 return u, v
     return None
-
-
-def _set(mask: int) -> list[int]:
-    return list(bits(mask))
 
 
 def _fold_classes(g: Graph, colors: dict[int, int]) -> dict[int, int]:
@@ -282,20 +248,20 @@ def _wrap(
     class_name: str,
     g: Graph,
     budget: SolveBudget | None,
-    rec: Callable[["_Run", tuple[int, ...]], tuple[dict[int, int], int]],
+    rec: Callable[["_Run", int], tuple[dict[int, int], int]],
 ) -> tuple[Coloring, ProofTrace]:
     spec: ClassSpec = class_by_name(class_name)
     verdict = is_member(g, spec)
     if not verdict:
         assert verdict.witness is not None
         raise ClassMembershipError(spec.name, verdict.witness)
-    run = _Run(g, ProofTrace(spec.name), budget)
-    colors, _ = rec(run, tuple(g.vertices()))
+    run = _Run(g, ProofTrace(spec.name, budget), budget)
+    colors, _ = rec(run, g.full_mask)
     if len(colors) != g.n:
         raise RuntimeError("internal: decomposition did not cover every vertex")
     colors = _fold_classes(g, colors)
     coloring = Coloring(tuple(colors[v] for v in range(g.n))).compacted()
-    omega = _omega(run, g.vertices())
+    omega = require_clique_number(g, budget).lower if g.n else 0
     bound = BINDINGS[spec.name](omega) if omega >= 1 else 0
     run.trace.audit(
         g,
@@ -320,120 +286,111 @@ def color_kite_free(
     return _wrap("KiteFree", g, budget, _kite)
 
 
-def _kite(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
-    work = sorted(live)
+def _kite(run: _Run, live: int) -> tuple[dict[int, int], int]:
+    g = run.g
     rules: list[tuple[int, int]] = []
     while True:
-        m = mask_of(work)
-        pair = _dominated_pair(run.g, m)
+        pair = _dominated_pair(g, live)
         if pair is None:
             break
         u, v = pair
         run.trace.audit(
-            run.g,
+            g,
             "reduce/dominated-pair",
             "subset",
             f"vertex {u} is dominated by nonadjacent {v} and will copy its color",
             sets={
-                "X": _set(run.g.rows[u] & m),
-                "Y": _set(run.g.rows[v] & m),
-                "removed": [u],
-                "donor": [v],
+                "X": g.rows[u] & live,
+                "Y": g.rows[v] & live,
+                "removed": 1 << u,
+                "donor": 1 << v,
             },
         )
         rules.append((u, v))
-        work.remove(u)
-    colors, palette = _kite_core(run, tuple(work))
+        live &= ~(1 << u)
+    colors, palette = _kite_core(run, live)
     for u, v in reversed(rules):
         colors[u] = colors[v]
     return colors, palette
 
 
-def _kite_core(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
-    if not live:
-        return {}, 0
-    sub = _sub(run, live)
-    if sub.edge_count == 0:
+def _kite_core(run: _Run, live: int) -> tuple[dict[int, int], int]:
+    g = run.g
+    if _edgeless(g, live):
         return _single_color_block(live)
-    if find_induced(sub, PATTERNS["k3"]) is None:
-        colors, palette = _chi(run, live)
-        run.trace.audit(
-            run.g,
-            "leaf/triangle-free",
-            "value-le",
-            "triangle-free remainder takes at most 4 colors",
-            sets={"X": live},
-            numbers={"value": palette, "bound": 4},
-        )
-        return colors, palette
-    omega = _omega(run, live)
-    emb = _find(run, live, "p2_union_k3")
+    leaf = _triangle_free_leaf(run, live)
+    if leaf is not None:
+        return leaf
+    omega = require_clique_number(g, run.budget, within=live).lower
+    emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
     if emb is not None:
         return _kite_split_p2k3(run, live, emb, omega)
-    emb = _find(run, live, "hammer")
+    emb = find_induced(g, PATTERNS["hammer"], within=live)
     if emb is not None:
         return _kite_split_hammer(run, live, emb, omega)
     run.trace.audit(
-        run.g,
+        g,
         "leaf/k1k3-absent",
         "k1k3-absent",
         "no spare-edge or hammer split and dominated pairs removed leaves "
         "no isolated-vertex-plus-triangle",
         sets={"X": live},
     )
-    colors, palette = _chi(run, live)
+    palette, coloring = require_chromatic(g, run.budget, within=live)
     run.trace.audit(
-        run.g,
+        g,
         "leaf/k1k3-free",
         "value-le",
         "a triangle-containing remainder without K1+K3 takes at most "
         "2*omega colors",
         numbers={"value": palette, "bound": 2 * omega},
     )
-    return colors, palette
+    return dict(zip(bits(live), coloring.colors)), palette
 
 
 def _kite_split_p2k3(
-    run: _Run, live: tuple[int, ...], emb: Embedding, omega: int
+    run: _Run, live: int, emb: Embedding, omega: int
 ) -> tuple[dict[int, int], int]:
     g = run.g
-    lm = mask_of(live)
     u1, u2 = emb.vertices[0], emb.vertices[1]
     um = 1 << u1 | 1 << u2
-    nw = (g.rows[u1] | g.rows[u2]) & lm & ~um
+    nw = (g.rows[u1] | g.rows[u2]) & live & ~um
     x1 = nw & g.rows[u1] & ~g.rows[u2]
     x2 = nw & g.rows[u2] & ~g.rows[u1]
     y = nw & g.rows[u1] & g.rows[u2]
-    m = lm & ~um & ~nw
+    m = live & ~um & ~nw
     run.trace.audit(
         g,
         "split-p2k3/eq1-x1",
         "independent",
         "private neighbors of one endpoint of the spare edge are independent",
-        sets={"X": _set(x1), "edge": [u1, u2]},
+        sets={"X": x1, "edge": um},
     )
     run.trace.audit(
         g,
         "split-p2k3/eq1-x2",
         "independent",
         "private neighbors of the other endpoint are independent",
-        sets={"X": _set(x2), "edge": [u1, u2]},
+        sets={"X": x2, "edge": um},
     )
     run.trace.audit(
         g,
         "split-p2k3/m-anticomplete",
         "anticomplete",
         "the non-neighborhood of the spare edge misses both endpoints",
-        sets={"X": [u1, u2], "Y": _set(m)},
+        sets={"X": um, "Y": m},
     )
     run.trace.audit(
         g,
         "split-p2k3/m-p3free",
         "p3-free",
         "non-neighborhood of the spare edge is a union of cliques",
-        sets={"X": _set(m)},
+        sets={"X": m},
     )
-    c1 = _max_clique(run, _set(m))
+    c1 = mask_of(require_clique_number(g, run.budget, within=m).vertices) if m else 0
+    c1_closed = c1
+    for v in bits(c1):
+        c1_closed |= g.rows[v] & live
     d = 0
     for v in bits(y):
         if g.rows[v] & y == y & ~(1 << v):
@@ -445,32 +402,29 @@ def _kite_split_p2k3(
         "clique",
         "common neighbors complete to the rest of the common neighborhood "
         "form a clique",
-        sets={"X": _set(d)},
+        sets={"X": d},
     )
     run.trace.audit(
         g,
         "split-p2k3/eq2-c-meets-c1",
         "subset",
         "every remaining common neighbor sees the largest remainder clique",
-        sets={
-            "X": _set(c),
-            "Y": _set(mask_of(c1) | _union_rows(g, c1) & lm),
-        },
+        sets={"X": c, "Y": c1_closed},
     )
     run.trace.audit(
         g,
         "split-p2k3/eq3-c-complete-c1",
         "complete-between",
         "remaining common neighbors are complete to the largest remainder clique",
-        sets={"X": _set(c), "Y": c1},
+        sets={"X": c, "Y": c1},
     )
-    omega1 = _omega(run, _set(c))
+    omega1 = require_clique_number(g, run.budget, within=c).lower if c else 0
     run.trace.audit(
         g,
         "split-p2k3/clique-budget",
         "value-le",
         "remainder clique plus a clique of the recursed part fit in omega",
-        numbers={"value": len(c1) + omega1, "bound": omega},
+        numbers={"value": c1.bit_count() + omega1, "bound": omega},
     )
     run.trace.audit(
         g,
@@ -487,7 +441,7 @@ def _kite_split_p2k3(
         "stack into one clique",
         numbers={"value": d.bit_count() + 2 + omega1, "bound": omega},
     )
-    cluster_block = _cluster(run, _set(m | um))
+    cluster_block = _cluster(g, m | um)
     run.trace.audit(
         g,
         "split-p2k3/cluster-palette",
@@ -496,7 +450,7 @@ def _kite_split_p2k3(
         "omega minus omega1 colors",
         numbers={"value": cluster_block[1], "bound": omega - omega1},
     )
-    rec_block = _kite(run, tuple(bits(c)))
+    rec_block = _kite(run, c)
     run.trace.audit(
         g,
         "split-p2k3/recursion-palette",
@@ -506,9 +460,9 @@ def _kite_split_p2k3(
     )
     merged, total = _merge(
         cluster_block,
-        _clique_block(_set(d)),
-        _single_color_block(_set(x1)),
-        _single_color_block(_set(x2)),
+        _clique_block(d),
+        _single_color_block(x1),
+        _single_color_block(x2),
         rec_block,
     )
     run.trace.audit(
@@ -521,44 +475,50 @@ def _kite_split_p2k3(
     return merged, total
 
 
-def _union_rows(g: Graph, vertices) -> int:
-    acc = 0
-    for v in vertices:
-        acc |= g.rows[v]
-    return acc
+def _anchor_cells(
+    g: Graph, live: int, anchors: dict[int, int]
+) -> tuple[Callable[..., int], int, int]:
+    """Split the anchors' neighborhood in G[live] into cells by which anchors
+    a vertex sees.  Anchors are keyed by label.  Returns a lookup
+    cell(*labels) giving the vertices that see exactly those anchors, the
+    neighborhood mask, and the rest of live outside the anchors and their
+    neighborhood."""
+    am = mask_of(anchors.values())
+    nm = 0
+    for a in anchors.values():
+        nm |= g.rows[a]
+    nm &= live & ~am
+    cells: dict[frozenset[int], int] = {}
+    for w in bits(nm):
+        s = frozenset(i for i, a in anchors.items() if g.rows[a] >> w & 1)
+        cells[s] = cells.get(s, 0) | 1 << w
+
+    def cell(*labels: int) -> int:
+        return cells.get(frozenset(labels), 0)
+
+    return cell, nm, live & ~am & ~nm
 
 
 def _kite_split_hammer(
-    run: _Run, live: tuple[int, ...], emb: Embedding, omega: int
+    run: _Run, live: int, emb: Embedding, omega: int
 ) -> tuple[dict[int, int], int]:
     g = run.g
-    lm = mask_of(live)
     v1, v2, v3, v4, v5 = emb.vertices
-    anchors = {1: v1, 2: v2, 4: v4, 5: v5}
-    km = mask_of(anchors.values())
-    nm = _union_rows(g, anchors.values()) & lm & ~km
-    cells: dict[frozenset[int], int] = {}
-    for w in bits(nm):
-        s = frozenset(i for i, vi in anchors.items() if g.rows[vi] >> w & 1)
-        cells[s] = cells.get(s, 0) | 1 << w
-    rest = lm & ~km & ~nm
-
-    def cell(*idx: int) -> int:
-        return cells.get(frozenset(idx), 0)
-
+    km = 1 << v1 | 1 << v2 | 1 << v4 | 1 << v5
+    cell, nm, rest = _anchor_cells(g, live, {1: v1, 2: v2, 4: v4, 5: v5})
     run.trace.audit(
         g,
         "split-hammer/cell-12-empty",
         "empty-set",
         "no vertex sees exactly the triangle edge of the hammer anchors",
-        sets={"X": _set(cell(1, 2))},
+        sets={"X": cell(1, 2)},
     )
     run.trace.audit(
         g,
         "split-hammer/cell-45-empty",
         "empty-set",
         "no vertex sees exactly the handle edge of the hammer anchors",
-        sets={"X": _set(cell(4, 5))},
+        sets={"X": cell(4, 5)},
     )
     for i in (1, 2, 4, 5):
         run.trace.audit(
@@ -566,7 +526,7 @@ def _kite_split_hammer(
             f"split-hammer/cell-{i}-empty",
             "empty-set",
             "no vertex sees exactly one hammer anchor",
-            sets={"X": _set(cell(i))},
+            sets={"X": cell(i)},
         )
     j2_parts = [(1, 4), (1, 5), (2, 4), (2, 5)]
     j3_parts = [(1, 2, 4), (1, 2, 5), (1, 4, 5), (2, 4, 5)]
@@ -576,7 +536,7 @@ def _kite_split_hammer(
             f"split-hammer/cell-{''.join(map(str, part))}-independent",
             "independent",
             "a mixed anchor cell is independent",
-            sets={"X": _set(cell(*part))},
+            sets={"X": cell(*part)},
         )
     j2 = 0
     for part in j2_parts:
@@ -590,31 +550,31 @@ def _kite_split_hammer(
         "split-hammer/cells-cover",
         "sets-equal",
         "the anchor neighborhood is exactly the mixed cells plus the full cell",
-        sets={"X": _set(nm), "Y": _set(j2 | j3 | full)},
+        sets={"X": nm, "Y": j2 | j3 | full},
     )
     run.trace.audit(
         g,
         "split-hammer/eq4-j2-j3",
         "anticomplete",
         "two-anchor cells are anticomplete to three-anchor cells",
-        sets={"X": _set(j2), "Y": _set(j3)},
+        sets={"X": j2, "Y": j3},
     )
     run.trace.audit(
         g,
         "split-hammer/hammer-complete-full",
         "complete-between",
         "all five hammer vertices are complete to the full cell",
-        sets={"X": [v1, v2, v3, v4, v5], "Y": _set(full)},
+        sets={"X": emb.vertices, "Y": full},
     )
     run.trace.audit(
         g,
         "split-hammer/full-cell-omega",
         "omega-le",
         "the full cell lives under the hammer triangle in clique space",
-        sets={"X": _set(full)},
+        sets={"X": full},
         numbers={"bound": omega - 3},
     )
-    full_block = _kite(run, tuple(bits(full)))
+    full_block = _kite(run, full)
     run.trace.audit(
         g,
         "split-hammer/recursion-palette",
@@ -622,27 +582,23 @@ def _kite_split_hammer(
         "recursed full cell stays within twice its clique budget",
         numbers={"value": full_block[1], "bound": 2 * (omega - 3)},
     )
-    j2_colors, j2_palette = _chi(run, _set(j2))
-    run.trace.audit(
-        g,
-        "split-hammer/j2-palette",
-        "value-le",
-        "two-anchor cells together take at most 2 colors",
-        sets={"X": _set(j2)},
-        numbers={"value": j2_palette, "bound": 2},
-        soft=True,
-    )
-    j3_colors, j3_palette = _chi(run, _set(j3))
-    run.trace.audit(
-        g,
-        "split-hammer/j3-palette",
-        "value-le",
-        "three-anchor cells together take at most 2 colors",
-        sets={"X": _set(j3)},
-        numbers={"value": j3_palette, "bound": 2},
-        soft=True,
-    )
-    shared_palette = max(j2_palette, j3_palette)
+    j_colors: dict[int, int] = {}
+    shared_palette = 0
+    for label, word, part in (("j2", "two", j2), ("j3", "three", j3)):
+        palette, coloring = (
+            require_chromatic(g, run.budget, within=part) if part else (0, Coloring(()))
+        )
+        run.trace.audit(
+            g,
+            f"split-hammer/{label}-palette",
+            "value-le",
+            f"{word}-anchor cells together take at most 2 colors",
+            sets={"X": part},
+            numbers={"value": palette, "bound": 2},
+            soft=True,
+        )
+        j_colors.update(zip(bits(part), coloring.colors))
+        shared_palette = max(shared_palette, palette)
     run.trace.audit(
         g,
         "split-hammer/n-block-palette",
@@ -655,9 +611,9 @@ def _kite_split_hammer(
         "split-hammer/rest-components",
         "components-le-2",
         "outside the anchor neighborhood only vertices and edges remain",
-        sets={"X": _set(rest | km)},
+        sets={"X": rest | km},
     )
-    rest_block = _cluster(run, _set(rest | km))
+    rest_block = _cluster(g, rest | km)
     run.trace.audit(
         g,
         "split-hammer/rest-palette",
@@ -665,8 +621,7 @@ def _kite_split_hammer(
         "remainder plus anchors take at most 2 colors",
         numbers={"value": rest_block[1], "bound": 2},
     )
-    j_block = ({**j2_colors, **j3_colors}, shared_palette)
-    merged, total = _merge(full_block, j_block, rest_block)
+    merged, total = _merge(full_block, (j_colors, shared_palette), rest_block)
     run.trace.audit(
         g,
         "split-hammer/total",
@@ -687,18 +642,14 @@ def color_p2k3_free(
     return _wrap("P2K3Free", g, budget, _p2k3_main)
 
 
-def _p2k3_main(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
-    if not live:
-        return {}, 0
+def _p2k3_main(run: _Run, live: int) -> tuple[dict[int, int], int]:
     g = run.g
-    lm = mask_of(live)
-    sub = _sub(run, live)
-    if sub.edge_count == 0:
+    if _edgeless(g, live):
         return _single_color_block(live)
-    cliq = _max_clique(run, live)
+    cliq = require_clique_number(g, run.budget, within=live).vertices
     omega = len(cliq)
     v1 = cliq[0]
-    outside = lm & ~(g.rows[v1] & lm) & ~(1 << v1)
+    outside = live & ~g.rows[v1] & ~(1 << v1)
     taken = 0
     a_sets: list[tuple[int, int]] = []  # (clique index i, mask)
     for i in range(2, omega + 1):
@@ -714,32 +665,32 @@ def _p2k3_main(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
                 f"greedy-split/a{i}-components",
                 "components-le-2",
                 "a part missing one clique vertex splits into vertices and edges",
-                sets={"X": _set(ai), "missed": [cliq[i - 1]], "root": [v1]},
+                sets={"X": ai, "missed": 1 << cliq[i - 1], "root": 1 << v1},
             )
     run.trace.audit(
         g,
         "greedy-split/b-complete",
         "complete-between",
         "leftover outside vertices see the whole clique except its root",
-        sets={"X": _set(b), "Y": cliq[1:]},
+        sets={"X": b, "Y": cliq[1:]},
     )
     run.trace.audit(
         g,
         "greedy-split/b-independent",
         "independent",
         "leftover outside vertices are independent",
-        sets={"X": _set(b)},
+        sets={"X": b},
     )
-    nbhd = g.rows[v1] & lm
+    nbhd = g.rows[v1] & live
     run.trace.audit(
         g,
         "greedy-split/recursion-omega",
         "omega-le",
         "the root neighborhood drops the clique number by one",
-        sets={"X": _set(nbhd)},
+        sets={"X": nbhd},
         numbers={"bound": omega - 1},
     )
-    rec_block = _p2k3_main(run, tuple(bits(nbhd)))
+    rec_block = _p2k3_main(run, nbhd)
     run.trace.audit(
         g,
         "greedy-split/recursion-palette",
@@ -750,7 +701,7 @@ def _p2k3_main(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
     blocks = [rec_block]
     for i, ai in a_sets:
         if ai:
-            block = _cluster(run, _set(ai))
+            block = _cluster(g, ai)
             run.trace.audit(
                 g,
                 f"greedy-split/a{i}-palette",
@@ -759,7 +710,7 @@ def _p2k3_main(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
                 numbers={"value": block[1], "bound": 2},
             )
             blocks.append(block)
-    blocks.append(_single_color_block(_set(b | 1 << v1)))
+    blocks.append(_single_color_block(b | 1 << v1))
     merged, total = _merge(*blocks)
     run.trace.audit(
         g,
@@ -781,18 +732,14 @@ def color_hammer_free(
     return _wrap("HammerFree", g, budget, _hammer_rec)
 
 
-def _hammer_rec(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
-    if not live:
-        return {}, 0
+def _hammer_rec(run: _Run, live: int) -> tuple[dict[int, int], int]:
     g = run.g
-    lm = mask_of(live)
-    sub = _sub(run, live)
-    if sub.edge_count == 0:
+    if _edgeless(g, live):
         return _single_color_block(live)
-    emb = _find(run, live, "p2_union_k3")
+    emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
     if emb is None:
         return _p2k3_main(run, live)
-    omega = _omega(run, live)
+    omega = require_clique_number(g, run.budget, within=live).lower
     u1, u2 = emb.vertices[0], emb.vertices[1]
     run.trace.audit(
         g,
@@ -800,26 +747,26 @@ def _hammer_rec(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
         "sets-equal",
         "the spare edge endpoints have identical closed neighborhoods",
         sets={
-            "X": _set((g.rows[u1] | 1 << u1) & lm),
-            "Y": _set((g.rows[u2] | 1 << u2) & lm),
+            "X": (g.rows[u1] | 1 << u1) & live,
+            "Y": (g.rows[u2] | 1 << u2) & live,
         },
     )
     um = 1 << u1 | 1 << u2
-    nbhd = g.rows[u1] & lm & ~um
-    rest = lm & ~um & ~nbhd
+    nbhd = g.rows[u1] & live & ~um
+    rest = live & ~um & ~nbhd
     run.trace.audit(
         g,
         "twin-edge/pair-complete",
         "complete-between",
         "the twin edge is complete to its shared neighborhood",
-        sets={"X": [u1, u2], "Y": _set(nbhd)},
+        sets={"X": um, "Y": nbhd},
     )
     run.trace.audit(
         g,
         "twin-edge/n-omega",
         "omega-le",
         "the shared neighborhood drops the clique number by two",
-        sets={"X": _set(nbhd)},
+        sets={"X": nbhd},
         numbers={"bound": omega - 2},
     )
     run.trace.audit(
@@ -827,9 +774,9 @@ def _hammer_rec(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
         "twin-edge/rest-p3free",
         "p3-free",
         "the remainder plus the twin edge is a union of cliques",
-        sets={"X": _set(rest | um)},
+        sets={"X": rest | um},
     )
-    rec_block = _hammer_rec(run, tuple(bits(nbhd)))
+    rec_block = _hammer_rec(run, nbhd)
     run.trace.audit(
         g,
         "twin-edge/recursion-palette",
@@ -837,7 +784,7 @@ def _hammer_rec(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
         "recursed shared neighborhood stays within its squared clique budget",
         numbers={"value": rec_block[1], "bound": (omega - 2) * (omega - 2)},
     )
-    rest_block = _cluster(run, _set(rest | um))
+    rest_block = _cluster(g, rest | um)
     run.trace.audit(
         g,
         "twin-edge/cluster-palette",
@@ -866,51 +813,33 @@ def color_c5_free(
     return _wrap("C5Free", g, budget, _c5_rec)
 
 
-def _c5_binding(omega: int) -> int:
-    return (3 * omega * omega + omega) // 2 if omega >= 1 else 0
-
-
-def _c5_rec(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
-    if not live:
-        return {}, 0
+def _c5_rec(run: _Run, live: int) -> tuple[dict[int, int], int]:
     g = run.g
-    lm = mask_of(live)
-    sub = _sub(run, live)
-    if sub.edge_count == 0:
+    if _edgeless(g, live):
         return _single_color_block(live)
-    if find_induced(sub, PATTERNS["k3"]) is None:
-        colors, palette = _chi(run, live)
-        run.trace.audit(
-            g,
-            "leaf/triangle-free",
-            "value-le",
-            "triangle-free remainder takes at most 4 colors",
-            sets={"X": live},
-            numbers={"value": palette, "bound": 4},
-        )
-        return colors, palette
-    omega = _omega(run, live)
-    v_local = max(range(sub.n), key=lambda i: (sub.degree(i), -i))
-    v = live[v_local]
-    dist_local = distances_from(sub, [v_local])
-    n1 = 0
+    leaf = _triangle_free_leaf(run, live)
+    if leaf is not None:
+        return leaf
+    omega = require_clique_number(g, run.budget, within=live).lower
+    # Layers around a root of largest degree in G[live]: its neighbors, the
+    # second sphere, and everything further or unreachable.
+    v = max(bits(live), key=lambda w: ((g.rows[w] & live).bit_count(), -w))
+    root = 1 << v
+    n1 = g.rows[v] & live
     n2 = 0
-    far = 0
-    for i, d in enumerate(dist_local):
-        w = live[i]
-        if d == 1:
-            n1 |= 1 << w
-        elif d == 2:
-            n2 |= 1 << w
-        elif d >= 3 or (d == -1 and w != v):
-            far |= 1 << w
-    n2plus_reach = n2 | (far & ~_unreachable_mask(live, dist_local))
-    cats = {
-        u: _omega(run, _set(n2plus_reach & ~g.rows[u])) for u in bits(n1)
-    }
+    for u in bits(n1):
+        n2 |= g.rows[u]
+    n2 &= live & ~n1 & ~root
+    far = live & ~root & ~n1 & ~n2
+    n2plus_reach = reachable(g, live, root) & ~root & ~n1
+    cats: dict[int, int] = {}
     a012 = 0
-    for u, cat in cats.items():
-        if cat <= 2:
+    for u in bits(n1):
+        missed = n2plus_reach & ~g.rows[u]
+        cats[u] = (
+            require_clique_number(g, run.budget, within=missed).lower if missed else 0
+        )
+        if cats[u] <= 2:
             a012 |= 1 << u
     aprime = n1 & ~a012
     run.trace.audit(
@@ -919,7 +848,7 @@ def _c5_rec(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
         "clique",
         "neighbors whose second-sphere non-neighborhood holds a triangle "
         "form a clique",
-        sets={"X": _set(aprime)},
+        sets={"X": aprime},
     )
     run.trace.audit(
         g,
@@ -930,26 +859,15 @@ def _c5_rec(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
     )
     if a012 == 0:
         return _c5_clique_neighborhood(run, live, v, n1, omega)
-    return _c5_second_neighborhood(
-        run, live, v, n1, n2, far, a012, aprime, cats, omega
-    )
-
-
-def _unreachable_mask(live: tuple[int, ...], dist_local: list[int]) -> int:
-    m = 0
-    for i, d in enumerate(dist_local):
-        if d == -1:
-            m |= 1 << live[i]
-    return m
+    return _c5_second_neighborhood(run, v, n1, n2, far, a012, aprime, cats, omega)
 
 
 def _c5_clique_neighborhood(
-    run: _Run, live: tuple[int, ...], v: int, n1: int, omega: int
+    run: _Run, live: int, v: int, n1: int, omega: int
 ) -> tuple[dict[int, int], int]:
     g = run.g
-    lm = mask_of(live)
     vprime = next(bits(n1))
-    r = lm & ~(1 << v) & ~n1
+    r = live & ~(1 << v) & ~n1
     rec_set = r & g.rows[vprime]
     clus_set = (r & ~g.rows[vprime]) | 1 << v
     run.trace.audit(
@@ -957,7 +875,7 @@ def _c5_clique_neighborhood(
         "clique-nbhd/rec-omega",
         "omega-le",
         "the picked neighbor's side of the remainder drops the clique number",
-        sets={"X": _set(rec_set), "picked": [vprime]},
+        sets={"X": rec_set, "picked": 1 << vprime},
         numbers={"bound": omega - 1},
     )
     run.trace.audit(
@@ -965,9 +883,9 @@ def _c5_clique_neighborhood(
         "clique-nbhd/cluster-p3free",
         "p3-free",
         "the rest of the remainder plus the root is a union of cliques",
-        sets={"X": _set(clus_set)},
+        sets={"X": clus_set},
     )
-    clus_block = _cluster(run, _set(clus_set))
+    clus_block = _cluster(g, clus_set)
     run.trace.audit(
         g,
         "clique-nbhd/cluster-palette",
@@ -975,28 +893,27 @@ def _c5_clique_neighborhood(
         "remainder cliques fit in omega colors",
         numbers={"value": clus_block[1], "bound": omega},
     )
-    rec_block = _c5_rec(run, tuple(bits(rec_set)))
+    rec_block = _c5_rec(run, rec_set)
     run.trace.audit(
         g,
         "clique-nbhd/recursion-palette",
         "value-le",
         "recursed remainder side stays within the binding at omega-1",
-        numbers={"value": rec_block[1], "bound": _c5_binding(omega - 1)},
+        numbers={"value": rec_block[1], "bound": BINDINGS["C5Free"](omega - 1)},
     )
-    merged, total = _merge(_clique_block(_set(n1)), clus_block, rec_block)
+    merged, total = _merge(_clique_block(n1), clus_block, rec_block)
     run.trace.audit(
         g,
         "clique-nbhd/total",
         "value-le",
         "clique-neighborhood split stays within the binding",
-        numbers={"value": total, "bound": _c5_binding(omega)},
+        numbers={"value": total, "bound": BINDINGS["C5Free"](omega)},
     )
     return merged, total
 
 
 def _c5_second_neighborhood(
     run: _Run,
-    live: tuple[int, ...],
     v: int,
     n1: int,
     n2: int,
@@ -1007,7 +924,7 @@ def _c5_second_neighborhood(
     omega: int,
 ) -> tuple[dict[int, int], int]:
     g = run.g
-    c = _max_clique(run, _set(a012))
+    c = require_clique_number(g, run.budget, within=a012).vertices
     omega0 = len(c)
     run.trace.audit(
         g,
@@ -1034,7 +951,7 @@ def _c5_second_neighborhood(
         "sets-equal",
         "second-sphere vertices missing part of the clique split by their "
         "first missed clique vertex",
-        sets={"X": _set(taken), "Y": _set(remaining)},
+        sets={"X": taken, "Y": remaining},
     )
     b_blocks: list[tuple[dict[int, int], int]] = []
     b_total = 0
@@ -1046,7 +963,7 @@ def _c5_second_neighborhood(
                 f"second-nbhd/b{idx}-empty",
                 "empty-set",
                 "a category-0 clique vertex has no second-sphere part",
-                sets={"X": _set(bi), "anchor": [t]},
+                sets={"X": bi, "anchor": 1 << t},
             )
             continue
         if not bi:
@@ -1056,9 +973,9 @@ def _c5_second_neighborhood(
             f"second-nbhd/b{idx}-p3free",
             "p3-free",
             "a second-sphere part is a union of cliques",
-            sets={"X": _set(bi), "anchor": [t]},
+            sets={"X": bi, "anchor": 1 << t},
         )
-        block = _cluster(run, _set(bi))
+        block = _cluster(g, bi)
         run.trace.audit(
             g,
             f"second-nbhd/b{idx}-palette",
@@ -1083,43 +1000,43 @@ def _c5_second_neighborhood(
         "omega-le",
         "vertices complete to the low-category clique drop the clique number "
         "by its size",
-        sets={"X": _set(d)},
+        sets={"X": d},
         numbers={"bound": omega - omega0},
     )
-    a_block = _c5_rec(run, tuple(bits(a012)))
+    a_block = _c5_rec(run, a012)
     run.trace.audit(
         g,
         "second-nbhd/a-palette",
         "value-le",
         "recursed low-category neighbors stay within the binding at their "
         "clique number",
-        numbers={"value": a_block[1], "bound": _c5_binding(omega0)},
+        numbers={"value": a_block[1], "bound": BINDINGS["C5Free"](omega0)},
     )
-    d_block = _c5_rec(run, tuple(bits(d)))
+    d_block = _c5_rec(run, d)
     run.trace.audit(
         g,
         "second-nbhd/d-palette",
         "value-le",
         "recursed complete-side stays within the binding at the reduced "
         "clique number",
-        numbers={"value": d_block[1], "bound": _c5_binding(omega - omega0)},
+        numbers={"value": d_block[1], "bound": BINDINGS["C5Free"](omega - omega0)},
     )
     run.trace.audit(
         g,
         "second-nbhd/far-anticomplete",
         "anticomplete",
         "the high-category clique sees nothing at distance three or beyond",
-        sets={"X": _set(aprime), "Y": _set(far)},
+        sets={"X": aprime, "Y": far},
     )
     run.trace.audit(
         g,
         "second-nbhd/far-p3free",
         "p3-free",
         "distance three and beyond is a union of cliques",
-        sets={"X": _set(far)},
+        sets={"X": far},
     )
-    far_cluster = _cluster(run, _set(far))
-    aprime_list = sorted(bits(aprime))
+    far_cluster = _cluster(g, far)
+    aprime_list = list(bits(aprime))
     far_palette = max(len(aprime_list), far_cluster[1])
     run.trace.audit(
         g,
@@ -1163,7 +1080,7 @@ def _c5_second_neighborhood(
         "second-nbhd/total",
         "value-le",
         "second-neighborhood split stays within the binding",
-        numbers={"value": total, "bound": _c5_binding(omega)},
+        numbers={"value": total, "bound": BINDINGS["C5Free"](omega)},
     )
     return colors, total
 
@@ -1178,24 +1095,13 @@ def color_k4_free(
     return _wrap("K4Free", g, budget, _k4_rec)
 
 
-def _k4_rec(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
-    if not live:
-        return {}, 0
+def _k4_rec(run: _Run, live: int) -> tuple[dict[int, int], int]:
     g = run.g
-    sub = _sub(run, live)
-    if sub.edge_count == 0:
+    if _edgeless(g, live):
         return _single_color_block(live)
-    if find_induced(sub, PATTERNS["k3"]) is None:
-        colors, palette = _chi(run, live)
-        run.trace.audit(
-            g,
-            "leaf/triangle-free",
-            "value-le",
-            "triangle-free remainder takes at most 4 colors",
-            sets={"X": live},
-            numbers={"value": palette, "bound": 4},
-        )
-        return colors, palette
+    leaf = _triangle_free_leaf(run, live)
+    if leaf is not None:
+        return leaf
     run.trace.audit(
         g,
         "triangle-cap/omega",
@@ -1204,47 +1110,40 @@ def _k4_rec(run: _Run, live: tuple[int, ...]) -> tuple[dict[int, int], int]:
         sets={"X": live},
         numbers={"bound": 3},
     )
-    emb = _find(run, live, "2k3")
+    emb = find_induced(g, PATTERNS["2k3"], within=live)
     if emb is not None:
         return _k4_two_triangles(run, live, emb)
-    emb = _find(run, live, "p2_union_k3")
+    emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
     if emb is not None:
         return _k4_spare_edge(run, live, emb)
     return _p2k3_main(run, live)
 
 
-def _triangle_cells(
-    run: _Run, live: tuple[int, ...], tri: tuple[int, int, int]
-) -> tuple[dict[frozenset[int], int], int]:
-    g = run.g
-    lm = mask_of(live)
-    tm = mask_of(tri)
-    nm = _union_rows(g, tri) & lm & ~tm
-    cells: dict[frozenset[int], int] = {}
-    for w in bits(nm):
-        s = frozenset(i for i in (1, 2, 3) if g.rows[tri[i - 1]] >> w & 1)
-        cells[s] = cells.get(s, 0) | 1 << w
-    rest = lm & ~tm & ~nm
-    return cells, rest
+def _triangle_shades(tri: tuple[int, ...], cell: Callable[..., int]) -> dict[int, int]:
+    """Three colors for a triangle and its two-vertex cells: each triangle
+    vertex shares its color with the cell that misses it."""
+    colors: dict[int, int] = {}
+    pairing = [((2, 3), tri[0]), ((1, 3), tri[1]), ((1, 2), tri[2])]
+    for shade, (pair, anchor) in enumerate(pairing):
+        for w in bits(cell(*pair)):
+            colors[w] = shade
+        colors[anchor] = shade
+    return colors
 
 
 def _k4_two_triangles(
-    run: _Run, live: tuple[int, ...], emb: Embedding
+    run: _Run, live: int, emb: Embedding
 ) -> tuple[dict[int, int], int]:
     g = run.g
     tri = emb.vertices[:3]
     other = emb.vertices[3:]
-    cells, rest = _triangle_cells(run, live, tri)
-
-    def cell(*idx: int) -> int:
-        return cells.get(frozenset(idx), 0)
-
+    cell, _, rest = _anchor_cells(g, live, dict(enumerate(tri, 1)))
     run.trace.audit(
         g,
         "two-triangles/cell-123-empty",
         "empty-set",
         "no vertex sees the whole base triangle",
-        sets={"X": _set(cell(1, 2, 3))},
+        sets={"X": cell(1, 2, 3)},
     )
     for i in (1, 2, 3):
         run.trace.audit(
@@ -1252,7 +1151,7 @@ def _k4_two_triangles(
             f"two-triangles/cell-{i}-empty",
             "empty-set",
             "no vertex sees exactly one base triangle vertex",
-            sets={"X": _set(cell(i)), "other-triangle": list(other)},
+            sets={"X": cell(i), "other-triangle": other},
         )
     for a, b in ((1, 2), (1, 3), (2, 3)):
         run.trace.audit(
@@ -1260,22 +1159,17 @@ def _k4_two_triangles(
             f"two-triangles/cell-{a}{b}-independent",
             "independent",
             "a two-vertex cell of the base triangle is independent",
-            sets={"X": _set(cell(a, b))},
+            sets={"X": cell(a, b)},
         )
     run.trace.audit(
         g,
         "two-triangles/rest-p3free",
         "p3-free",
         "outside the base triangle's neighborhood is a union of cliques",
-        sets={"X": _set(rest)},
+        sets={"X": rest},
     )
-    colors: dict[int, int] = {}
-    pairing = [((2, 3), tri[0]), ((1, 3), tri[1]), ((1, 2), tri[2])]
-    for shade, (pair, anchor) in enumerate(pairing):
-        for w in bits(cell(*pair)):
-            colors[w] = shade
-        colors[anchor] = shade
-    rest_block = _cluster(run, _set(rest))
+    shades = _triangle_shades(tri, cell)
+    rest_block = _cluster(g, rest)
     run.trace.audit(
         g,
         "two-triangles/rest-palette",
@@ -1283,7 +1177,7 @@ def _k4_two_triangles(
         "outside cliques take at most 3 colors",
         numbers={"value": rest_block[1], "bound": 3},
     )
-    merged, total = _merge(({**colors}, 3), rest_block)
+    merged, total = _merge((shades, 3), rest_block)
     run.trace.audit(
         g,
         "two-triangles/total",
@@ -1295,22 +1189,18 @@ def _k4_two_triangles(
 
 
 def _k4_spare_edge(
-    run: _Run, live: tuple[int, ...], emb: Embedding
+    run: _Run, live: int, emb: Embedding
 ) -> tuple[dict[int, int], int]:
     g = run.g
     u1, u2 = emb.vertices[:2]
     tri = emb.vertices[2:]
-    cells, rest = _triangle_cells(run, live, tri)
-
-    def cell(*idx: int) -> int:
-        return cells.get(frozenset(idx), 0)
-
+    cell, _, rest = _anchor_cells(g, live, dict(enumerate(tri, 1)))
     run.trace.audit(
         g,
         "spare-edge/cell-123-empty",
         "empty-set",
         "no vertex sees the whole triangle",
-        sets={"X": _set(cell(1, 2, 3))},
+        sets={"X": cell(1, 2, 3)},
     )
     singles = cell(1) | cell(2) | cell(3)
     run.trace.audit(
@@ -1318,14 +1208,14 @@ def _k4_spare_edge(
         "spare-edge/singles-complete-pair",
         "complete-between",
         "one-vertex cells are complete to the spare edge",
-        sets={"X": _set(singles), "Y": [u1, u2]},
+        sets={"X": singles, "Y": [u1, u2]},
     )
     run.trace.audit(
         g,
         "spare-edge/singles-independent",
         "independent",
         "one-vertex cells together are independent",
-        sets={"X": _set(singles)},
+        sets={"X": singles},
     )
     for a, b in ((1, 2), (1, 3), (2, 3)):
         run.trace.audit(
@@ -1333,22 +1223,17 @@ def _k4_spare_edge(
             f"spare-edge/cell-{a}{b}-independent",
             "independent",
             "a two-vertex cell of the triangle is independent",
-            sets={"X": _set(cell(a, b))},
+            sets={"X": cell(a, b)},
         )
     run.trace.audit(
         g,
         "spare-edge/rest-components",
         "components-le-2",
         "without a second triangle the outside splits into vertices and edges",
-        sets={"X": _set(rest)},
+        sets={"X": rest},
     )
-    colors: dict[int, int] = {}
-    pairing = [((2, 3), tri[0]), ((1, 3), tri[1]), ((1, 2), tri[2])]
-    for shade, (pair, anchor) in enumerate(pairing):
-        for w in bits(cell(*pair)):
-            colors[w] = shade
-        colors[anchor] = shade
-    rest_block = _cluster(run, _set(rest))
+    shades = _triangle_shades(tri, cell)
+    rest_block = _cluster(g, rest)
     run.trace.audit(
         g,
         "spare-edge/rest-palette",
@@ -1356,9 +1241,7 @@ def _k4_spare_edge(
         "outside components take at most 2 colors",
         numbers={"value": rest_block[1], "bound": 2},
     )
-    merged, total = _merge(
-        ({**colors}, 3), _single_color_block(_set(singles)), rest_block
-    )
+    merged, total = _merge((shades, 3), _single_color_block(singles), rest_block)
     run.trace.audit(
         g,
         "spare-edge/total",

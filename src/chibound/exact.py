@@ -4,14 +4,20 @@ All solvers run under a budget of search nodes and wall time.  Exhausting the
 budget is not an error: results carry proven bounds and a completeness flag,
 so "unknown" stays distinct from any definite answer.  Tie-breaking is always
 toward the lowest vertex id, which makes every witness deterministic.
+
+The clique and chromatic solvers take an optional vertex mask ``within`` and
+then solve G[within] in place: the adjacency rows are restricted to the mask
+once, results keep the graph's own vertex ids, and the search runs exactly as
+it would on the induced copy renumbered by ascending id.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .graphs import Coloring, Graph, bits
+from .graphs import Coloring, Graph, bits, restrict
 
 DEFAULT_NODE_LIMIT = 10_000_000
 DEFAULT_TIME_LIMIT = 60.0
@@ -105,17 +111,22 @@ def greedy_coloring(g: Graph, order: list[int] | None = None) -> Coloring:
         order = list(g.vertices())
     if sorted(order) != list(g.vertices()):
         raise ValueError("order must be a permutation of the vertices")
-    colors = [-1] * g.n
+    return Coloring(tuple(_first_fit(g.rows, order)))
+
+
+def _first_fit(rows: Sequence[int], order: Iterable[int]) -> list[int]:
+    """First-fit colors by vertex id along the order; -1 off the order."""
+    colors = [-1] * len(rows)
     for v in order:
         taken = 0
-        for w in bits(g.rows[v]):
+        for w in bits(rows[v]):
             if colors[w] >= 0:
                 taken |= 1 << colors[w]
         c = 0
         while taken >> c & 1:
             c += 1
         colors[v] = c
-    return Coloring(tuple(colors))
+    return colors
 
 
 def verify_coloring(g: Graph, coloring: Coloring) -> tuple[int, int] | None:
@@ -130,21 +141,21 @@ def verify_coloring(g: Graph, coloring: Coloring) -> tuple[int, int] | None:
     return None
 
 
-def _greedy_maximal_clique(g: Graph) -> list[int]:
+def _greedy_maximal_clique(rows: Sequence[int], full: int) -> list[int]:
     """Grow a maximal clique greedily: best seed degree, then lowest ids."""
-    if g.n == 0:
+    if not full:
         return []
-    seed = max(g.vertices(), key=lambda v: (g.rows[v].bit_count(), -v))
+    seed = max(bits(full), key=lambda v: (rows[v].bit_count(), -v))
     clique = [seed]
-    cand = g.rows[seed]
+    cand = rows[seed]
     while cand:
         v = next(bits(cand))
         clique.append(v)
-        cand &= g.rows[v]
+        cand &= rows[v]
     return sorted(clique)
 
 
-def _color_sort(g: Graph, p_mask: int) -> list[tuple[int, int]]:
+def _color_sort(rows: Sequence[int], p_mask: int) -> list[tuple[int, int]]:
     """Greedy color classes over the candidate set; returns (vertex, bound)
     pairs in class order, bound being the class index + 1."""
     out = []
@@ -157,23 +168,25 @@ def _color_sort(g: Graph, p_mask: int) -> list[tuple[int, int]]:
             v = (avail & -avail).bit_length() - 1
             out.append((v, bound))
             rest &= ~(1 << v)
-            avail &= ~g.rows[v] & ~(1 << v)
+            avail &= ~rows[v] & ~(1 << v)
     return out
 
 
-def _max_clique_search(g: Graph, ticker: _Ticker) -> tuple[list[int], bool]:
+def _max_clique_search(
+    rows: Sequence[int], full: int, ticker: _Ticker
+) -> tuple[list[int], bool]:
     """Branch-and-bound maximum clique; returns (best clique, completed)."""
-    best: list[int] = _greedy_maximal_clique(g)
+    best: list[int] = _greedy_maximal_clique(rows, full)
     cur: list[int] = []
 
     def expand(p_mask: int):
         nonlocal best
         ticker.tick()
-        for v, bound in reversed(_color_sort(g, p_mask)):
+        for v, bound in reversed(_color_sort(rows, p_mask)):
             if len(cur) + bound <= len(best):
                 return
             cur.append(v)
-            rest = p_mask & g.rows[v]
+            rest = p_mask & rows[v]
             if rest:
                 expand(rest)
             elif len(cur) > len(best):
@@ -183,38 +196,46 @@ def _max_clique_search(g: Graph, ticker: _Ticker) -> tuple[list[int], bool]:
 
     complete = True
     try:
-        if g.n:
-            expand(g.full_mask)
+        if full:
+            expand(full)
     except _OutOfBudget:
         complete = False
     return best, complete
 
 
-def clique_number(g: Graph, budget: SolveBudget | None = None) -> CliqueResult:
-    """Exact clique number with greedy-coloring upper bounds on exhaustion."""
+def clique_number(
+    g: Graph, budget: SolveBudget | None = None, *, within: int | None = None
+) -> CliqueResult:
+    """Exact clique number with greedy-coloring upper bounds on exhaustion.
+
+    With a vertex mask ``within`` this is the clique number of G[within];
+    the clique's vertices are ids of g.
+    """
+    rows, full = restrict(g, within)
     ticker = _Ticker(budget or SolveBudget())
-    best, complete = _max_clique_search(g, ticker)
+    best, complete = _max_clique_search(rows, full, ticker)
     lower = len(best)
     # A proper coloring bounds the clique number from above.
-    upper = lower if complete else max(lower, greedy_coloring(g).palette)
+    upper = lower if complete else max(lower, max(_first_fit(rows, bits(full))) + 1)
     return CliqueResult(tuple(best), lower, upper, complete, ticker.nodes)
 
 
 def _k_color_search(
-    g: Graph, k: int, ticker: _Ticker, clique: list[int]
+    rows: Sequence[int], verts: list[int], k: int, ticker: _Ticker, clique: list[int]
 ) -> ColorabilityResult:
-    n = g.n
+    """k-coloring search on the given vertices; a found coloring lists them
+    in the order of verts."""
     if len(clique) > k:
         return ColorabilityResult("uncolorable", None, ticker.nodes)
-    colors = [-1] * n
+    colors = [-1] * len(rows)
     # Color masks already present on each vertex's neighborhood.
-    adj_colors = [0] * n
+    adj_colors = [0] * len(rows)
     for i, v in enumerate(clique):
         colors[v] = i
-        for w in bits(g.rows[v]):
+        for w in bits(rows[v]):
             adj_colors[w] |= 1 << i
     max_used = len(clique)
-    uncolored = [v for v in range(n) if colors[v] < 0]
+    uncolored = [v for v in verts if colors[v] < 0]
 
     def pick() -> int:
         best_v = -1
@@ -222,7 +243,7 @@ def _k_color_search(
         for v in uncolored:
             if colors[v] >= 0:
                 continue
-            key = (adj_colors[v].bit_count(), g.rows[v].bit_count(), -v)
+            key = (adj_colors[v].bit_count(), rows[v].bit_count(), -v)
             if key > best_key:
                 best_key = key
                 best_v = v
@@ -241,7 +262,7 @@ def _k_color_search(
             colors[v] = c
             touched = []
             ok = True
-            for w in bits(g.rows[v]):
+            for w in bits(rows[v]):
                 if not adj_colors[w] >> c & 1:
                     adj_colors[w] |= 1 << c
                     touched.append(w)
@@ -259,7 +280,8 @@ def _k_color_search(
     except _OutOfBudget:
         return ColorabilityResult("unknown", None, ticker.nodes)
     if found:
-        return ColorabilityResult("colorable", Coloring(tuple(colors)), ticker.nodes)
+        found_colors = Coloring(tuple(colors[v] for v in verts))
+        return ColorabilityResult("colorable", found_colors, ticker.nodes)
     return ColorabilityResult("uncolorable", None, ticker.nodes)
 
 
@@ -272,21 +294,31 @@ def k_colorable(g: Graph, k: int, budget: SolveBudget | None = None) -> Colorabi
     if k == 0:
         return ColorabilityResult("uncolorable", None, 0)
     ticker = _Ticker(budget or SolveBudget())
-    return _k_color_search(g, k, ticker, _greedy_maximal_clique(g))
+    clique = _greedy_maximal_clique(g.rows, g.full_mask)
+    return _k_color_search(g.rows, list(g.vertices()), k, ticker, clique)
 
 
-def chromatic_number(g: Graph, budget: SolveBudget | None = None) -> ChromaticResult:
+def chromatic_number(
+    g: Graph, budget: SolveBudget | None = None, *, within: int | None = None
+) -> ChromaticResult:
     """Exact chromatic number by ascending k, under one shared budget.
 
     When the budget runs out the result carries the proven bounds: lower is
     the largest k shown uncolorable plus one (at least the best clique found)
     and upper comes from the best coloring seen.
+
+    With a vertex mask ``within`` this solves G[within]; the coloring then
+    lists the colors of the masked vertices in ascending id order, as a
+    coloring of the induced copy renumbered by ascending id would.
     """
-    if g.n == 0:
+    rows, full = restrict(g, within)
+    if not full:
         return ChromaticResult(0, 0, Coloring(()), True, 0)
+    verts = list(bits(full))
     ticker = _Ticker(budget or SolveBudget())
-    clique, complete_omega = _max_clique_search(g, ticker)
-    greedy = greedy_coloring(g).compacted()
+    clique, complete_omega = _max_clique_search(rows, full, ticker)
+    first_fit = _first_fit(rows, verts)
+    greedy = Coloring(tuple(first_fit[v] for v in verts)).compacted()
     lower = len(clique)
     upper = greedy.palette
     witness = greedy
@@ -295,7 +327,7 @@ def chromatic_number(g: Graph, budget: SolveBudget | None = None) -> ChromaticRe
     if not complete_omega:
         return ChromaticResult(lower, upper, witness, False, ticker.nodes)
     for k in range(lower, upper):
-        res = _k_color_search(g, k, ticker, clique)
+        res = _k_color_search(rows, verts, k, ticker, clique)
         if res.status == "colorable":
             assert res.coloring is not None
             return ChromaticResult(k, k, res.coloring.compacted(), True, ticker.nodes)
@@ -305,9 +337,11 @@ def chromatic_number(g: Graph, budget: SolveBudget | None = None) -> ChromaticRe
     return ChromaticResult(upper, upper, witness, True, ticker.nodes)
 
 
-def require_chromatic(g: Graph, budget: SolveBudget | None = None) -> tuple[int, Coloring]:
+def require_chromatic(
+    g: Graph, budget: SolveBudget | None = None, *, within: int | None = None
+) -> tuple[int, Coloring]:
     """Chromatic number or BudgetExhausted; for callers needing certainty."""
-    res = chromatic_number(g, budget)
+    res = chromatic_number(g, budget, within=within)
     if not res.complete:
         raise BudgetExhausted(
             f"chromatic number unresolved within budget: bounds [{res.lower}, {res.upper}]"
@@ -316,9 +350,11 @@ def require_chromatic(g: Graph, budget: SolveBudget | None = None) -> tuple[int,
     return res.upper, res.coloring
 
 
-def require_clique_number(g: Graph, budget: SolveBudget | None = None) -> CliqueResult:
+def require_clique_number(
+    g: Graph, budget: SolveBudget | None = None, *, within: int | None = None
+) -> CliqueResult:
     """Clique number or BudgetExhausted."""
-    res = clique_number(g, budget)
+    res = clique_number(g, budget, within=within)
     if not res.complete:
         raise BudgetExhausted(
             f"clique number unresolved within budget: bounds [{res.lower}, {res.upper}]"

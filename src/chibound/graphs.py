@@ -29,6 +29,40 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def reachable(g: Graph, m: int, seeds: int) -> int:
+    """Mask of the vertices of G[m] joined to the seed mask by a path."""
+    comp = seeds
+    frontier = seeds
+    while frontier:
+        grown = comp
+        for v in bits(frontier):
+            grown |= g.rows[v] & m
+        frontier = grown & ~comp
+        comp = grown
+    return comp
+
+
+def components(g: Graph, m: int) -> list[int]:
+    """Masks of the connected components of G[m], by ascending lowest id."""
+    comps = []
+    rest = m
+    while rest:
+        comp = reachable(g, m, rest & -rest)
+        comps.append(comp)
+        rest &= ~comp
+    return comps
+
+
+def restrict(g: Graph, within: int | None) -> tuple[Sequence[int], int]:
+    """Adjacency rows and vertex mask of G[within], kept in g's own ids;
+    the whole graph when within is None."""
+    if within is None:
+        return g.rows, g.full_mask
+    if within < 0 or within >> g.n:
+        raise ValueError(f"vertex mask out of range for order {g.n}")
+    return [r & within for r in g.rows], within
+
+
 class Graph:
     """Undirected simple graph, immutable after construction.
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .catalog import named_graph
-from .graphs import Graph, bits, complete, cycle, mask_of, path
+from .graphs import Graph, bits, complete, cycle, mask_of, path, restrict
 
 MAX_PATTERN_ORDER = 8
 
@@ -131,23 +131,26 @@ def class_by_name(name: str) -> ClassSpec:
     )
 
 
-def _search(host: Graph, pattern: Pattern, collect=None) -> Embedding | None:
+def _search(
+    host: Graph, pattern: Pattern, collect=None, within: int | None = None
+) -> Embedding | None:
     """Backtracking core.  With collect=None returns the first embedding;
     otherwise calls collect(vertices) for every embedding and returns None.
-    Returning True from collect stops the search early."""
+    Returning True from collect stops the search early.  With a vertex mask
+    the search runs on host[within], in the host's ids."""
     p = pattern.graph
     k = p.n
-    if k > host.n:
+    rows, full = restrict(host, within)
+    if k > full.bit_count():
         return None
     order = sorted(range(k), key=lambda i: (-p.rows[i].bit_count(), i))
     # Host vertices usable for pattern vertex i must have at least its degree.
     degree_ok = []
-    host_deg = [r.bit_count() for r in host.rows]
+    host_deg = [r.bit_count() for r in rows]
     for i in range(k):
         need = p.rows[i].bit_count()
         degree_ok.append(mask_of(v for v in host.vertices() if host_deg[v] >= need))
     assign = [0] * k
-    full = host.full_mask
 
     def extend(pos: int, used: int):
         if pos == k:
@@ -160,9 +163,9 @@ def _search(host: Graph, pattern: Pattern, collect=None) -> Embedding | None:
             qv = order[prev]
             hq = assign[qv]
             if p.rows[qv] >> pv & 1:
-                cand &= host.rows[hq]
+                cand &= rows[hq]
             else:
-                cand &= ~host.rows[hq]
+                cand &= ~rows[hq]
         for hv in bits(cand):
             assign[pv] = hv
             got = extend(pos + 1, used | 1 << hv)
@@ -176,9 +179,16 @@ def _search(host: Graph, pattern: Pattern, collect=None) -> Embedding | None:
     return None
 
 
-def find_induced(host: Graph, pattern: Pattern) -> Embedding | None:
-    """First induced occurrence of the pattern in the host, or None."""
-    return _search(host, pattern)
+def find_induced(
+    host: Graph, pattern: Pattern, *, within: int | None = None
+) -> Embedding | None:
+    """First induced occurrence of the pattern in the host, or None.
+
+    With a vertex mask ``within`` the search is confined to host[within]
+    and finds the occurrence a search of the induced copy would find; its
+    vertices are ids of the host.
+    """
+    return _search(host, pattern, within=within)
 
 
 def embedding_is_induced(host: Graph, pattern: Pattern, emb: Embedding) -> bool:

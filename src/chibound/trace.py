@@ -13,10 +13,13 @@ deep the recursion that produced the step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable
 
-from .graphs import Graph, bits, mask_of
+from .graphs import Graph, bits, components, mask_of
+
+if TYPE_CHECKING:
+    from .exact import SolveBudget
 
 HOLDS = "holds"
 SOFT_GAP = "soft-gap"
@@ -54,24 +57,6 @@ def _mask(g: Graph, xs: Iterable[int]) -> int:
     return m
 
 
-def _components(g: Graph, m: int) -> list[int]:
-    comps = []
-    rest = m
-    while rest:
-        seed = rest & -rest
-        comp = seed
-        frontier = seed
-        while frontier:
-            grown = comp
-            for v in bits(frontier):
-                grown |= g.rows[v] & m
-            frontier = grown & ~comp
-            comp = grown
-        comps.append(comp)
-        rest &= ~comp
-    return comps
-
-
 def _is_independent(g: Graph, m: int) -> bool:
     return all(g.rows[v] & m == 0 for v in bits(m))
 
@@ -81,7 +66,7 @@ def _is_clique(g: Graph, m: int) -> bool:
 
 
 def _clique_components(g: Graph, m: int) -> bool:
-    return all(_is_clique(g, comp) for comp in _components(g, m))
+    return all(_is_clique(g, comp) for comp in components(g, m))
 
 
 def _has_triangle(g: Graph, m: int) -> bool:
@@ -108,8 +93,11 @@ def _has_k1_union_k3(g: Graph, m: int) -> bool:
 
 
 def evaluate_step(g: Graph, kind: str, sets: dict[str, tuple[int, ...]],
-                  numbers: dict[str, int]) -> bool:
-    """Re-evaluate one audit predicate against the graph."""
+                  numbers: dict[str, int],
+                  budget: SolveBudget | None = None) -> bool:
+    """Re-evaluate one audit predicate against the graph.  The budget bounds
+    the exact clique solve of the omega-le kind, which raises
+    BudgetExhausted when it runs out."""
     if kind == "value-le":
         return numbers["value"] <= numbers["bound"]
     if kind == "empty-set":
@@ -122,7 +110,7 @@ def evaluate_step(g: Graph, kind: str, sets: dict[str, tuple[int, ...]],
     if kind == "p3-free":
         return _clique_components(g, x)
     if kind == "components-le-2":
-        return all(c.bit_count() <= 2 for c in _components(g, x))
+        return all(c.bit_count() <= 2 for c in components(g, x))
     if kind == "triangle-free":
         return not _has_triangle(g, x)
     if kind == "k1k3-absent":
@@ -130,8 +118,7 @@ def evaluate_step(g: Graph, kind: str, sets: dict[str, tuple[int, ...]],
     if kind == "omega-le":
         from .exact import require_clique_number
 
-        sub = g.induced(sets["X"])
-        return require_clique_number(sub).lower <= numbers["bound"]
+        return require_clique_number(g, budget, within=x).lower <= numbers["bound"]
     y = _mask(g, sets["Y"]) if "Y" in sets else 0
     if kind == "anticomplete":
         return x & y == 0 and all(g.rows[v] & y == 0 for v in bits(x))
@@ -145,10 +132,15 @@ def evaluate_step(g: Graph, kind: str, sets: dict[str, tuple[int, ...]],
 
 
 class ProofTrace:
-    """Ordered log of audited decomposition steps for one coloring run."""
+    """Ordered log of audited decomposition steps for one coloring run.
 
-    def __init__(self, label: str):
+    The budget is the run's: it bounds the exact solves that audit steps
+    make.
+    """
+
+    def __init__(self, label: str, budget: SolveBudget | None = None):
         self.label = label
+        self.budget = budget
         self.steps: list[TraceStep] = []
 
     def audit(
@@ -157,16 +149,20 @@ class ProofTrace:
         tag: str,
         kind: str,
         assertion: str,
-        sets: dict[str, Iterable[int]] | None = None,
+        sets: dict[str, int | Iterable[int]] | None = None,
         numbers: dict[str, int] | None = None,
         soft: bool = False,
     ) -> bool:
-        """Evaluate a predicate, record the step, raise on hard failure."""
+        """Evaluate a predicate, record the step, raise on hard failure.
+
+        Each named set is a vertex mask or an iterable of vertex ids.
+        """
         frozen_sets = tuple(
-            (name, tuple(sorted(vals))) for name, vals in (sets or {}).items()
+            (name, tuple(bits(vals)) if isinstance(vals, int) else tuple(sorted(vals)))
+            for name, vals in (sets or {}).items()
         )
         frozen_nums = tuple((numbers or {}).items())
-        ok = evaluate_step(g, kind, dict(frozen_sets), dict(frozen_nums))
+        ok = evaluate_step(g, kind, dict(frozen_sets), dict(frozen_nums), self.budget)
         verdict = HOLDS if ok else (SOFT_GAP if soft else VIOLATED)
         step = TraceStep(tag, kind, assertion, verdict, frozen_sets, frozen_nums)
         self.steps.append(step)
@@ -194,7 +190,9 @@ class ProofTrace:
         return "\n".join([head] + [s.line() for s in self.steps]) + "\n"
 
 
-def replay(g: Graph, trace: ProofTrace) -> list[TraceStep]:
+def replay(
+    g: Graph, trace: ProofTrace, budget: SolveBudget | None = None
+) -> list[TraceStep]:
     """Re-evaluate every step against the graph; return the mismatches.
 
     A step replays cleanly when re-evaluation agrees with the recorded
@@ -202,7 +200,7 @@ def replay(g: Graph, trace: ProofTrace) -> list[TraceStep]:
     """
     bad = []
     for step in trace.steps:
-        ok = evaluate_step(g, step.kind, dict(step.sets), dict(step.numbers))
+        ok = evaluate_step(g, step.kind, dict(step.sets), dict(step.numbers), budget)
         if ok != (step.verdict == HOLDS):
             bad.append(step)
     return bad

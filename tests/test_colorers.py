@@ -279,7 +279,7 @@ class TestC5Free:
         g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5)])
         run = _Run(g, ProofTrace("C5Free"), None)
         colors, total = _c5_clique_neighborhood(
-            run, tuple(g.vertices()), 5, 1 << 4, 4
+            run, g.full_mask, 5, 1 << 4, 4
         )
         assert sorted(colors) == list(g.vertices())
         for u, v in g.edges():

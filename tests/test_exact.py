@@ -125,6 +125,53 @@ class TestChromaticNumber:
         assert clique_number(j).value == clique_number(g).value + clique_number(h).value
 
 
+class TestWithinMask:
+    """A masked solve answers exactly as a solve of the induced copy."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**9 - 1),
+        st.sampled_from([3, 40, 10_000]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_induced_copy(self, seed, mask, nodes):
+        g = gnp(9, 0.5, seed)
+        keep = [v for v in g.vertices() if mask >> v & 1]
+        sub = g.induced(keep)
+        budget = SolveBudget(node_limit=nodes)
+        mine = clique_number(g, budget, within=mask)
+        ref = clique_number(sub, budget)
+        assert mine.vertices == tuple(keep[i] for i in ref.vertices)
+        assert (mine.lower, mine.upper, mine.complete, mine.nodes_used) == (
+            ref.lower, ref.upper, ref.complete, ref.nodes_used,
+        )
+        mine = chromatic_number(g, budget, within=mask)
+        ref = chromatic_number(sub, budget)
+        assert mine == ref
+
+    def test_whole_mask_is_the_whole_graph(self):
+        g = named_graph("grotzsch")
+        assert chromatic_number(g, within=g.full_mask) == chromatic_number(g)
+        assert clique_number(g, within=g.full_mask) == clique_number(g)
+
+    def test_empty_mask(self):
+        g = complete(4)
+        assert clique_number(g, within=0).value == 0
+        assert require_chromatic(g, within=0) == (0, Coloring(()))
+
+    def test_mask_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            clique_number(complete(3), within=1 << 3)
+        with pytest.raises(ValueError, match="out of range"):
+            chromatic_number(complete(3), within=-1)
+
+    def test_require_variants_take_the_mask(self):
+        g = join(cycle(5), complete(2))
+        assert require_clique_number(g, within=0b11111).value == 2
+        value, coloring = require_chromatic(g, within=0b11111)
+        assert value == 3 and coloring.n == 5
+
+
 class TestVerifyAndGreedy:
     def test_verify_examples(self):
         k3 = complete(3)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from chibound import (
     CLASSES,
     PATTERNS,
+    Embedding,
     Pattern,
     class_by_name,
     complete,
@@ -71,6 +72,30 @@ class TestFindInduced:
             assert (mine is None) == (oracle is None), name
             if mine is not None:
                 assert embedding_is_induced(host, pattern, mine)
+
+
+class TestFindInducedWithin:
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**8 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_induced_copy(self, seed, mask):
+        host = gnp(8, 0.5, seed)
+        keep = [v for v in host.vertices() if mask >> v & 1]
+        sub = host.induced(keep)
+        for name in ("p3", "k3", "p3_union_p2", "p2_union_k3", "hammer", "2k3"):
+            pattern = PATTERNS[name]
+            mine = find_induced(host, pattern, within=mask)
+            ref = find_induced(sub, pattern)
+            if ref is None:
+                assert mine is None, name
+            else:
+                assert mine == Embedding(name, tuple(keep[i] for i in ref.vertices))
+
+    def test_mask_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            find_induced(path(3), PATTERNS["p3"], within=1 << 5)
 
 
 class TestMembership:

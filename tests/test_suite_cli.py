@@ -5,6 +5,7 @@ import re
 import pytest
 
 from chibound import (
+    COLORERS,
     SuiteRecord,
     cycle,
     complete,
@@ -203,6 +204,13 @@ class TestCliColorVerify:
         code = main(["verify", grotzsch_file, "--coloring", str(colors)])
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip() == "proper palette=4"
+
+    def test_color_omega_respects_budget(self, grotzsch_file, monkeypatch):
+        # The colorer is stubbed out, so only the omega report can run out.
+        done = COLORERS["KiteFree"](named_graph("grotzsch"))
+        monkeypatch.setitem(COLORERS, "KiteFree", lambda g, budget: done)
+        code = main(["color", "--class", "kitefree", grotzsch_file, "--budget-nodes", "1"])
+        assert code == EXIT_UNKNOWN
 
     def test_color_outside_class_fails(self, c5_file):
         assert main(["color", "--class", "c5free", c5_file]) == EXIT_VERDICT

@@ -4,7 +4,9 @@ import pytest
 
 from chibound import (
     AuditViolation,
+    BudgetExhausted,
     ProofTrace,
+    SolveBudget,
     complete,
     cycle,
     disjoint_union,
@@ -71,6 +73,18 @@ class TestEvaluateStep:
         assert _eval(g, "omega-le", sets={"X": range(11)}, numbers={"bound": 2})
         assert not _eval(g, "omega-le", sets={"X": range(11)}, numbers={"bound": 1})
 
+    def test_omega_le_uses_the_given_budget(self):
+        with pytest.raises(BudgetExhausted):
+            evaluate_step(
+                cycle(5), "omega-le", {"X": tuple(range(5))}, {"bound": 2},
+                SolveBudget(node_limit=1),
+            )
+
+    def test_omega_le_on_a_subset(self):
+        g = disjoint_union(complete(4), complete(2))
+        assert _eval(g, "omega-le", sets={"X": [0, 1, 4, 5]}, numbers={"bound": 2})
+        assert not _eval(g, "omega-le", sets={"X": [0, 1, 2]}, numbers={"bound": 2})
+
     def test_anticomplete(self):
         g = path(4)
         assert _eval(g, "anticomplete", sets={"X": [0], "Y": [2, 3]})
@@ -101,6 +115,12 @@ class TestEvaluateStep:
 
 
 class TestProofTrace:
+    def test_sets_may_be_masks(self):
+        trace = ProofTrace("Demo")
+        trace.audit(cycle(5), "root/indep", "independent", "mask form",
+                    sets={"X": 0b101})
+        assert trace.steps[0].sets == (("X", (0, 2)),)
+
     def test_holds_step_recorded(self):
         g = cycle(5)
         trace = ProofTrace("Demo")
@@ -167,6 +187,21 @@ class TestReplay:
         _, trace = self._trace_on_cycle()
         bad = replay(complete(5), trace)
         assert [s.tag for s in bad] == ["ok/indep"]
+
+    def test_trace_budget_reaches_omega_steps(self):
+        trace = ProofTrace("Demo", SolveBudget(node_limit=1))
+        with pytest.raises(BudgetExhausted):
+            trace.audit(cycle(5), "cap/omega", "omega-le", "small cliques",
+                        sets={"X": range(5)}, numbers={"bound": 2})
+
+    def test_replay_budget(self):
+        g = cycle(5)
+        trace = ProofTrace("Demo")
+        trace.audit(g, "cap/omega", "omega-le", "small cliques",
+                    sets={"X": range(5)}, numbers={"bound": 2})
+        assert replay(g, trace) == []
+        with pytest.raises(BudgetExhausted):
+            replay(g, trace, SolveBudget(node_limit=1))
 
     def test_mismatch_when_soft_gap_starts_holding(self):
         _, trace = self._trace_on_cycle()
