@@ -26,7 +26,15 @@ from .exact import (
     require_clique_number,
     verify_coloring,
 )
-from .graphs import Coloring, Graph, bits, components, mask_of, reachable
+from .graphs import (
+    Coloring,
+    Graph,
+    bits,
+    components,
+    is_independent,
+    mask_of,
+    reachable,
+)
 from .patterns import (
     PATTERNS,
     ClassSpec,
@@ -115,9 +123,7 @@ def domination_reduce(g: Graph) -> tuple[Graph, DominationRule] | None:
     if pair is None:
         return None
     u, v = pair
-    # Vertices above u move down one id, as in the induced copy without u.
-    edges = [(a - (a > u), b - (b > u)) for a, b in g.edges() if u not in (a, b)]
-    return Graph(g.n - 1, edges), DominationRule(u, v)
+    return g.induced([w for w in g.vertices() if w != u]), DominationRule(u, v)
 
 
 def domination_fixpoint(g: Graph) -> tuple[Graph, list[DominationRule]]:
@@ -148,9 +154,11 @@ def lift_coloring(reduced: Coloring, rules: list[DominationRule]) -> Coloring:
 
 @dataclass
 class _Run:
+    """The input graph and the run's trace; the trace carries the run's
+    SolveBudget, which bounds every exact solve of the run."""
+
     g: Graph
     trace: ProofTrace
-    budget: SolveBudget | None
 
 
 def _cluster(g: Graph, m: int) -> tuple[dict[int, int], int]:
@@ -182,16 +190,12 @@ def _clique_block(m: int) -> tuple[dict[int, int], int]:
     return {v: i for i, v in enumerate(bits(m))}, m.bit_count()
 
 
-def _edgeless(g: Graph, m: int) -> bool:
-    return all(g.rows[v] & m == 0 for v in bits(m))
-
-
 def _triangle_free_leaf(run: _Run, live: int) -> tuple[dict[int, int], int] | None:
     """Exact coloring of a triangle-free part, audited; None on a triangle."""
     g = run.g
     if find_induced(g, PATTERNS["k3"], within=live) is not None:
         return None
-    palette, coloring = require_chromatic(g, run.budget, within=live)
+    palette, coloring = require_chromatic(g, run.trace.budget, within=live)
     run.trace.audit(
         g,
         "leaf/triangle-free",
@@ -255,7 +259,7 @@ def _wrap(
     if not verdict:
         assert verdict.witness is not None
         raise ClassMembershipError(spec.name, verdict.witness)
-    run = _Run(g, ProofTrace(spec.name, budget), budget)
+    run = _Run(g, ProofTrace(spec.name, budget))
     colors, _ = rec(run, g.full_mask)
     if len(colors) != g.n:
         raise RuntimeError("internal: decomposition did not cover every vertex")
@@ -316,12 +320,12 @@ def _kite(run: _Run, live: int) -> tuple[dict[int, int], int]:
 
 def _kite_core(run: _Run, live: int) -> tuple[dict[int, int], int]:
     g = run.g
-    if _edgeless(g, live):
+    if is_independent(g, live):
         return _single_color_block(live)
     leaf = _triangle_free_leaf(run, live)
     if leaf is not None:
         return leaf
-    omega = require_clique_number(g, run.budget, within=live).lower
+    omega = require_clique_number(g, run.trace.budget, within=live).lower
     emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
     if emb is not None:
         return _kite_split_p2k3(run, live, emb, omega)
@@ -336,7 +340,7 @@ def _kite_core(run: _Run, live: int) -> tuple[dict[int, int], int]:
         "no isolated-vertex-plus-triangle",
         sets={"X": live},
     )
-    palette, coloring = require_chromatic(g, run.budget, within=live)
+    palette, coloring = require_chromatic(g, run.trace.budget, within=live)
     run.trace.audit(
         g,
         "leaf/k1k3-free",
@@ -387,7 +391,9 @@ def _kite_split_p2k3(
         "non-neighborhood of the spare edge is a union of cliques",
         sets={"X": m},
     )
-    c1 = mask_of(require_clique_number(g, run.budget, within=m).vertices) if m else 0
+    c1 = 0
+    if m:
+        c1 = mask_of(require_clique_number(g, run.trace.budget, within=m).vertices)
     c1_closed = c1
     for v in bits(c1):
         c1_closed |= g.rows[v] & live
@@ -418,7 +424,7 @@ def _kite_split_p2k3(
         "remaining common neighbors are complete to the largest remainder clique",
         sets={"X": c, "Y": c1},
     )
-    omega1 = require_clique_number(g, run.budget, within=c).lower if c else 0
+    omega1 = require_clique_number(g, run.trace.budget, within=c).lower if c else 0
     run.trace.audit(
         g,
         "split-p2k3/clique-budget",
@@ -586,7 +592,9 @@ def _kite_split_hammer(
     shared_palette = 0
     for label, word, part in (("j2", "two", j2), ("j3", "three", j3)):
         palette, coloring = (
-            require_chromatic(g, run.budget, within=part) if part else (0, Coloring(()))
+            require_chromatic(g, run.trace.budget, within=part)
+            if part
+            else (0, Coloring(()))
         )
         run.trace.audit(
             g,
@@ -644,9 +652,9 @@ def color_p2k3_free(
 
 def _p2k3_main(run: _Run, live: int) -> tuple[dict[int, int], int]:
     g = run.g
-    if _edgeless(g, live):
+    if is_independent(g, live):
         return _single_color_block(live)
-    cliq = require_clique_number(g, run.budget, within=live).vertices
+    cliq = require_clique_number(g, run.trace.budget, within=live).vertices
     omega = len(cliq)
     v1 = cliq[0]
     outside = live & ~g.rows[v1] & ~(1 << v1)
@@ -734,12 +742,12 @@ def color_hammer_free(
 
 def _hammer_rec(run: _Run, live: int) -> tuple[dict[int, int], int]:
     g = run.g
-    if _edgeless(g, live):
+    if is_independent(g, live):
         return _single_color_block(live)
     emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
     if emb is None:
         return _p2k3_main(run, live)
-    omega = require_clique_number(g, run.budget, within=live).lower
+    omega = require_clique_number(g, run.trace.budget, within=live).lower
     u1, u2 = emb.vertices[0], emb.vertices[1]
     run.trace.audit(
         g,
@@ -815,12 +823,12 @@ def color_c5_free(
 
 def _c5_rec(run: _Run, live: int) -> tuple[dict[int, int], int]:
     g = run.g
-    if _edgeless(g, live):
+    if is_independent(g, live):
         return _single_color_block(live)
     leaf = _triangle_free_leaf(run, live)
     if leaf is not None:
         return leaf
-    omega = require_clique_number(g, run.budget, within=live).lower
+    omega = require_clique_number(g, run.trace.budget, within=live).lower
     # Layers around a root of largest degree in G[live]: its neighbors, the
     # second sphere, and everything further or unreachable.
     v = max(bits(live), key=lambda w: ((g.rows[w] & live).bit_count(), -w))
@@ -837,7 +845,9 @@ def _c5_rec(run: _Run, live: int) -> tuple[dict[int, int], int]:
     for u in bits(n1):
         missed = n2plus_reach & ~g.rows[u]
         cats[u] = (
-            require_clique_number(g, run.budget, within=missed).lower if missed else 0
+            require_clique_number(g, run.trace.budget, within=missed).lower
+            if missed
+            else 0
         )
         if cats[u] <= 2:
             a012 |= 1 << u
@@ -924,7 +934,7 @@ def _c5_second_neighborhood(
     omega: int,
 ) -> tuple[dict[int, int], int]:
     g = run.g
-    c = require_clique_number(g, run.budget, within=a012).vertices
+    c = require_clique_number(g, run.trace.budget, within=a012).vertices
     omega0 = len(c)
     run.trace.audit(
         g,
@@ -1097,7 +1107,7 @@ def color_k4_free(
 
 def _k4_rec(run: _Run, live: int) -> tuple[dict[int, int], int]:
     g = run.g
-    if _edgeless(g, live):
+    if is_independent(g, live):
         return _single_color_block(live)
     leaf = _triangle_free_leaf(run, live)
     if leaf is not None:

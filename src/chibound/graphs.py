@@ -53,6 +53,11 @@ def components(g: Graph, m: int) -> list[int]:
     return comps
 
 
+def is_independent(g: Graph, m: int) -> bool:
+    """True when G[m] has no edge."""
+    return all(g.rows[v] & m == 0 for v in bits(m))
+
+
 def restrict(g: Graph, within: int | None) -> tuple[Sequence[int], int]:
     """Adjacency rows and vertex mask of G[within], kept in g's own ids;
     the whole graph when within is None."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .graphs import Graph, bits, components, mask_of
+from .graphs import Graph, bits, components, is_independent, mask_of
 
 if TYPE_CHECKING:
     from .exact import SolveBudget
@@ -55,10 +55,6 @@ def _mask(g: Graph, xs: Iterable[int]) -> int:
     if m >> g.n:
         raise ValueError("vertex id out of range in audit set")
     return m
-
-
-def _is_independent(g: Graph, m: int) -> bool:
-    return all(g.rows[v] & m == 0 for v in bits(m))
 
 
 def _is_clique(g: Graph, m: int) -> bool:
@@ -104,7 +100,7 @@ def evaluate_step(g: Graph, kind: str, sets: dict[str, tuple[int, ...]],
         return len(sets["X"]) == 0
     x = _mask(g, sets["X"]) if "X" in sets else 0
     if kind == "independent":
-        return _is_independent(g, x)
+        return is_independent(g, x)
     if kind == "clique":
         return _is_clique(g, x)
     if kind == "p3-free":
@@ -190,9 +186,7 @@ class ProofTrace:
         return "\n".join([head] + [s.line() for s in self.steps]) + "\n"
 
 
-def replay(
-    g: Graph, trace: ProofTrace, budget: SolveBudget | None = None
-) -> list[TraceStep]:
+def replay(g: Graph, trace: ProofTrace) -> list[TraceStep]:
     """Re-evaluate every step against the graph; return the mismatches.
 
     A step replays cleanly when re-evaluation agrees with the recorded
@@ -200,7 +194,7 @@ def replay(
     """
     bad = []
     for step in trace.steps:
-        ok = evaluate_step(g, step.kind, dict(step.sets), dict(step.numbers), budget)
+        ok = evaluate_step(g, step.kind, dict(step.sets), dict(step.numbers))
         if ok != (step.verdict == HOLDS):
             bad.append(step)
     return bad

@@ -277,7 +277,7 @@ class TestC5Free:
         # neighborhood is the single vertex 4, a clique, which is the
         # precondition of the clique-neighborhood split.
         g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5)])
-        run = _Run(g, ProofTrace("C5Free"), None)
+        run = _Run(g, ProofTrace("C5Free"))
         colors, total = _c5_clique_neighborhood(
             run, g.full_mask, 5, 1 << 4, 4
         )

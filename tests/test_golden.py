@@ -95,7 +95,7 @@ def case_digest(key: str) -> str:
 def clique_nbhd_step_digest() -> str:
     """The C5 clique-neighborhood split run directly, rooted at vertex 5."""
     g = CLIQUE_NBHD
-    run = _Run(g, ProofTrace("C5Free"), None)
+    run = _Run(g, ProofTrace("C5Free"))
     colors, _ = _c5_clique_neighborhood(run, g.full_mask, 5, 1 << 4, 4)
     return _digest([colors[v] for v in g.vertices()], run.trace)
 

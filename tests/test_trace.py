@@ -194,15 +194,6 @@ class TestReplay:
             trace.audit(cycle(5), "cap/omega", "omega-le", "small cliques",
                         sets={"X": range(5)}, numbers={"bound": 2})
 
-    def test_replay_budget(self):
-        g = cycle(5)
-        trace = ProofTrace("Demo")
-        trace.audit(g, "cap/omega", "omega-le", "small cliques",
-                    sets={"X": range(5)}, numbers={"bound": 2})
-        assert replay(g, trace) == []
-        with pytest.raises(BudgetExhausted):
-            replay(g, trace, SolveBudget(node_limit=1))
-
     def test_mismatch_when_soft_gap_starts_holding(self):
         _, trace = self._trace_on_cycle()
         bad = replay(empty(5), trace)
