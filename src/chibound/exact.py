@@ -108,8 +108,8 @@ class ChromaticResult:
 def greedy_coloring(g: Graph, order: list[int] | None = None) -> Coloring:
     """First-fit coloring along the given vertex order (default 0..n-1)."""
     if order is None:
-        order = list(g.vertices())
-    if sorted(order) != list(g.vertices()):
+        order = g.vertices()
+    elif sorted(order) != list(g.vertices()):
         raise ValueError("order must be a permutation of the vertices")
     return Coloring(tuple(_first_fit(g.rows, order)))
 

@@ -20,7 +20,7 @@ from .exact import (
     require_clique_number,
 )
 from .graphs import Graph, join
-from .patterns import class_by_name, is_member
+from .patterns import ClassSpec, class_by_name, is_member
 
 _MASK64 = (1 << 64) - 1
 
@@ -122,19 +122,14 @@ def _unrank_pair(idx: int, n: int) -> tuple[int, int]:
     return u, u + 1 + idx
 
 
-def _toggle(g: Graph, u: int, v: int) -> Graph:
-    edges = set(g.edges())
-    pair = (u, v) if u < v else (v, u)
-    if pair in edges:
-        edges.remove(pair)
-    else:
-        edges.add(pair)
-    return Graph(g.n, sorted(edges), name=g.name)
-
-
 def mutate_within_class(g: Graph, class_name: str, steps: int, seed: int) -> Graph:
     """Random single-edge toggles, each kept only when the result still
-    passes membership; always returns an in-class graph."""
+    passes membership; always returns an in-class graph.
+
+    The start graph gets the full membership test.  Each toggle of the pair
+    uv is then tested with ``is_member(..., through=(u, v))``: the graph it
+    came from is a member, so only forbidden copies through u and v can
+    appear."""
     spec = class_by_name(class_name)
     verdict = is_member(g, spec)
     if not verdict:
@@ -150,8 +145,8 @@ def mutate_within_class(g: Graph, class_name: str, steps: int, seed: int) -> Gra
     rng = SplitMix64(seed)
     for _ in range(steps):
         u, v = _unrank_pair(rng.below(pairs), g.n)
-        candidate = _toggle(g, u, v)
-        if is_member(candidate, spec):
+        candidate = g.toggled(u, v)
+        if is_member(candidate, spec, through=(u, v)):
             g = candidate
     return g
 
@@ -201,23 +196,25 @@ class HuntResult:
         return self.class_name == "K4Free" and self.chi >= 7
 
 
-def _hunt_start(class_name: str, n: int, rng: SplitMix64) -> Graph:
+def _hunt_start(spec: ClassSpec, n: int, rng: SplitMix64) -> Graph:
     """In-class start graph of the requested order.
 
     Rejection-sample across a ladder of densities; when every density is
-    hopeless, fall back to a triangle plus isolated vertices, which has no
-    induced P3 and so sits in every class this module handles.
+    hopeless, fall back to a triangle plus isolated vertices if that is a
+    member, and otherwise to the edgeless graph, which sits in every class
+    this module handles because each forbidden pattern has an edge.
     """
     for p in (0.5, 0.3, 0.7, 0.2, 0.9):
         cfg = SampleConfig(
-            n=n, p=p, seed=rng.next_u64(), class_name=class_name, max_tries=200
+            n=n, p=p, seed=rng.next_u64(), class_name=spec.name, max_tries=200
         )
         try:
             return sample_class(cfg)
         except SampleExhausted:
             continue
     k = min(n, 3)
-    return Graph(n, [(u, v) for u in range(k) for v in range(u + 1, k)])
+    triangle = Graph(n, [(u, v) for u in range(k) for v in range(u + 1, k)])
+    return triangle if is_member(triangle, spec) else Graph(n)
 
 
 def hunt(
@@ -231,7 +228,10 @@ def hunt(
     """Hill-climb over in-class graphs for high chromatic number.
 
     Starts from a sampled member of the class unless a start graph is given.
-    Moves are single-edge toggles kept only when membership is preserved; a
+    Moves are single-edge toggles kept only when membership is preserved.
+    The start and the result get the full membership test; the current
+    graph is always a member, so a toggle of uv is tested only for forbidden
+    copies through u and v (``is_member(..., through=(u, v))``).  A
     move is accepted when its exact chromatic number beats the current one,
     or ties it with fewer edges.  The exact solver only runs when the greedy
     upper bound leaves an acceptance possible, and a candidate whose solve
@@ -244,7 +244,7 @@ def hunt(
     if start is None:
         if n < 1:
             raise ValueError("n must be at least 1")
-        start = _hunt_start(spec.name, n, rng)
+        start = _hunt_start(spec, n, rng)
     else:
         n = start.n
     verdict = is_member(start, spec)
@@ -260,8 +260,8 @@ def hunt(
     pairs = n * (n - 1) // 2
     for _ in range(steps if pairs else 0):
         u, v = _unrank_pair(rng.below(pairs), n)
-        cand = _toggle(cur, u, v)
-        if not is_member(cand, spec):
+        cand = cur.toggled(u, v)
+        if not is_member(cand, spec, through=(u, v)):
             continue
         upper = greedy_coloring(cand).palette
         tie_possible = cand.edge_count < cur.edge_count and upper >= cur_chi

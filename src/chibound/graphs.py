@@ -153,6 +153,20 @@ class Graph:
     def with_name(self, name: str) -> Graph:
         return Graph(self.n, list(self.edges()), name=name)
 
+    def toggled(self, u: int, v: int) -> Graph:
+        """This graph with the pair uv flipped: the edge is added when
+        absent and removed when present.  The name is kept."""
+        self.check_vertex(u)
+        self.check_vertex(v)
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+        rows = list(self.rows)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        g = Graph(self.n, name=self.name)
+        object.__setattr__(g, "rows", tuple(rows))
+        return g
+
     # -- dunder ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -4,15 +4,18 @@ A class is given by its forbidden induced patterns.  Detection is exact
 backtracking: pattern vertices are matched in a fixed static order
 (descending pattern degree, then id) and host candidates are tried in
 ascending id, so the first embedding found is deterministic and is the
-lexicographically least one in that search order.
+lexicographically least one in that search order.  A search through a
+host pair pins two pattern vertices to it first and keeps that order for
+the rest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .catalog import named_graph
-from .graphs import Graph, bits, complete, cycle, mask_of, path, restrict
+from .graphs import Graph, complete, cycle, mask_of, path, restrict
 
 MAX_PATTERN_ORDER = 8
 
@@ -131,64 +134,132 @@ def class_by_name(name: str) -> ClassSpec:
     )
 
 
+def _plan(p: Graph, order: list[int]) -> tuple:
+    """Per position of a match order: the pattern vertex, and the vertices
+    before it that it must be adjacent and non-adjacent to."""
+    return tuple(
+        (
+            pv,
+            tuple(q for q in order[:pos] if p.rows[q] >> pv & 1),
+            tuple(q for q in order[:pos] if not p.rows[q] >> pv & 1),
+        )
+        for pos, pv in enumerate(order)
+    )
+
+
+@cache
+def _match_plans(p: Graph):
+    """The plan of the static match order (descending degree, then id), and
+    for each adjacency bit the pinned plans (a, b, plan) of the pairs (a, b)
+    with that adjacency: a and b first, then the other vertices in static
+    order.  Computed once per pattern."""
+    static = sorted(range(p.n), key=lambda i: (-p.rows[i].bit_count(), i))
+    pinned: tuple[list, list] = ([], [])
+    for a in range(p.n):
+        for b in range(p.n):
+            if a != b:
+                rest = [i for i in static if i != a and i != b]
+                pinned[p.rows[a] >> b & 1].append((a, b, _plan(p, [a, b, *rest])))
+    return _plan(p, static), tuple(map(tuple, pinned))
+
+
 def _search(
-    host: Graph, pattern: Pattern, collect=None, within: int | None = None
+    host: Graph,
+    pattern: Pattern,
+    collect=None,
+    within: int | None = None,
+    through: tuple[int, int] | None = None,
 ) -> Embedding | None:
     """Backtracking core.  With collect=None returns the first embedding;
     otherwise calls collect(vertices) for every embedding and returns None.
     Returning True from collect stops the search early.  With a vertex mask
-    the search runs on host[within], in the host's ids."""
+    the search runs on host[within], in the host's ids.  With a host pair
+    ``through`` only embeddings whose image holds both its vertices are
+    searched: each pattern pair of matching adjacency is pinned to it in
+    turn, ascending (a, b), and the rest is matched as usual."""
     p = pattern.graph
     k = p.n
     rows, full = restrict(host, within)
     if k > full.bit_count():
         return None
-    order = sorted(range(k), key=lambda i: (-p.rows[i].bit_count(), i))
+    static, pinned = _match_plans(p)
     # Host vertices usable for pattern vertex i must have at least its degree.
-    degree_ok = []
     host_deg = [r.bit_count() for r in rows]
-    for i in range(k):
-        need = p.rows[i].bit_count()
-        degree_ok.append(mask_of(v for v in host.vertices() if host_deg[v] >= need))
+    need = [r.bit_count() for r in p.rows]
+    at_least = {
+        d: mask_of(v for v, hd in enumerate(host_deg) if hd >= d) for d in set(need)
+    }
+    degree_ok = [at_least[d] for d in need]
     assign = [0] * k
 
     def extend(pos: int, used: int):
+        # plan is the match plan of the current start, bound below.
         if pos == k:
             if collect is None:
                 return tuple(assign)
             return True if collect(tuple(assign)) else None
-        pv = order[pos]
+        pv, adjacent, apart = plan[pos]
         cand = full & ~used & degree_ok[pv]
-        for prev in range(pos):
-            qv = order[prev]
-            hq = assign[qv]
-            if p.rows[qv] >> pv & 1:
-                cand &= rows[hq]
-            else:
-                cand &= ~rows[hq]
-        for hv in bits(cand):
-            assign[pv] = hv
-            got = extend(pos + 1, used | 1 << hv)
+        for q in adjacent:
+            cand &= rows[assign[q]]
+        for q in apart:
+            cand &= ~rows[assign[q]]
+        while cand:
+            low = cand & -cand
+            assign[pv] = low.bit_length() - 1
+            got = extend(pos + 1, used | low)
             if got is not None:
                 return got
+            cand ^= low
         return None
 
-    got = extend(0, 0)
+    if through is None:
+        plan = static
+        got = extend(0, 0)
+    else:
+        u, v = through
+        got = None
+        if full >> u & 1 and full >> v & 1:
+            for a, b, plan in pinned[rows[u] >> v & 1]:
+                if degree_ok[a] >> u & 1 and degree_ok[b] >> v & 1:
+                    assign[a], assign[b] = u, v
+                    got = extend(2, 1 << u | 1 << v)
+                    if got is not None:
+                        break
     if collect is None and got is not None:
         return Embedding(pattern.name, got)
     return None
 
 
 def find_induced(
-    host: Graph, pattern: Pattern, *, within: int | None = None
+    host: Graph,
+    pattern: Pattern,
+    *,
+    within: int | None = None,
+    through: tuple[int, int] | None = None,
 ) -> Embedding | None:
     """First induced occurrence of the pattern in the host, or None.
 
     With a vertex mask ``within`` the search is confined to host[within]
     and finds the occurrence a search of the induced copy would find; its
     vertices are ids of the host.
+
+    With a pair of distinct host vertices ``through=(u, v)`` only
+    occurrences whose image contains both u and v count.  Each pattern pair
+    (a, b) with the adjacency of u and v is pinned to (u, v) in ascending
+    order of (a, b), the rest is matched as usual, and the first occurrence
+    found is returned; this costs about O(n^(k-2)) instead of O(n^k) for a
+    pattern of order k.  When the host with uv toggled back has no
+    occurrence, every occurrence holds u and v, so the answer is None
+    exactly when the full search's is; ``is_member`` relies on this.
     """
-    return _search(host, pattern, within=within)
+    if through is not None:
+        u, v = through
+        host.check_vertex(u)
+        host.check_vertex(v)
+        if u == v:
+            raise ValueError(f"through needs two distinct vertices, got ({u}, {v})")
+    return _search(host, pattern, within=within, through=through)
 
 
 def embedding_is_induced(host: Graph, pattern: Pattern, emb: Embedding) -> bool:
@@ -225,10 +296,22 @@ def count_induced(host: Graph, pattern: Pattern, cap: int | None = None) -> int:
     return len(images)
 
 
-def is_member(g: Graph, cls: ClassSpec) -> Membership:
-    """Membership verdict for a hereditary class, smallest patterns first."""
+def is_member(
+    g: Graph, cls: ClassSpec, *, through: tuple[int, int] | None = None
+) -> Membership:
+    """Membership verdict for a hereditary class, smallest patterns first.
+
+    ``through=(u, v)`` is for graphs that differ from a known member in the
+    pair uv alone: precondition, g with uv toggled back is in the class.
+    Then every forbidden copy in g holds both u and v (a copy missing one
+    of them is induced in the member too), so searching only the copies
+    through u and v gives the verdict, and the stopping pattern, of the
+    full test.  The witness is the first copy through u and v, which can
+    differ from the full test's.  Without the precondition the verdict can
+    be wrong; test a graph from scratch with through=None.
+    """
     for pattern in sorted(cls.forbidden, key=lambda p: (p.graph.n, p.name)):
-        emb = find_induced(g, pattern)
+        emb = find_induced(g, pattern, through=through)
         if emb is not None:
             return Membership(cls.name, False, emb)
     return Membership(cls.name, True)

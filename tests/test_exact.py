@@ -186,14 +186,16 @@ class TestVerifyAndGreedy:
         assert greedy_coloring(cycle(5)).palette == 3
 
     def test_greedy_needs_permutation(self):
-        with pytest.raises(ValueError):
-            greedy_coloring(complete(3), order=[0, 1])
+        for order in ([0, 1], [0, 0, 1], [0, 1, 3]):
+            with pytest.raises(ValueError, match="permutation"):
+                greedy_coloring(complete(3), order=order)
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)
     def test_greedy_always_proper(self, seed):
         g = gnp(9, 0.4, seed)
         assert verify_coloring(g, greedy_coloring(g)) is None
+        assert greedy_coloring(g) == greedy_coloring(g, order=list(range(9)))
 
 
 class TestBudgetValidation:

@@ -247,6 +247,15 @@ class TestHunt:
         assert not flat.noteworthy
         assert not other.noteworthy
 
+    @pytest.mark.parametrize("cls", ["TriangleFree", "K1K3Free"])
+    def test_fallback_start_is_a_member(self, cls):
+        # No G(30, p) draw of the ladder is a member: the start is edgeless.
+        start = hunt(cls, n=30, steps=0, seed=0).graph
+        assert (start.n, start.edge_count) == (30, 0)
+        res = hunt(cls, n=30, steps=1, seed=0)
+        assert res.graph.n == 30
+        assert is_member(res.graph, class_by_name(cls))
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="not in"):
             hunt("K4Free", n=4, steps=1, seed=0, start=complete(4))

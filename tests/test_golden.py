@@ -8,6 +8,10 @@ the colorers must keep these byte-identical (or say why they changed).
 The corpus: the first 20 sampled members of order 9 per colorer class, the
 tightness witnesses, and every graph in test_colorers.py that reaches a
 named branch, each colored by every colorer whose class admits it.
+
+Two more digests pin the membership-preserving walks: the hunt results of
+every colorer class at order 16, and mutate_within_class runs from the
+Grotzsch graph and the Schlafli complement.
 """
 
 import hashlib
@@ -25,9 +29,12 @@ from chibound import (
     class_by_name,
     complete,
     disjoint_union,
+    hunt,
     is_member,
+    mutate_within_class,
     named_graph,
     sample_class,
+    write_graph6,
 )
 from chibound.colorers import _c5_clique_neighborhood, _Run
 from chibound.generators import extremal_family
@@ -100,14 +107,39 @@ def clique_nbhd_step_digest() -> str:
     return _digest([colors[v] for v in g.vertices()], run.trace)
 
 
+def hunt_walks_digest() -> str:
+    """hunt(C, 16, 200, s) for every colorer class C and s in {1, 2}."""
+    h = hashlib.sha256()
+    for cls in sorted(COLORERS):
+        for seed in (1, 2):
+            r = hunt(cls, 16, 200, seed)
+            line = (write_graph6(r.graph), r.chi, r.omega, r.evaluations)
+            h.update(repr(line).encode() + b"\n")
+    return h.hexdigest()
+
+
+def mutate_walks_digest() -> str:
+    """40 in-class toggles from two witnesses, in two classes, seeds 0-4."""
+    h = hashlib.sha256()
+    for name in ("grotzsch", "schlafli_complement"):
+        g = named_graph(name)
+        for cls in ("KiteFree", "K4Free"):
+            for seed in range(5):
+                out = mutate_within_class(g, cls, 40, seed)
+                h.update(write_graph6(out).encode() + b"\n")
+    return h.hexdigest()
+
+
 GOLDEN: dict[str, str] = json.loads(
     (Path(__file__).parent / "golden_digests.json").read_text()
 )
 STEP_KEY = "clique-nbhd-step"
+WALK_DIGESTS = {"hunt-walks": hunt_walks_digest, "mutate-walks": mutate_walks_digest}
 
 
 def test_corpus_matches_golden_keys():
-    assert sorted(CASES) == sorted(k for k in GOLDEN if k != STEP_KEY)
+    extra = {STEP_KEY, *WALK_DIGESTS}
+    assert sorted(CASES) == sorted(k for k in GOLDEN if k not in extra)
 
 
 @pytest.mark.parametrize("key", sorted(CASES))
@@ -117,3 +149,8 @@ def test_golden_digest(key):
 
 def test_clique_nbhd_step_digest():
     assert clique_nbhd_step_digest() == GOLDEN[STEP_KEY]
+
+
+@pytest.mark.parametrize("key", sorted(WALK_DIGESTS))
+def test_walk_digest(key):
+    assert WALK_DIGESTS[key]() == GOLDEN[key]

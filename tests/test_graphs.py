@@ -80,6 +80,33 @@ class TestGraphBasics:
             make_basic("torus", 3)
 
 
+class TestToggled:
+    @given(small_graphs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_flips_one_pair_and_back(self, g, data):
+        if g.n < 2:
+            return
+        u = data.draw(st.integers(min_value=0, max_value=g.n - 1))
+        v = data.draw(st.integers(min_value=0, max_value=g.n - 1).filter(lambda x: x != u))
+        named = g.with_name("start")
+        t = named.toggled(u, v)
+        assert set(t.edges()) ^ set(g.edges()) == {(min(u, v), max(u, v))}
+        assert all(
+            (t.rows[a] >> b & 1) == (t.rows[b] >> a & 1)
+            for a in range(g.n)
+            for b in range(g.n)
+        )
+        assert t.name == "start"
+        assert t.toggled(u, v) == named
+        assert t.toggled(v, u).rows == named.rows
+
+    def test_rejects_loop_and_out_of_range(self):
+        g = path(3)
+        for u, v in ((1, 1), (0, 3), (3, 0), (-1, 0)):
+            with pytest.raises(ValueError):
+                g.toggled(u, v)
+
+
 class TestCombinators:
     def test_disjoint_union_examples(self):
         p3p2 = disjoint_union(path(3), path(2))

@@ -9,12 +9,16 @@ from chibound import (
     PATTERNS,
     Embedding,
     Pattern,
+    SampleConfig,
+    SampleExhausted,
+    SplitMix64,
     class_by_name,
     complete,
     count_induced,
     cycle,
     disjoint_union,
     embedding_is_induced,
+    empty,
     expansion,
     find_induced,
     gnp,
@@ -22,7 +26,9 @@ from chibound import (
     named_graph,
     path,
     pattern_by_name,
+    sample_class,
 )
+from chibound.patterns import _search
 
 from oracles import brute_find_induced
 
@@ -96,6 +102,77 @@ class TestFindInducedWithin:
     def test_mask_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             find_induced(path(3), PATTERNS["p3"], within=1 << 5)
+
+
+class TestFindInducedThrough:
+    @given(
+        st.integers(min_value=2, max_value=10),
+        st.sampled_from([0.25, 0.5, 0.75]),
+        st.integers(min_value=0, max_value=2**32),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_filtered_full_search(self, n, p, seed, data):
+        host = gnp(n, p, seed)
+        u = data.draw(st.integers(min_value=0, max_value=n - 1))
+        v = data.draw(st.integers(min_value=0, max_value=n - 1).filter(lambda x: x != u))
+        for pattern in PATTERNS.values():
+            full = []
+            _search(host, pattern, collect=full.append)
+            hits = sorted(vs for vs in full if u in vs and v in vs)
+            emb = find_induced(host, pattern, through=(u, v))
+            assert (emb is None) == (not hits), pattern.name
+            if emb is not None:
+                assert embedding_is_induced(host, pattern, emb)
+                assert {u, v} <= emb.image
+            pinned = []
+            _search(host, pattern, collect=pinned.append, through=(u, v))
+            assert sorted(pinned) == hits, pattern.name
+
+    def test_pair_outside_mask_finds_nothing(self):
+        host = complete(4)
+        assert find_induced(host, PATTERNS["k3"], through=(0, 1)) is not None
+        assert find_induced(host, PATTERNS["k3"], within=0b1110, through=(0, 1)) is None
+
+    def test_rejects_bad_pair(self):
+        for pattern in ("p3", "k4"):
+            for pair in ((1, 1), (0, 5)):
+                with pytest.raises(ValueError):
+                    find_induced(path(3), PATTERNS[pattern], through=pair)
+
+
+def _member(spec, n: int, p: float, seed: int):
+    """A sampled member of the class, or the edgeless graph, which is in
+    every class here."""
+    cfg = SampleConfig(n=n, p=p, seed=seed, class_name=spec.name, max_tries=50)
+    try:
+        return sample_class(cfg)
+    except SampleExhausted:
+        return empty(n)
+
+
+class TestMembershipThrough:
+    @given(
+        st.sampled_from(sorted(CLASSES)),
+        st.integers(min_value=2, max_value=10),
+        st.sampled_from([0.2, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_full_test_along_a_walk(self, cls, n, p, seed):
+        spec = CLASSES[cls]
+        g = _member(spec, n, p, seed)
+        rng = SplitMix64(seed)
+        for _ in range(25):
+            u = rng.below(n)
+            v = (u + 1 + rng.below(n - 1)) % n
+            cand = g.toggled(u, v)
+            fast = is_member(cand, spec, through=(u, v))
+            assert bool(fast) == bool(is_member(cand, spec)), (cls, u, v)
+            if fast:
+                g = cand
+            else:
+                assert {u, v} <= fast.witness.image
 
 
 class TestMembership:
