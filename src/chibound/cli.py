@@ -14,13 +14,7 @@ import time
 from pathlib import Path
 
 from .catalog import catalog_names, named_graph
-from .colorers import (
-    BINDINGS,
-    COLORERS,
-    ClassMembershipError,
-    ClusterPreconditionError,
-    evaluate_bound,
-)
+from .colorers import COLORERS, ClassMembershipError, evaluate_bound
 from .exact import (
     BudgetExhausted,
     SolveBudget,
@@ -377,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except AuditViolation as exc:
         _say(str(exc))
         return EXIT_VERDICT
-    except (ClassMembershipError, ClusterPreconditionError) as exc:
+    except ClassMembershipError as exc:
         _say(str(exc))
         return EXIT_VERDICT
     except GraphParseError as exc:

@@ -77,73 +77,6 @@ class ClassMembershipError(ValueError):
         self.witness = witness
 
 
-class ClusterPreconditionError(ValueError):
-    """cluster_color needs a P3-free graph; carries the induced P3 found."""
-
-    def __init__(self, witness: Embedding):
-        super().__init__(
-            f"graph has an induced P3 on {sorted(witness.vertices)}"
-        )
-        self.witness = witness
-
-
-def cluster_color(g: Graph) -> Coloring:
-    """Color a P3-free graph with exactly max-component-size colors.
-
-    Components of a P3-free graph are cliques; members get 0, 1, ... in
-    ascending id order, so the palette equals the clique number.
-    """
-    emb = find_induced(g, PATTERNS["p3"])
-    if emb is not None:
-        raise ClusterPreconditionError(emb)
-    colors, _ = _cluster(g, g.full_mask)
-    return Coloring(tuple(colors[v] for v in range(g.n)))
-
-
-@dataclass(frozen=True)
-class DominationRule:
-    """Reconstruction rule for one domination step: the removed vertex had
-    N(removed) inside N(donor) with the two nonadjacent, so it can take the
-    donor's color afterwards.  Ids refer to the graph before the removal."""
-
-    removed: int
-    donor: int
-
-    def lift(self, reduced: Coloring) -> Coloring:
-        donor_in_reduced = self.donor - (1 if self.donor > self.removed else 0)
-        out = list(reduced.colors)
-        out.insert(self.removed, reduced.colors[donor_in_reduced])
-        return Coloring(tuple(out))
-
-
-def domination_reduce(g: Graph) -> tuple[Graph, DominationRule] | None:
-    """One domination step: remove the first vertex whose neighborhood fits
-    inside a nonadjacent vertex's neighborhood; None at a fixpoint."""
-    pair = _dominated_pair(g, g.full_mask)
-    if pair is None:
-        return None
-    u, v = pair
-    return g.induced([w for w in g.vertices() if w != u]), DominationRule(u, v)
-
-
-def domination_fixpoint(g: Graph) -> tuple[Graph, list[DominationRule]]:
-    """Iterate domination_reduce until no pair is left; rules apply in
-    reverse order when lifting a coloring back."""
-    rules: list[DominationRule] = []
-    while True:
-        step = domination_reduce(g)
-        if step is None:
-            return g, rules
-        g, rule = step
-        rules.append(rule)
-
-
-def lift_coloring(reduced: Coloring, rules: list[DominationRule]) -> Coloring:
-    for rule in reversed(rules):
-        reduced = rule.lift(reduced)
-    return reduced
-
-
 # -- shared internals --------------------------------------------------------
 #
 # The recursive procedures work on subsets of the original graph, carried as

@@ -1,4 +1,4 @@
-"""Exact solvers for clique number, k-colorability, and chromatic number.
+"""Exact solvers for clique number and chromatic number.
 
 All solvers run under a budget of search nodes and wall time.  Exhausting the
 budget is not an error: results carry proven bounds and a completeness flag,
@@ -34,9 +34,10 @@ class SolveBudget:
     time_limit: float = DEFAULT_TIME_LIMIT
 
     def __post_init__(self):
-        if self.node_limit <= 0:
+        # "not x > 0" rather than "x <= 0", so that NaN is rejected too.
+        if not self.node_limit > 0:
             raise ValueError(f"node_limit must be positive, got {self.node_limit}")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError(f"time_limit must be positive, got {self.time_limit}")
 
 
@@ -79,15 +80,6 @@ class CliqueResult:
     @property
     def value(self) -> int | None:
         return self.lower if self.complete else None
-
-
-@dataclass(frozen=True)
-class ColorabilityResult:
-    """Three-valued answer to "is G k-colorable?"."""
-
-    status: str  # "colorable" | "uncolorable" | "unknown"
-    coloring: Coloring | None
-    nodes_used: int
 
 
 @dataclass(frozen=True)
@@ -222,11 +214,11 @@ def clique_number(
 
 def _k_color_search(
     rows: Sequence[int], verts: list[int], k: int, ticker: _Ticker, clique: list[int]
-) -> ColorabilityResult:
-    """k-coloring search on the given vertices; a found coloring lists them
-    in the order of verts."""
-    if len(clique) > k:
-        return ColorabilityResult("uncolorable", None, ticker.nodes)
+) -> Coloring | None:
+    """k-coloring search on the given vertices, with the clique precolored
+    0, 1, ...; needs k >= len(clique).  A found coloring lists the vertices
+    in the order of verts; None proves that no k-coloring exists.  Raises
+    _OutOfBudget when the ticker runs out."""
     colors = [-1] * len(rows)
     # Color masks already present on each vertex's neighborhood.
     adj_colors = [0] * len(rows)
@@ -275,27 +267,9 @@ def _k_color_search(
             colors[v] = -1
         return False
 
-    try:
-        found = solve(len(uncolored), max_used)
-    except _OutOfBudget:
-        return ColorabilityResult("unknown", None, ticker.nodes)
-    if found:
-        found_colors = Coloring(tuple(colors[v] for v in verts))
-        return ColorabilityResult("colorable", found_colors, ticker.nodes)
-    return ColorabilityResult("uncolorable", None, ticker.nodes)
-
-
-def k_colorable(g: Graph, k: int, budget: SolveBudget | None = None) -> ColorabilityResult:
-    """Decide k-colorability; a maximal clique is precolored first."""
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    if g.n == 0:
-        return ColorabilityResult("colorable", Coloring(()), 0)
-    if k == 0:
-        return ColorabilityResult("uncolorable", None, 0)
-    ticker = _Ticker(budget or SolveBudget())
-    clique = _greedy_maximal_clique(g.rows, g.full_mask)
-    return _k_color_search(g.rows, list(g.vertices()), k, ticker, clique)
+    if solve(len(uncolored), max_used):
+        return Coloring(tuple(colors[v] for v in verts))
+    return None
 
 
 def chromatic_number(
@@ -327,13 +301,13 @@ def chromatic_number(
     if not complete_omega:
         return ChromaticResult(lower, upper, witness, False, ticker.nodes)
     for k in range(lower, upper):
-        res = _k_color_search(rows, verts, k, ticker, clique)
-        if res.status == "colorable":
-            assert res.coloring is not None
-            return ChromaticResult(k, k, res.coloring.compacted(), True, ticker.nodes)
-        if res.status == "unknown":
+        try:
+            found = _k_color_search(rows, verts, k, ticker, clique)
+        except _OutOfBudget:
+            # Every k' < k was shown uncolorable, so k is a proven lower bound.
             return ChromaticResult(k, upper, witness, False, ticker.nodes)
-        lower = k + 1
+        if found is not None:
+            return ChromaticResult(k, k, found.compacted(), True, ticker.nodes)
     return ChromaticResult(upper, upper, witness, True, ticker.nodes)
 
 

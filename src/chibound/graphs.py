@@ -2,14 +2,13 @@
 
 Vertices are 0..n-1.  Adjacency rows are Python ints used as bitmasks, so set
 algebra on neighborhoods runs word-parallel.  Vertex sets cross the API as
-plain sets of ints; functions validate ids against the graph order.
+vertex masks, ints whose bit v stands for vertex v (``mask_of`` packs ids into
+one); a mask is validated against the graph order where it enters.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -113,10 +112,6 @@ class Graph:
     def degree(self, v: int) -> int:
         self.check_vertex(v)
         return self.rows[v].bit_count()
-
-    def neighbors(self, v: int) -> set[int]:
-        self.check_vertex(v)
-        return set(bits(self.rows[v]))
 
     def vertices(self) -> range:
         return range(self.n)
@@ -242,19 +237,10 @@ def cycle(k: int) -> Graph:
     return Graph(k, [(i, (i + 1) % k) for i in range(k)], name=f"C{k}")
 
 
-def make_basic(kind: str, k: int) -> Graph:
-    """Build one of the basic families by name: path, cycle, complete, empty."""
-    makers = {"path": path, "cycle": cycle, "complete": complete, "empty": empty}
-    if kind not in makers:
-        raise ValueError(f"unknown basic family {kind!r}; expected one of {sorted(makers)}")
-    return makers[kind](k)
-
-
 # -- combinators -----------------------------------------------------------
 #
 # Vertex numbering of every combinator: left operand keeps its ids, the right
-# operand is shifted to start at left.n; expansion concatenates the parts in
-# host-vertex order.
+# operand is shifted to start at left.n.
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -278,28 +264,6 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, edges)
 
 
-def expansion(g: Graph, parts: Sequence[Graph]) -> Graph:
-    """Replace vertex i of g by parts[i]; adjacent parts become complete to
-    each other.  Empty parts delete the host vertex."""
-    if len(parts) != g.n:
-        raise ValueError(f"expected {g.n} parts, got {len(parts)}")
-    offsets = []
-    total = 0
-    for part in parts:
-        offsets.append(total)
-        total += part.n
-    edges = []
-    for i, part in enumerate(parts):
-        edges += [(u + offsets[i], v + offsets[i]) for u, v in part.edges()]
-    for i, j in g.edges():
-        edges += [
-            (offsets[i] + a, offsets[j] + b)
-            for a in range(parts[i].n)
-            for b in range(parts[j].n)
-        ]
-    return Graph(total, edges)
-
-
 def mycielskian(g: Graph) -> Graph:
     """Mycielski construction: originals 0..n-1, shadow of i is n+i, apex 2n.
 
@@ -313,100 +277,3 @@ def mycielskian(g: Graph) -> Graph:
         edges.append((v, n + u))
     edges += [(n + i, 2 * n) for i in range(n)]
     return Graph(2 * n + 1, edges)
-
-
-# -- neighborhoods ---------------------------------------------------------
-
-
-def neighbor_set(g: Graph, xs: Iterable[int]) -> set[int]:
-    """N(X): vertices outside X with a neighbor in X."""
-    s = g.check_vertex_set(xs)
-    acc = 0
-    for v in s:
-        acc |= g.rows[v]
-    return set(bits(acc & ~mask_of(s)))
-
-
-def closed_neighbor_set(g: Graph, xs: Iterable[int]) -> set[int]:
-    """N[X] = X together with N(X)."""
-    s = g.check_vertex_set(xs)
-    return s | neighbor_set(g, s)
-
-
-def non_neighbors(g: Graph, xs: Iterable[int]) -> set[int]:
-    """M(X): vertices outside X with no neighbor in X."""
-    return set(g.vertices()) - closed_neighbor_set(g, xs)
-
-
-def distances_from(g: Graph, xs: Iterable[int]) -> list[int]:
-    """BFS distance from the set X for every vertex; -1 when unreachable."""
-    s = g.check_vertex_set(xs)
-    dist = [-1] * g.n
-    queue: deque[int] = deque()
-    for v in sorted(s):
-        dist[v] = 0
-        queue.append(v)
-    while queue:
-        u = queue.popleft()
-        for w in bits(g.rows[u]):
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
-def neighborhood(g: Graph, xs: Iterable[int], level: int | str) -> set[int]:
-    """Neighborhood of a vertex set at a named level.
-
-    level is an exact BFS distance i >= 1, a string ">=i" for distance at
-    least i (unreachable vertices excluded), "closed" for N[X], or "non" for
-    the vertices with no neighbor in X.
-    """
-    if level == "closed":
-        return closed_neighbor_set(g, xs)
-    if level == "non":
-        return non_neighbors(g, xs)
-    if isinstance(level, str):
-        if not level.startswith(">="):
-            raise ValueError(f"unknown neighborhood level {level!r}")
-        try:
-            floor = int(level[2:])
-        except ValueError:
-            raise ValueError(f"unknown neighborhood level {level!r}") from None
-        if floor < 1:
-            raise ValueError(f"neighborhood level needs i >= 1, got {level!r}")
-        dist = distances_from(g, xs)
-        return {v for v in g.vertices() if dist[v] >= floor}
-    if not isinstance(level, int) or level < 1:
-        raise ValueError(f"neighborhood level needs i >= 1, got {level!r}")
-    dist = distances_from(g, xs)
-    return {v for v in g.vertices() if dist[v] == level}
-
-
-def min_degree(g: Graph) -> int:
-    """Minimum degree; undefined on the order-0 graph."""
-    if g.n == 0:
-        raise ValueError("minimum degree needs at least one vertex")
-    return min(r.bit_count() for r in g.rows)
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    """Brute-force isomorphism test, intended for small orders (<= 9)."""
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if sorted(r.bit_count() for r in g.rows) != sorted(r.bit_count() for r in h.rows):
-        return False
-    if g.n > 9:
-        raise ValueError("brute-force isomorphism is limited to order <= 9")
-    gdeg = [r.bit_count() for r in g.rows]
-    hdeg = [r.bit_count() for r in h.rows]
-    for perm in permutations(range(g.n)):
-        if any(gdeg[v] != hdeg[perm[v]] for v in range(g.n)):
-            continue
-        if all(
-            (g.rows[u] >> v & 1) == (h.rows[perm[u]] >> perm[v] & 1)
-            for u in range(g.n)
-            for v in range(u + 1, g.n)
-        ):
-            return True
-    return False

@@ -65,16 +65,6 @@ def _clique_components(g: Graph, m: int) -> bool:
     return all(_is_clique(g, comp) for comp in components(g, m))
 
 
-def _has_triangle(g: Graph, m: int) -> bool:
-    for v in bits(m):
-        for w in bits(g.rows[v] & m):
-            if w <= v:
-                continue
-            if g.rows[v] & g.rows[w] & m:
-                return True
-    return False
-
-
 def _has_k1_union_k3(g: Graph, m: int) -> bool:
     for v in bits(m):
         for w in bits(g.rows[v] & m):
@@ -107,8 +97,6 @@ def evaluate_step(g: Graph, kind: str, sets: dict[str, tuple[int, ...]],
         return _clique_components(g, x)
     if kind == "components-le-2":
         return all(c.bit_count() <= 2 for c in components(g, x))
-    if kind == "triangle-free":
-        return not _has_triangle(g, x)
     if kind == "k1k3-absent":
         return not _has_k1_union_k3(g, x)
     if kind == "omega-le":

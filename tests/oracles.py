@@ -69,6 +69,20 @@ def brute_find_induced(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
     return None
 
 
+def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """Isomorphism by trying every bijection of the vertices."""
+    if g.n != h.n or g.edge_count != h.edge_count:
+        return False
+    h_edges = set(h.edges())
+    for image in permutations(range(g.n)):
+        if all(
+            (min(image[u], image[v]), max(image[u], image[v])) in h_edges
+            for u, v in g.edges()
+        ):
+            return True
+    return False
+
+
 def decode_graph6_reference(line: str) -> tuple[int, set[tuple[int, int]]]:
     """Independent graph6 decoder: order plus edge set.
 

@@ -10,16 +10,13 @@ from chibound import (
     COLORERS,
     BudgetExhausted,
     ClassMembershipError,
-    ClusterPreconditionError,
     Coloring,
-    DominationRule,
     Graph,
     ProofTrace,
     SampleConfig,
     SampleExhausted,
     SolveBudget,
     clique_number,
-    cluster_color,
     color_c5_free,
     color_hammer_free,
     color_k4_free,
@@ -28,20 +25,23 @@ from chibound import (
     complete,
     cycle,
     disjoint_union,
-    domination_fixpoint,
-    domination_reduce,
     empty,
     evaluate_bound,
     gnp,
     greedy_coloring,
     join,
-    lift_coloring,
     named_graph,
     path,
     sample_class,
     verify_coloring,
 )
-from chibound.colorers import _Run, _c5_clique_neighborhood, _fold_classes
+from chibound.colorers import (
+    _Run,
+    _c5_clique_neighborhood,
+    _cluster,
+    _dominated_pair,
+    _fold_classes,
+)
 
 # The only audit locations allowed to record a soft-gap verdict.
 SOFT_ALLOWED = re.compile(r"^(split-hammer/j[23]-palette|second-nbhd/b\d+-palette)$")
@@ -85,56 +85,51 @@ class TestEvaluateBound:
 
 
 class TestClusterColor:
+    """_cluster colors each component of G[m] as a clique, ids ascending."""
+
     def test_two_triangles(self):
-        col = cluster_color(named_graph("2k3"))
-        assert col.palette == 3
+        g = named_graph("2k3")
+        colors, palette = _cluster(g, g.full_mask)
+        assert palette == 3
+        assert colors == {0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2}
 
     def test_edgeless(self):
-        assert cluster_color(empty(5)).palette == 1
+        assert _cluster(empty(5), 0b11111) == ({v: 0 for v in range(5)}, 1)
 
     def test_palette_is_largest_component(self):
         g = disjoint_union(complete(2), complete(4))
-        col = cluster_color(g)
-        assert col.palette == 4
-        assert verify_coloring(g, col) is None
-
-    def test_rejects_induced_p3(self):
-        with pytest.raises(ClusterPreconditionError) as exc:
-            cluster_color(path(3))
-        assert sorted(exc.value.witness.vertices) == [0, 1, 2]
+        colors, palette = _cluster(g, g.full_mask)
+        assert palette == 4
+        coloring = Coloring(tuple(colors[v] for v in g.vertices()))
+        assert verify_coloring(g, coloring) is None
 
 
 class TestDomination:
+    """The kite procedure's reduction: remove the first vertex u whose
+    neighborhood inside the part fits in a nonadjacent v's, then give u the
+    color of v."""
+
     def test_cycle_has_no_dominated_pair(self):
-        assert domination_reduce(cycle(5)) is None
+        g = cycle(5)
+        assert _dominated_pair(g, g.full_mask) is None
 
     def test_edgeless_pair_reduces(self):
-        step = domination_reduce(empty(2))
-        assert step is not None
-        reduced, rule = step
-        assert reduced.n == 1
-        assert (rule.removed, rule.donor) == (0, 1)
+        assert _dominated_pair(empty(2), 0b11) == (0, 1)
+        # Neighborhoods are taken inside the mask: C5 minus vertex 2 is the
+        # path 3-4-0-1, where N(1) = {0} lies in N(4) = {0, 3}.
+        assert _dominated_pair(cycle(5), 0b11011) == (1, 4)
 
     def test_star_fixpoint(self):
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
-        reduced, rules = domination_fixpoint(star)
-        assert reduced.n == 2 and reduced.edge_count == 1
-        assert len(rules) == 2
-        lifted = lift_coloring(greedy_coloring(reduced), rules)
-        assert verify_coloring(star, lifted) is None
-        assert lifted.palette == 2
-
-    def test_lift_index_arithmetic(self):
-        assert DominationRule(2, 0).lift(Coloring((5, 7))).colors == (5, 7, 5)
-        assert DominationRule(0, 2).lift(Coloring((5, 7))).colors == (7, 5, 7)
-
-    @given(st.integers(min_value=0, max_value=2**32))
-    @settings(max_examples=40, deadline=None)
-    def test_lift_preserves_propriety(self, seed):
-        g = gnp(8, 0.35, seed)
-        reduced, rules = domination_fixpoint(g)
-        lifted = lift_coloring(greedy_coloring(reduced), rules)
-        assert verify_coloring(g, lifted) is None
+        coloring, trace = color_kite_free(star)
+        pairs = [
+            (dict(s.sets)["removed"], dict(s.sets)["donor"])
+            for s in trace.steps
+            if s.tag == "reduce/dominated-pair"
+        ]
+        assert pairs == [((1,), (2,)), ((2,), (3,))]
+        assert verify_coloring(star, coloring) is None
+        assert coloring.palette == 2
 
 
 class TestFoldClasses:

@@ -16,7 +16,6 @@ from chibound import (
     gnp,
     greedy_coloring,
     join,
-    k_colorable,
     named_graph,
     require_chromatic,
     require_clique_number,
@@ -47,26 +46,6 @@ class TestCliqueNumber:
         assert clique_number(g).value == brute_clique_number(g)
 
 
-class TestKColorable:
-    def test_named_values(self):
-        assert k_colorable(complete(4), 3).status == "uncolorable"
-        assert k_colorable(cycle(5), 3).status == "colorable"
-        grotzsch = named_graph("grotzsch")
-        assert k_colorable(grotzsch, 3).status == "uncolorable"
-        found = k_colorable(grotzsch, 4)
-        assert found.status == "colorable"
-        assert verify_coloring(grotzsch, found.coloring) is None
-
-    def test_zero_colors(self):
-        assert k_colorable(empty(0), 0).status == "colorable"
-        assert k_colorable(complete(1), 0).status == "uncolorable"
-
-    def test_budget_exhaustion_is_unknown(self):
-        g = join(named_graph("grotzsch"), named_graph("grotzsch"))
-        res = k_colorable(g, 7, SolveBudget(node_limit=5, time_limit=60))
-        assert res.status == "unknown"
-
-
 class TestChromaticNumber:
     def test_named_values(self):
         assert chromatic_number(cycle(5)).value == 3
@@ -95,6 +74,16 @@ class TestChromaticNumber:
             require_chromatic(g, SolveBudget(node_limit=10, time_limit=60))
         with pytest.raises(BudgetExhausted):
             require_clique_number(g, SolveBudget(node_limit=2, time_limit=60))
+
+    def test_exhaustion_inside_the_k_coloring_search(self):
+        # The clique search finishes (omega 4) and the k = 4 and k = 5
+        # searches prove uncolorability; the budget runs out at k = 6,
+        # which is then the proven lower bound.
+        g = join(named_graph("grotzsch"), named_graph("grotzsch"))
+        res = chromatic_number(g, SolveBudget(node_limit=153))
+        assert (res.lower, res.upper, res.complete, res.nodes_used) == (6, 8, False, 154)
+        assert res.coloring is not None and res.coloring.palette == 8
+        assert verify_coloring(g, res.coloring) is None
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)
@@ -204,3 +193,10 @@ class TestBudgetValidation:
             SolveBudget(node_limit=0)
         with pytest.raises(ValueError):
             SolveBudget(time_limit=0)
+
+    def test_rejects_nan(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="time_limit"):
+            SolveBudget(time_limit=nan)
+        with pytest.raises(ValueError, match="node_limit"):
+            SolveBudget(node_limit=nan)

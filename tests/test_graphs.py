@@ -1,4 +1,4 @@
-"""Core graph type, constructors, combinators, and neighborhood helpers."""
+"""Core graph type, constructors, and combinators."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,19 +11,15 @@ from chibound import (
     complete,
     cycle,
     disjoint_union,
-    distances_from,
     empty,
-    expansion,
     gnp,
-    is_isomorphic,
     join,
-    make_basic,
-    min_degree,
     mycielskian,
     named_graph,
-    neighborhood,
     path,
 )
+
+from oracles import is_isomorphic
 
 
 def small_graphs(max_n=8):
@@ -68,16 +64,6 @@ class TestGraphBasics:
         assert cycle(5).n == 5 and cycle(5).edge_count == 5
         assert path(2).edge_count == 1
         assert empty(4).edge_count == 0
-
-    def test_make_basic_dispatch_and_errors(self):
-        assert make_basic("complete", 3).edge_count == 3
-        assert make_basic("cycle", 5).edge_count == 5
-        with pytest.raises(ValueError):
-            make_basic("cycle", 2)
-        with pytest.raises(ValueError):
-            make_basic("path", 0)
-        with pytest.raises(ValueError):
-            make_basic("torus", 3)
 
 
 class TestToggled:
@@ -135,20 +121,6 @@ class TestCombinators:
         assert list(complement(complement(c5)).edges()) == list(c5.edges())
         assert is_isomorphic(complement(c5), c5)
 
-    def test_expansion_examples(self):
-        assert is_isomorphic(expansion(complete(2), [complete(3)] * 2), complete(6))
-        h = named_graph("kite")
-        same = expansion(complete(1), [h])
-        assert list(same.edges()) == list(h.edges())
-        with pytest.raises(ValueError):
-            expansion(complete(2), [complete(1)])
-
-    def test_expansion_equals_iterated_join(self):
-        h = cycle(5)
-        via_expansion = expansion(complete(3), [h, h, h])
-        via_join = join(join(h, h), h)
-        assert list(via_expansion.edges()) == list(via_join.edges())
-
     def test_mycielskian_examples(self):
         grotzsch = mycielskian(cycle(5))
         assert (grotzsch.n, grotzsch.edge_count) == (11, 20)
@@ -162,42 +134,6 @@ class TestCombinators:
         m = mycielskian(g)
         assert m.n == 2 * g.n + 1
         assert m.edge_count == 3 * g.edge_count + g.n
-
-
-class TestNeighborhoods:
-    def test_exact_level_on_path(self):
-        p4 = path(4)
-        assert neighborhood(p4, [0], 2) == {2}
-
-    def test_m_of_everything_is_empty(self):
-        g = cycle(6)
-        assert neighborhood(g, list(g.vertices()), "non") == set()
-
-    def test_at_least_level_on_c6(self):
-        got = neighborhood(cycle(6), [0], ">=2")
-        assert got == {2, 3, 4}
-
-    def test_levels_partition(self):
-        g = disjoint_union(cycle(5), path(3))
-        xs = [0]
-        dist = distances_from(g, xs)
-        seen = set(xs)
-        level = 1
-        while True:
-            layer = neighborhood(g, xs, level)
-            if not layer:
-                break
-            seen |= layer
-            level += 1
-        unreachable = {v for v in g.vertices() if dist[v] == -1}
-        assert seen | unreachable == set(g.vertices())
-
-    def test_min_degree_examples(self):
-        assert min_degree(cycle(5)) == 2
-        assert min_degree(complete(4)) == 3
-        assert min_degree(named_graph("grotzsch")) == 3
-        with pytest.raises(ValueError):
-            min_degree(empty(0))
 
 
 class TestColoring:

@@ -16,13 +16,12 @@ from chibound import (
     complete,
     count_induced,
     cycle,
-    disjoint_union,
     embedding_is_induced,
     empty,
-    expansion,
     find_induced,
     gnp,
     is_member,
+    join,
     named_graph,
     path,
     pattern_by_name,
@@ -182,7 +181,7 @@ class TestMembership:
     def test_grotzsch_expansions_are_kite_free(self):
         g = named_graph("grotzsch")
         assert is_member(g, CLASSES["KiteFree"])
-        doubled = expansion(complete(2), [g, g])
+        doubled = join(g, g)
         assert is_member(doubled, CLASSES["KiteFree"])
 
     def test_c5_rejected_with_identity_witness(self):

@@ -291,6 +291,10 @@ class TestCliErrorMapping:
         bad.write_text("p edge x y\n")
         assert main(["omega", str(bad)]) == EXIT_USAGE
 
+    def test_nan_budget_seconds(self, c5_file, capsys):
+        assert main(["chi", c5_file, "--budget-seconds", "nan"]) == EXIT_USAGE
+        assert "time_limit must be positive" in capsys.readouterr().err
+
     def test_unknown_class_name(self, c5_file):
         assert main(["member", "--class", "chordal", c5_file]) == EXIT_USAGE
 

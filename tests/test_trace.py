@@ -55,13 +55,6 @@ class TestEvaluateStep:
         assert _eval(g, "components-le-2", sets={"X": range(4)})
         assert not _eval(path(3), "components-le-2", sets={"X": [0, 1, 2]})
 
-    def test_triangle_free(self):
-        assert _eval(cycle(5), "triangle-free", sets={"X": range(5)})
-        assert not _eval(complete(3), "triangle-free", sets={"X": [0, 1, 2]})
-        # The triangle must live inside X, not just in the graph.
-        g = disjoint_union(complete(3), empty(2))
-        assert _eval(g, "triangle-free", sets={"X": [0, 1, 3, 4]})
-
     def test_k1k3_absent(self):
         g = disjoint_union(complete(3), empty(1))
         assert not _eval(g, "k1k3-absent", sets={"X": range(4)})
@@ -106,8 +99,9 @@ class TestEvaluateStep:
         assert not _eval(g, "sets-equal", sets={"X": [2], "Y": [2, 4]})
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown audit kind"):
-            _eval(empty(2), "majority-vote", sets={"X": [0]})
+        for kind in ("majority-vote", "triangle-free"):
+            with pytest.raises(ValueError, match="unknown audit kind"):
+                _eval(empty(2), kind, sets={"X": [0]})
 
     def test_out_of_range_vertex_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
