@@ -9,6 +9,14 @@ The clique and chromatic solvers take an optional vertex mask ``within`` and
 then solve G[within] in place: the adjacency rows are restricted to the mask
 once, results keep the graph's own vertex ids, and the search runs exactly as
 it would on the induced copy renumbered by ascending id.
+
+Both solvers split a join over its co-components (the components of the
+complement) when at least two of them have an edge: clique number and
+chromatic number add over a join, so each part is searched on its own under
+the one shared budget.  A prime graph, or a join of one part with edgeless
+parts, is searched whole as before.  A split clique search still returns the
+clique the whole search would have returned; a split coloring colors the
+parts with disjoint palettes.
 """
 
 from __future__ import annotations
@@ -164,52 +172,128 @@ def _color_sort(rows: Sequence[int], p_mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def _max_clique_search(
-    rows: Sequence[int], full: int, ticker: _Ticker
-) -> tuple[list[int], bool]:
-    """Branch-and-bound maximum clique; returns (best clique, completed)."""
-    best: list[int] = _greedy_maximal_clique(rows, full)
-    cur: list[int] = []
+def _joined_parts(rows: Sequence[int], full: int) -> list[int] | None:
+    """The co-components of G[full] as vertex masks, in order of their lowest
+    vertex, when at least two of them have an edge; otherwise None.  A join
+    whose other parts are edgeless (mostly universal vertices) costs more to
+    split than to search whole."""
+    parts = []
+    rest = full
+    while rest:
+        part = frontier = rest & -rest
+        rest ^= part
+        while frontier and rest:
+            low = frontier & -frontier
+            frontier ^= low
+            new = rest & ~rows[low.bit_length() - 1]
+            rest ^= new
+            part |= new
+            frontier |= new
+        parts.append(part)
+    if len(parts) < 2:
+        return None
+    edged = sum(1 for p in parts if any(rows[v] & p for v in bits(p)))
+    return parts if edged >= 2 else None
 
-    def expand(p_mask: int):
-        nonlocal best
-        ticker.tick()
-        for v, bound in reversed(_color_sort(rows, p_mask)):
-            if len(cur) + bound <= len(best):
+
+def _first_fit_cap(rows: Sequence[int], full: int, clique: list[int]) -> int:
+    """Upper bound on the clique number of G[full] from a first-fit coloring."""
+    return max(len(clique), max(_first_fit(rows, bits(full))) + 1)
+
+
+def _max_clique_search(
+    rows: Sequence[int], full: int, ticker: _Ticker, best: list[int] | None = None
+) -> tuple[list[int], bool, int]:
+    """Branch-and-bound maximum clique of G[full], starting from the maximal
+    clique best (greedy by default); returns the best clique, whether the
+    search completed, and a proven upper bound on the clique number
+    (first-fit when the search did not complete)."""
+    if best is None:
+        best = _greedy_maximal_clique(rows, full)
+    cur: list[int] = []
+    # Branches that cannot beat floor are pruned.  floor is len(best) until
+    # best reaches target; then it is the order, which ends the search.
+    floor = len(best)
+    target = None
+
+    def expand(p_mask: int, order: list[tuple[int, int]]):
+        nonlocal best, floor
+        for v, bound in reversed(order):
+            if len(cur) + bound <= floor:
                 return
             cur.append(v)
             rest = p_mask & rows[v]
             if rest:
-                expand(rest)
-            elif len(cur) > len(best):
+                ticker.tick()
+                expand(rest, _color_sort(rows, rest))
+            elif len(cur) > floor:
                 best = sorted(cur)
+                floor = len(rows) if len(best) == target else len(best)
             cur.pop()
             p_mask &= ~(1 << v)
 
-    complete = True
     try:
         if full:
-            expand(full)
+            ticker.tick()
+            order = _color_sort(rows, full)
+            # Only a search that the root bound does not close may split.
+            if order[-1][1] > len(best):
+                parts = _joined_parts(rows, full)
+                if parts is not None:
+                    clique, complete, upper = _clique_over_parts(rows, parts, ticker, best)
+                    if not complete or len(clique) == len(best):
+                        return clique, complete, upper
+                    # The parts proved the clique number.  The whole search
+                    # runs only until its first clique of that size, which
+                    # is the witness it would have returned unsplit; pruning
+                    # every branch too small for that size keeps its order.
+                    floor, target = upper - 1, upper
+                    try:
+                        expand(full, order)
+                    except _OutOfBudget:
+                        return clique, False, upper
+                    return best, True, upper
+                expand(full, order)
     except _OutOfBudget:
-        complete = False
-    return best, complete
+        return best, False, _first_fit_cap(rows, full, best)
+    return best, True, len(best)
+
+
+def _clique_over_parts(
+    rows: Sequence[int], parts: list[int], ticker: _Ticker, start: list[int]
+) -> tuple[list[int], bool, int]:
+    """Maximum clique of a join as the union of its parts' maximum cliques.
+    The maximal clique start meets each part in a maximal clique of that
+    part, and each part's search starts from it.  Once the ticker has run
+    out, the remaining parts keep it and take a first-fit bound without
+    ticking again."""
+    clique: list[int] = []
+    complete = True
+    upper = 0
+    for part in parts:
+        best = [v for v in start if part >> v & 1]
+        if complete:
+            best, complete, cap = _max_clique_search(rows, part, ticker, best)
+        else:
+            cap = _first_fit_cap(rows, part, best)
+        clique += best
+        upper += cap
+    return sorted(clique), complete, upper
 
 
 def clique_number(
     g: Graph, budget: SolveBudget | None = None, *, within: int | None = None
 ) -> CliqueResult:
-    """Exact clique number with greedy-coloring upper bounds on exhaustion.
+    """Exact clique number with greedy-coloring upper bounds on exhaustion
+    (on a join that is split, the sums of the parts' bounds).
 
     With a vertex mask ``within`` this is the clique number of G[within];
     the clique's vertices are ids of g.
     """
     rows, full = restrict(g, within)
     ticker = _Ticker(budget or SolveBudget())
-    best, complete = _max_clique_search(rows, full, ticker)
-    lower = len(best)
-    # A proper coloring bounds the clique number from above.
-    upper = lower if complete else max(lower, max(_first_fit(rows, bits(full))) + 1)
-    return CliqueResult(tuple(best), lower, upper, complete, ticker.nodes)
+    best, complete, upper = _max_clique_search(rows, full, ticker)
+    return CliqueResult(tuple(best), len(best), upper, complete, ticker.nodes)
 
 
 def _k_color_search(
@@ -272,6 +356,30 @@ def _k_color_search(
     return None
 
 
+def _first_fit_coloring(rows: Sequence[int], verts: list[int]) -> Coloring:
+    """Compacted first-fit coloring of the given vertices, listed in order."""
+    first_fit = _first_fit(rows, verts)
+    return Coloring(tuple(first_fit[v] for v in verts)).compacted()
+
+
+def _ascend(
+    rows: Sequence[int], verts: list[int], clique: list[int], greedy: Coloring,
+    ticker: _Ticker,
+) -> tuple[int, int, Coloring, bool]:
+    """Try k = len(clique), len(clique) + 1, ... below greedy's palette;
+    returns (lower, upper, witness coloring, complete)."""
+    upper = greedy.palette
+    for k in range(len(clique), upper):
+        try:
+            found = _k_color_search(rows, verts, k, ticker, clique)
+        except _OutOfBudget:
+            # Every k' < k was shown uncolorable, so k is a proven lower bound.
+            return k, upper, greedy, False
+        if found is not None:
+            return k, k, found.compacted(), True
+    return upper, upper, greedy, True
+
+
 def chromatic_number(
     g: Graph, budget: SolveBudget | None = None, *, within: int | None = None
 ) -> ChromaticResult:
@@ -279,7 +387,8 @@ def chromatic_number(
 
     When the budget runs out the result carries the proven bounds: lower is
     the largest k shown uncolorable plus one (at least the best clique found)
-    and upper comes from the best coloring seen.
+    and upper comes from the best coloring seen.  On a join that is split,
+    both are the sums of the parts' bounds.
 
     With a vertex mask ``within`` this solves G[within]; the coloring then
     lists the colors of the masked vertices in ascending id order, as a
@@ -290,25 +399,41 @@ def chromatic_number(
         return ChromaticResult(0, 0, Coloring(()), True, 0)
     verts = list(bits(full))
     ticker = _Ticker(budget or SolveBudget())
-    clique, complete_omega = _max_clique_search(rows, full, ticker)
-    first_fit = _first_fit(rows, verts)
-    greedy = Coloring(tuple(first_fit[v] for v in verts)).compacted()
+    clique, complete_omega, _ = _max_clique_search(rows, full, ticker)
+    greedy = _first_fit_coloring(rows, verts)
     lower = len(clique)
     upper = greedy.palette
-    witness = greedy
     if lower == upper:
-        return ChromaticResult(lower, upper, witness, True, ticker.nodes)
+        return ChromaticResult(lower, upper, greedy, True, ticker.nodes)
     if not complete_omega:
-        return ChromaticResult(lower, upper, witness, False, ticker.nodes)
-    for k in range(lower, upper):
-        try:
-            found = _k_color_search(rows, verts, k, ticker, clique)
-        except _OutOfBudget:
-            # Every k' < k was shown uncolorable, so k is a proven lower bound.
-            return ChromaticResult(k, upper, witness, False, ticker.nodes)
-        if found is not None:
-            return ChromaticResult(k, k, found.compacted(), True, ticker.nodes)
-    return ChromaticResult(upper, upper, witness, True, ticker.nodes)
+        return ChromaticResult(lower, upper, greedy, False, ticker.nodes)
+    parts = _joined_parts(rows, full)
+    if parts is None:
+        lower, upper, witness, complete = _ascend(rows, verts, clique, greedy, ticker)
+        return ChromaticResult(lower, upper, witness, complete, ticker.nodes)
+    # A maximum clique of a join meets each part in a maximum clique of that
+    # part, so the parts need no clique search of their own.  Each part's
+    # colors are shifted past the palettes of the parts before it.
+    colors = [0] * len(rows)
+    lower = upper = 0
+    complete = True
+    for part in parts:
+        part_verts = list(bits(part))
+        part_clique = [v for v in clique if part >> v & 1]
+        witness = _first_fit_coloring(rows, part_verts)
+        lo, hi = len(part_clique), witness.palette
+        if complete and lo < hi:
+            # The k search's forward check must not see the other parts.
+            part_rows = [r & part for r in rows]
+            lo, hi, witness, complete = _ascend(
+                part_rows, part_verts, part_clique, witness, ticker
+            )
+        for v, c in zip(part_verts, witness.colors):
+            colors[v] = upper + c
+        lower += lo
+        upper += hi
+    witness = Coloring(tuple(colors[v] for v in verts)).compacted()
+    return ChromaticResult(lower, upper, witness, complete, ticker.nodes)
 
 
 def require_chromatic(

@@ -10,6 +10,7 @@ import time
 from chibound import (
     COLORERS,
     PATTERNS,
+    SolveBudget,
     SplitMix64,
     chromatic_number,
     class_by_name,
@@ -17,6 +18,7 @@ from chibound import (
     color_kite_free,
     dumps,
     evaluate_bound,
+    extremal_family,
     find_induced,
     gnp,
     hunt,
@@ -24,6 +26,7 @@ from chibound import (
     join,
     loads,
     named_graph,
+    replay,
     verify_coloring,
 )
 from chibound.suite import _sample_instance
@@ -128,6 +131,24 @@ def test_kite_free_coloring_is_tight_on_witness(capfd):
         assert evaluate_bound("KiteFree", 2) == 4
 
     _verdict(capfd, "tight palette on the kite-free witness", body)
+
+
+def test_joined_witnesses_color_within_budget(capfd):
+    def body():
+        budget = SolveBudget(node_limit=300_000)
+        for g, order, palette in (
+            (extremal_family("kite-even", 5), 55, 20),
+            (extremal_family("kite-odd", 2), 38, 10),
+        ):
+            assert g.n == order
+            coloring, trace = color_kite_free(g, budget)
+            assert coloring.palette == palette, g.name
+            assert verify_coloring(g, coloring) is None, g.name
+            assert replay(g, trace) == [], g.name
+            res = chromatic_number(g, budget)
+            assert res.value == palette and res.nodes_used < 10_000, g.name
+
+    _verdict(capfd, "joined witnesses color within a 300,000-node budget", body)
 
 
 def test_pattern_search_agrees_with_oracle(capfd):

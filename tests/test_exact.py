@@ -1,12 +1,17 @@
 """Exact clique and chromatic solvers against brute-force oracles."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chibound import (
     BudgetExhausted,
+    ChromaticResult,
+    CliqueResult,
     Coloring,
+    Graph,
     SolveBudget,
     chromatic_number,
     clique_number,
@@ -16,11 +21,13 @@ from chibound import (
     gnp,
     greedy_coloring,
     join,
+    mycielskian,
     named_graph,
     require_chromatic,
     require_clique_number,
     verify_coloring,
 )
+from chibound import exact
 
 from oracles import brute_chromatic_number, brute_clique_number
 
@@ -76,13 +83,14 @@ class TestChromaticNumber:
             require_clique_number(g, SolveBudget(node_limit=2, time_limit=60))
 
     def test_exhaustion_inside_the_k_coloring_search(self):
-        # The clique search finishes (omega 4) and the k = 4 and k = 5
-        # searches prove uncolorability; the budget runs out at k = 6,
-        # which is then the proven lower bound.
-        g = join(named_graph("grotzsch"), named_graph("grotzsch"))
-        res = chromatic_number(g, SolveBudget(node_limit=153))
-        assert (res.lower, res.upper, res.complete, res.nodes_used) == (6, 8, False, 154)
-        assert res.coloring is not None and res.coloring.palette == 8
+        # A prime graph (order 23, chi 5): the clique search finishes
+        # (omega 2, 8 nodes) and the k = 2 and k = 3 searches prove
+        # uncolorability; the budget runs out at k = 4, which is then the
+        # proven lower bound.
+        g = mycielskian(named_graph("grotzsch"))
+        res = chromatic_number(g, SolveBudget(node_limit=300))
+        assert (res.lower, res.upper, res.complete, res.nodes_used) == (4, 5, False, 301)
+        assert res.coloring is not None and res.coloring.palette == 5
         assert verify_coloring(g, res.coloring) is None
 
     @given(st.integers(min_value=0, max_value=2**32))
@@ -159,6 +167,152 @@ class TestWithinMask:
         assert require_clique_number(g, within=0b11111).value == 2
         value, coloring = require_chromatic(g, within=0b11111)
         assert value == 3 and coloring.n == 5
+
+
+# The path 0-2-3-1: first-fit by id uses 3 colors where 2 suffice.
+BAD_FIRST_FIT_P4 = Graph(4, [(0, 2), (2, 3), (3, 1)])
+# Omega 2, chi 3, first-fit by id 4: the k search runs past the clique size.
+GAPPED = Graph(7, [(0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 6), (3, 5), (4, 6), (5, 6)])
+
+
+def _is_clique(g: Graph, vertices) -> bool:
+    return all(g.has_edge(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :])
+
+
+def _with_edge(g: Graph) -> Graph:
+    """g with the edge 0-1 added, so that it is not edgeless."""
+    return Graph(g.n, [*g.edges(), (0, 1)])
+
+
+def _embedded(g: Graph, seed: int) -> tuple[Graph, int]:
+    """A host with g induced on a random vertex mask, in ascending id order,
+    and random edges everywhere else; returns (host, mask)."""
+    rng = random.Random(seed)
+    n = g.n + 3
+    keep = sorted(rng.sample(range(n), g.n))
+    edges = {(keep[u], keep[v]) for u, v in g.edges()}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not (u in keep and v in keep) and rng.random() < 0.5:
+                edges.add((u, v))
+    return Graph(n, edges), sum(1 << v for v in keep)
+
+
+class TestJoinSplit:
+    """Joins are solved over their co-components; answers are checked
+    against brute force.  The chromatic reference is the sum of the parts'
+    brute-force values (chi adds over a join), because brute force on a
+    whole join of order 9 would try up to 9**9 assignments."""
+
+    def _check(self, parts: list[Graph], seed: int):
+        j = parts[0]
+        for part in parts[1:]:
+            j = join(j, part)
+        omega = brute_clique_number(j)
+        chi = sum(brute_chromatic_number(part) for part in parts)
+
+        res = clique_number(j)
+        assert res.value == omega
+        assert len(res.vertices) == omega
+        assert _is_clique(j, res.vertices)
+        # The witness is the one the whole search returns unsplit.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exact, "_joined_parts", lambda rows, full: None)
+            assert clique_number(j).vertices == res.vertices
+        col = chromatic_number(j)
+        assert col.value == chi
+        assert col.coloring.palette == chi
+        assert verify_coloring(j, col.coloring) is None
+
+        host, mask = _embedded(j, seed)
+        keep = [v for v in host.vertices() if mask >> v & 1]
+        for budget in (None, SolveBudget(node_limit=1 + seed % 50)):
+            mine = clique_number(host, budget, within=mask)
+            ref = clique_number(j, budget)
+            assert mine.vertices == tuple(keep[i] for i in ref.vertices)
+            assert (mine.lower, mine.upper, mine.complete, mine.nodes_used) == (
+                ref.lower, ref.upper, ref.complete, ref.nodes_used,
+            )
+            assert chromatic_number(host, budget, within=mask) == chromatic_number(j, budget)
+
+        for limit in range(1, 51):
+            budget = SolveBudget(node_limit=limit)
+            res = clique_number(j, budget)
+            assert res.lower <= omega <= res.upper
+            assert res.nodes_used <= limit + 1
+            assert len(res.vertices) == res.lower
+            assert _is_clique(j, res.vertices)
+            col = chromatic_number(j, budget)
+            assert col.lower <= chi <= col.upper
+            assert col.nodes_used <= limit + 1
+            assert col.coloring.palette == col.upper
+            assert verify_coloring(j, col.coloring) is None
+
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_two_parts(self, seed, na, nb):
+        self._check([gnp(na, 0.5, seed), gnp(nb, 0.5, seed + 1)], seed)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.lists(st.integers(min_value=2, max_value=3), min_size=2, max_size=2),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_three_parts_at_most_one_edgeless(self, seed, orders, nc, slot):
+        parts = [_with_edge(gnp(n, 0.5, seed + i)) for i, n in enumerate(orders)]
+        parts.insert(slot, gnp(nc, 0.5, seed + 2))
+        self._check(parts, seed)
+
+    @pytest.mark.parametrize(
+        "parts",
+        [
+            [cycle(5), cycle(5)],
+            [BAD_FIRST_FIT_P4, cycle(5)],
+            [GAPPED, cycle(5)],
+            [BAD_FIRST_FIT_P4, empty(1), BAD_FIRST_FIT_P4],
+            [cycle(5), complete(2), cycle(7)],
+            [gnp(5, 0.5, 89), gnp(4, 0.5, 90)],
+        ],
+    )
+    def test_fixed_joins(self, parts):
+        # On the first five joins first-fit uses more colors than the clique
+        # size, so the chromatic solve splits and runs the k search inside
+        # the parts.  On the last, the parts' maximum cliques differ from
+        # the witness of the unsplit search.
+        self._check(parts, 0)
+
+    def test_budget_spans_every_part(self):
+        # Three Grotzsch parts: once one part runs out, the parts after it
+        # take their greedy bounds without ticking again.
+        grotzsch = named_graph("grotzsch")
+        g = join(join(grotzsch, grotzsch), grotzsch)
+        for limit in range(1, 120):
+            budget = SolveBudget(node_limit=limit)
+            res = clique_number(g, budget)
+            assert res.nodes_used <= limit + 1 and res.lower <= 6 <= res.upper
+            col = chromatic_number(g, budget)
+            assert col.nodes_used <= limit + 1 and col.lower <= 12 <= col.upper
+
+    def test_split_join_keeps_the_unsplit_witness(self):
+        # Two Grotzsch parts: the split proves omega 4 in 9 nodes (103
+        # unsplit), and the greedy clique it starts from is the witness.
+        res = clique_number(join(named_graph("grotzsch"), named_graph("grotzsch")))
+        assert res == CliqueResult((5, 10, 11, 12), 4, 4, True, 9)
+
+    def test_one_nontrivial_part_is_searched_whole(self):
+        # K1 + Grotzsch has one part with an edge, so it is not split: the
+        # witness and node counts are those of the unsplit search.
+        g = join(complete(1), named_graph("grotzsch"))
+        assert clique_number(g) == CliqueResult((0, 1, 2), 3, 3, True, 4)
+        assert chromatic_number(g) == ChromaticResult(
+            5, 5, Coloring((0, 1, 2, 1, 2, 3, 1, 2, 1, 2, 3, 4)), True, 23
+        )
 
 
 class TestVerifyAndGreedy:
