@@ -11,12 +11,14 @@ once, results keep the graph's own vertex ids, and the search runs exactly as
 it would on the induced copy renumbered by ascending id.
 
 Both solvers split a join over its co-components (the components of the
-complement) when at least two of them have an edge: clique number and
-chromatic number add over a join, so each part is searched on its own under
-the one shared budget.  A prime graph, or a join of one part with edgeless
-parts, is searched whole as before.  A split clique search still returns the
-clique the whole search would have returned; a split coloring colors the
-parts with disjoint palettes.
+complement, from ``graphs.co_components``, which the pattern search shares)
+when at least two of them have an edge: clique number and chromatic number
+add over a join, so each part is searched on its own under the one shared
+budget.  A prime graph, or a join of one part with edgeless parts, is
+searched whole as before.  A split clique search still returns the clique
+the whole search would have returned; a split coloring colors the parts with
+disjoint palettes.  A chromatic solve walks the complement at most once: it
+reuses the parts its clique search walked.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Coloring, Graph, bits, restrict
+from .graphs import Coloring, Graph, bits, co_components, restrict
 
 DEFAULT_NODE_LIMIT = 10_000_000
 DEFAULT_TIME_LIMIT = 60.0
@@ -172,28 +174,11 @@ def _color_sort(rows: Sequence[int], p_mask: int) -> list[tuple[int, int]]:
     return out
 
 
-def _joined_parts(rows: Sequence[int], full: int) -> list[int] | None:
-    """The co-components of G[full] as vertex masks, in order of their lowest
-    vertex, when at least two of them have an edge; otherwise None.  A join
-    whose other parts are edgeless (mostly universal vertices) costs more to
-    split than to search whole."""
-    parts = []
-    rest = full
-    while rest:
-        part = frontier = rest & -rest
-        rest ^= part
-        while frontier and rest:
-            low = frontier & -frontier
-            frontier ^= low
-            new = rest & ~rows[low.bit_length() - 1]
-            rest ^= new
-            part |= new
-            frontier |= new
-        parts.append(part)
-    if len(parts) < 2:
-        return None
-    edged = sum(1 for p in parts if any(rows[v] & p for v in bits(p)))
-    return parts if edged >= 2 else None
+def _worth_splitting(rows: Sequence[int], parts: list[int]) -> bool:
+    """Whether a join over these co-components is split: at least two of
+    them must have an edge.  A join whose other parts are edgeless (mostly
+    universal vertices) costs more to split than to search whole."""
+    return sum(1 for p in parts if any(rows[v] & p for v in bits(p))) >= 2
 
 
 def _first_fit_cap(rows: Sequence[int], full: int, clique: list[int]) -> int:
@@ -202,15 +187,25 @@ def _first_fit_cap(rows: Sequence[int], full: int, clique: list[int]) -> int:
 
 
 def _max_clique_search(
-    rows: Sequence[int], full: int, ticker: _Ticker, best: list[int] | None = None
-) -> tuple[list[int], bool, int]:
+    rows: Sequence[int],
+    full: int,
+    ticker: _Ticker,
+    best: list[int] | None = None,
+    g: Graph | None = None,
+) -> tuple[list[int], bool, int, list[int] | None]:
     """Branch-and-bound maximum clique of G[full], starting from the maximal
     clique best (greedy by default); returns the best clique, whether the
-    search completed, and a proven upper bound on the clique number
-    (first-fit when the search did not complete)."""
+    search completed, a proven upper bound on the clique number (first-fit
+    when the search did not complete), and the co-components of G[full]
+    when the search computed them (else None).
+
+    Only a search given its graph g may split, and only when its root bound
+    does not close it.  The parts are co-connected, so their own searches
+    are given no graph."""
     if best is None:
         best = _greedy_maximal_clique(rows, full)
     cur: list[int] = []
+    parts = None
     # Branches that cannot beat floor are pruned.  floor is len(best) until
     # best reaches target; then it is the order, which ends the search.
     floor = len(best)
@@ -236,13 +231,12 @@ def _max_clique_search(
         if full:
             ticker.tick()
             order = _color_sort(rows, full)
-            # Only a search that the root bound does not close may split.
-            if order[-1][1] > len(best):
-                parts = _joined_parts(rows, full)
-                if parts is not None:
+            if g is not None and order[-1][1] > len(best):
+                parts = co_components(g, full)
+                if _worth_splitting(rows, parts):
                     clique, complete, upper = _clique_over_parts(rows, parts, ticker, best)
                     if not complete or len(clique) == len(best):
-                        return clique, complete, upper
+                        return clique, complete, upper, parts
                     # The parts proved the clique number.  The whole search
                     # runs only until its first clique of that size, which
                     # is the witness it would have returned unsplit; pruning
@@ -251,12 +245,12 @@ def _max_clique_search(
                     try:
                         expand(full, order)
                     except _OutOfBudget:
-                        return clique, False, upper
-                    return best, True, upper
-                expand(full, order)
+                        return clique, False, upper, parts
+                    return best, True, upper, parts
+            expand(full, order)
     except _OutOfBudget:
-        return best, False, _first_fit_cap(rows, full, best)
-    return best, True, len(best)
+        return best, False, _first_fit_cap(rows, full, best), parts
+    return best, True, len(best), parts
 
 
 def _clique_over_parts(
@@ -273,7 +267,7 @@ def _clique_over_parts(
     for part in parts:
         best = [v for v in start if part >> v & 1]
         if complete:
-            best, complete, cap = _max_clique_search(rows, part, ticker, best)
+            best, complete, cap, _ = _max_clique_search(rows, part, ticker, best)
         else:
             cap = _first_fit_cap(rows, part, best)
         clique += best
@@ -292,7 +286,7 @@ def clique_number(
     """
     rows, full = restrict(g, within)
     ticker = _Ticker(budget or SolveBudget())
-    best, complete, upper = _max_clique_search(rows, full, ticker)
+    best, complete, upper, _ = _max_clique_search(rows, full, ticker, g=g)
     return CliqueResult(tuple(best), len(best), upper, complete, ticker.nodes)
 
 
@@ -399,7 +393,7 @@ def chromatic_number(
         return ChromaticResult(0, 0, Coloring(()), True, 0)
     verts = list(bits(full))
     ticker = _Ticker(budget or SolveBudget())
-    clique, complete_omega, _ = _max_clique_search(rows, full, ticker)
+    clique, complete_omega, _, parts = _max_clique_search(rows, full, ticker, g=g)
     greedy = _first_fit_coloring(rows, verts)
     lower = len(clique)
     upper = greedy.palette
@@ -407,8 +401,9 @@ def chromatic_number(
         return ChromaticResult(lower, upper, greedy, True, ticker.nodes)
     if not complete_omega:
         return ChromaticResult(lower, upper, greedy, False, ticker.nodes)
-    parts = _joined_parts(rows, full)
     if parts is None:
+        parts = co_components(g, full)
+    if not _worth_splitting(rows, parts):
         lower, upper, witness, complete = _ascend(rows, verts, clique, greedy, ticker)
         return ChromaticResult(lower, upper, witness, complete, ticker.nodes)
     # A maximum clique of a join meets each part in a maximum clique of that

@@ -52,6 +52,25 @@ def components(g: Graph, m: int) -> list[int]:
     return comps
 
 
+def co_components(g: Graph, m: int) -> list[int]:
+    """Masks of the co-components of G[m], the components of its complement,
+    by ascending lowest id.  G[m] is the join of them."""
+    parts = []
+    rest = m
+    while rest:
+        part = frontier = rest & -rest
+        rest ^= part
+        while frontier and rest:
+            low = frontier & -frontier
+            frontier ^= low
+            new = rest & ~g.rows[low.bit_length() - 1]
+            rest ^= new
+            part |= new
+            frontier |= new
+        parts.append(part)
+    return parts
+
+
 def is_independent(g: Graph, m: int) -> bool:
     """True when G[m] has no edge."""
     return all(g.rows[v] & m == 0 for v in bits(m))

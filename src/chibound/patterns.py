@@ -7,15 +7,24 @@ ascending id, so the first embedding found is deterministic and is the
 lexicographically least one in that search order.  A search through a
 host pair pins two pattern vertices to it first and keeps that order for
 the rest.
+
+Absence is proved per co-component.  Every class pattern but k3 and k4 is
+co-connected (its complement is connected), so each induced copy lies
+inside one co-component of the host.  On a join, such a pattern is searched
+in each co-component on its own, and it is absent when no part holds it.
+When a part does hold a copy, the whole host is searched, so the copy
+returned is the one the unsplit search finds.  A search through a host pair
+is not split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from typing import Sequence
 
 from .catalog import named_graph
-from .graphs import Graph, complete, cycle, mask_of, path, restrict
+from .graphs import Graph, co_components, complete, cycle, mask_of, path, restrict
 
 MAX_PATTERN_ORDER = 8
 
@@ -163,23 +172,23 @@ def _match_plans(p: Graph):
     return _plan(p, static), tuple(map(tuple, pinned))
 
 
+@cache
+def _co_connected(p: Graph) -> bool:
+    """Whether the pattern's complement is connected.  Computed once per
+    pattern."""
+    return len(co_components(p, p.full_mask)) == 1
+
+
 def _search(
-    host: Graph,
-    pattern: Pattern,
-    collect=None,
-    within: int | None = None,
-    through: tuple[int, int] | None = None,
-) -> Embedding | None:
-    """Backtracking core.  With collect=None returns the first embedding;
-    otherwise calls collect(vertices) for every embedding and returns None.
-    Returning True from collect stops the search early.  With a vertex mask
-    the search runs on host[within], in the host's ids.  With a host pair
+    rows: Sequence[int], full: int, pattern: Pattern, through: tuple[int, int] | None
+) -> tuple[int, ...] | None:
+    """Backtracking core on G[full], given G's rows restricted to full: the
+    host vertices of the first embedding, or None.  With a host pair
     ``through`` only embeddings whose image holds both its vertices are
     searched: each pattern pair of matching adjacency is pinned to it in
     turn, ascending (a, b), and the rest is matched as usual."""
     p = pattern.graph
     k = p.n
-    rows, full = restrict(host, within)
     if k > full.bit_count():
         return None
     static, pinned = _match_plans(p)
@@ -195,9 +204,7 @@ def _search(
     def extend(pos: int, used: int):
         # plan is the match plan of the current start, bound below.
         if pos == k:
-            if collect is None:
-                return tuple(assign)
-            return True if collect(tuple(assign)) else None
+            return tuple(assign)
         pv, adjacent, apart = plan[pos]
         cand = full & ~used & degree_ok[pv]
         for q in adjacent:
@@ -215,19 +222,15 @@ def _search(
 
     if through is None:
         plan = static
-        got = extend(0, 0)
-    else:
-        u, v = through
-        got = None
-        if full >> u & 1 and full >> v & 1:
-            for a, b, plan in pinned[rows[u] >> v & 1]:
-                if degree_ok[a] >> u & 1 and degree_ok[b] >> v & 1:
-                    assign[a], assign[b] = u, v
-                    got = extend(2, 1 << u | 1 << v)
-                    if got is not None:
-                        break
-    if collect is None and got is not None:
-        return Embedding(pattern.name, got)
+        return extend(0, 0)
+    u, v = through
+    if full >> u & 1 and full >> v & 1:
+        for a, b, plan in pinned[rows[u] >> v & 1]:
+            if degree_ok[a] >> u & 1 and degree_ok[b] >> v & 1:
+                assign[a], assign[b] = u, v
+                got = extend(2, 1 << u | 1 << v)
+                if got is not None:
+                    return got
     return None
 
 
@@ -244,6 +247,10 @@ def find_induced(
     and finds the occurrence a search of the induced copy would find; its
     vertices are ids of the host.
 
+    On a join, a co-connected pattern is proved absent one co-component at
+    a time (see the module docstring); a copy that is found comes from the
+    whole search, as without the split.
+
     With a pair of distinct host vertices ``through=(u, v)`` only
     occurrences whose image contains both u and v count.  Each pattern pair
     (a, b) with the adjacency of u and v is pinned to (u, v) in ascending
@@ -251,7 +258,8 @@ def find_induced(
     found is returned; this costs about O(n^(k-2)) instead of O(n^k) for a
     pattern of order k.  When the host with uv toggled back has no
     occurrence, every occurrence holds u and v, so the answer is None
-    exactly when the full search's is; ``is_member`` relies on this.
+    exactly when the full search's is; ``is_member`` relies on this.  This
+    search is not split.
     """
     if through is not None:
         u, v = through
@@ -259,41 +267,17 @@ def find_induced(
         host.check_vertex(v)
         if u == v:
             raise ValueError(f"through needs two distinct vertices, got ({u}, {v})")
-    return _search(host, pattern, within=within, through=through)
-
-
-def embedding_is_induced(host: Graph, pattern: Pattern, emb: Embedding) -> bool:
-    """Check an embedding: distinct vertices, adjacency matches exactly."""
-    p = pattern.graph
-    vs = emb.vertices
-    if len(vs) != p.n or len(set(vs)) != p.n:
-        return False
-    for v in vs:
-        if not 0 <= v < host.n:
-            return False
-    return all(
-        (host.rows[vs[i]] >> vs[j] & 1) == (p.rows[i] >> j & 1)
-        for i in range(p.n)
-        for j in range(i + 1, p.n)
-    )
-
-
-def count_induced(host: Graph, pattern: Pattern, cap: int | None = None) -> int:
-    """Number of distinct vertex subsets of the host inducing the pattern.
-
-    Distinct embeddings with the same image count once.  With a cap the
-    search stops early and the result is min(true count, cap).
-    """
-    if cap is not None and cap <= 0:
-        return 0
-    images: set[frozenset[int]] = set()
-
-    def collect(vertices: tuple[int, ...]):
-        images.add(frozenset(vertices))
-        return cap is not None and len(images) >= cap
-
-    _search(host, pattern, collect=collect)
-    return len(images)
+    rows, full = restrict(host, within)
+    if through is None and _co_connected(pattern.graph):
+        parts = co_components(host, full)
+        if len(parts) > 1 and all(
+            _search([r & part for r in rows], part, pattern, None) is None
+            for part in parts
+            if part.bit_count() >= pattern.graph.n
+        ):
+            return None
+    got = _search(rows, full, pattern, through)
+    return None if got is None else Embedding(pattern.name, got)
 
 
 def is_member(

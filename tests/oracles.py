@@ -69,6 +69,52 @@ def brute_find_induced(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
     return None
 
 
+def induced_embeddings(host: Graph, pattern: Graph) -> list[tuple[int, ...]]:
+    """Every induced copy, as host vertices in pattern-vertex order.
+
+    Partial maps are extended one pattern vertex at a time, in id order, by
+    every unused host vertex whose adjacency to the vertices mapped so far
+    matches the pattern's.
+    """
+    out = []
+
+    def extend(image: list[int]):
+        i = len(image)
+        if i == pattern.n:
+            out.append(tuple(image))
+            return
+        for v in range(host.n):
+            if v not in image and all(
+                host.has_edge(v, image[j]) == pattern.has_edge(i, j) for j in range(i)
+            ):
+                extend(image + [v])
+
+    extend([])
+    return out
+
+
+def embedding_is_induced(host: Graph, pattern, emb) -> bool:
+    """Check an embedding of a Pattern: distinct host vertices, adjacency
+    matches exactly."""
+    p = pattern.graph
+    vs = emb.vertices
+    if len(vs) != p.n or len(set(vs)) != p.n:
+        return False
+    if not all(0 <= v < host.n for v in vs):
+        return False
+    return all(
+        host.has_edge(vs[i], vs[j]) == p.has_edge(i, j)
+        for i, j in combinations(range(p.n), 2)
+    )
+
+
+def count_induced(host: Graph, pattern, cap: int | None = None) -> int:
+    """Number of distinct vertex sets of the host inducing the Pattern, or
+    min(that, cap) with a cap."""
+    images = {frozenset(vs) for vs in induced_embeddings(host, pattern.graph)}
+    return len(images) if cap is None else max(0, min(len(images), cap))
+
+
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Isomorphism by trying every bijection of the vertices."""
     if g.n != h.n or g.edge_count != h.edge_count:

@@ -217,7 +217,7 @@ class TestJoinSplit:
         assert _is_clique(j, res.vertices)
         # The witness is the one the whole search returns unsplit.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exact, "_joined_parts", lambda rows, full: None)
+            mp.setattr(exact, "_worth_splitting", lambda rows, parts: False)
             assert clique_number(j).vertices == res.vertices
         col = chromatic_number(j)
         assert col.value == chi

@@ -7,7 +7,11 @@ the colorers must keep these byte-identical (or say why they changed).
 
 The corpus: the first 20 sampled members of order 9 per colorer class, the
 tightness witnesses, and every graph in test_colorers.py that reaches a
-named branch, each colored by every colorer whose class admits it.
+named branch, each colored by every colorer whose class admits it.  The
+larger kite witnesses (joins of three and four Grotzsch graphs, the Schlafli
+complement, and its join with one Grotzsch graph) are colored by the
+KiteFree colorer only: they are the joins whose pattern searches split over
+co-components.
 
 Two more digests pin the membership-preserving walks: the hunt results of
 every colorer class at order 16, and mutate_within_class runs from the
@@ -82,7 +86,12 @@ def _fixed() -> dict[str, Graph]:
     return out
 
 
-CASES: dict[str, Graph] = {**_sampled(), **_fixed()}
+def _kite_witnesses() -> dict[str, Graph]:
+    families = (("kite-even", 3), ("kite-even", 4), ("kite-odd", 1), ("kite-odd", 2))
+    return {f"{f}-{k}/KiteFree": extremal_family(f, k) for f, k in families}
+
+
+CASES: dict[str, Graph] = {**_sampled(), **_fixed(), **_kite_witnesses()}
 
 
 def _digest(colors, trace: ProofTrace) -> str:

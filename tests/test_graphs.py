@@ -18,6 +18,7 @@ from chibound import (
     named_graph,
     path,
 )
+from chibound.graphs import co_components, components
 
 from oracles import is_isomorphic
 
@@ -169,3 +170,17 @@ class TestRandomGraphProperties:
         j = join(g, h)
         assert j.n == g.n + h.n
         assert j.edge_count == g.edge_count + h.edge_count + g.n * h.n
+
+
+class TestCoComponents:
+    @given(small_graphs(), st.integers(min_value=0, max_value=2**8 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_are_the_components_of_the_complement(self, g, mask):
+        m = mask & g.full_mask
+        assert co_components(g, m) == components(complement(g), m)
+
+    def test_join_splits_into_its_sides(self):
+        j = join(join(cycle(5), empty(1)), named_graph("grotzsch"))
+        assert co_components(j, j.full_mask) == [0b11111, 1 << 5, ((1 << 11) - 1) << 6]
+        assert co_components(cycle(5), 0b11111) == [0b11111]
+        assert co_components(empty(3), 0) == []

@@ -1,5 +1,7 @@
 """Induced-pattern detection and hereditary class membership."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,15 +10,15 @@ from chibound import (
     CLASSES,
     PATTERNS,
     Embedding,
+    Graph,
     Pattern,
     SampleConfig,
     SampleExhausted,
     SplitMix64,
     class_by_name,
     complete,
-    count_induced,
     cycle,
-    embedding_is_induced,
+    disjoint_union,
     empty,
     find_induced,
     gnp,
@@ -27,9 +29,15 @@ from chibound import (
     pattern_by_name,
     sample_class,
 )
-from chibound.patterns import _search
+from chibound.graphs import restrict
+from chibound.patterns import _co_connected, _search
 
-from oracles import brute_find_induced
+from oracles import (
+    brute_find_induced,
+    count_induced,
+    embedding_is_induced,
+    induced_embeddings,
+)
 
 
 class TestFindInduced:
@@ -103,6 +111,22 @@ class TestFindInducedWithin:
             find_induced(path(3), PATTERNS["p3"], within=1 << 5)
 
 
+def _first_through(pattern, every, u, v):
+    """The copy the pinned search returns first: the first pattern pair
+    (a, b), ascending, that some copy maps to (u, v), then the least such
+    copy with the rest read in static order (descending degree, then id)."""
+    p = pattern.graph
+    static = sorted(range(p.n), key=lambda i: (-p.degree(i), i))
+    for a in range(p.n):
+        for b in range(p.n):
+            hits = [vs for vs in every if a != b and (vs[a], vs[b]) == (u, v)]
+            if hits:
+                rest = [i for i in static if i not in (a, b)]
+                first = min(hits, key=lambda vs: [vs[i] for i in rest])
+                return Embedding(pattern.name, first)
+    return None
+
+
 class TestFindInducedThrough:
     @given(
         st.integers(min_value=2, max_value=10),
@@ -116,17 +140,9 @@ class TestFindInducedThrough:
         u = data.draw(st.integers(min_value=0, max_value=n - 1))
         v = data.draw(st.integers(min_value=0, max_value=n - 1).filter(lambda x: x != u))
         for pattern in PATTERNS.values():
-            full = []
-            _search(host, pattern, collect=full.append)
-            hits = sorted(vs for vs in full if u in vs and v in vs)
+            every = induced_embeddings(host, pattern.graph)
             emb = find_induced(host, pattern, through=(u, v))
-            assert (emb is None) == (not hits), pattern.name
-            if emb is not None:
-                assert embedding_is_induced(host, pattern, emb)
-                assert {u, v} <= emb.image
-            pinned = []
-            _search(host, pattern, collect=pinned.append, through=(u, v))
-            assert sorted(pinned) == hits, pattern.name
+            assert emb == _first_through(pattern, every, u, v), pattern.name
 
     def test_pair_outside_mask_finds_nothing(self):
         host = complete(4)
@@ -138,6 +154,62 @@ class TestFindInducedThrough:
             for pair in ((1, 1), (0, 5)):
                 with pytest.raises(ValueError):
                     find_induced(path(3), PATTERNS[pattern], through=pair)
+
+
+PART_ORDERS = st.integers(min_value=0, max_value=6)
+PART_DENSITIES = st.sampled_from([0.0, 0.3, 0.6, 1.0])
+
+
+class TestFindInducedOnJoins:
+    """A co-connected pattern is searched part by part on a join to prove
+    it absent; the answer must be the unsplit search's, witness and all."""
+
+    @given(
+        st.lists(
+            st.tuples(PART_ORDERS, PART_DENSITIES, st.integers(0, 2**32)),
+            min_size=2,
+            max_size=3,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_unsplit_search(self, parts, data):
+        j = reduce(join, (gnp(n, p, seed) for n, p, seed in parts))
+        # Relabel, so that the parts interleave in id order.
+        perm = data.draw(st.permutations(range(j.n)))
+        host = Graph(j.n, [(perm[u], perm[v]) for u, v in j.edges()])
+        within = data.draw(st.none() | st.integers(0, host.full_mask))
+        keep = [v for v in host.vertices() if within is None or within >> v & 1]
+        for name, pattern in PATTERNS.items():
+            mine = find_induced(host, pattern, within=within)
+            whole = _search(*restrict(host, within), pattern, None)
+            assert mine == (None if whole is None else Embedding(name, whole)), name
+            if host.n <= 8:
+                oracle = brute_find_induced(host.induced(keep), pattern.graph)
+                assert (mine is None) == (oracle is None), name
+
+    def test_co_connected_patterns(self):
+        split = {name for name, p in PATTERNS.items() if _co_connected(p.graph)}
+        assert split == {
+            "2k3",
+            "c5",
+            "hammer",
+            "house",
+            "k1_union_k3",
+            "kite",
+            "p2_union_k3",
+            "p3_union_p2",
+        }
+
+    def test_copy_found_in_a_later_part_is_the_first_copy(self):
+        # Part A is vertex 0, isolated in A, plus a P3+P2 on 6..10; part B
+        # is a P3+P2 on 1..5.  A holds the lowest id, B the first copy.
+        p3p2 = named_graph("p3_union_p2")
+        j = join(disjoint_union(empty(1), p3p2), p3p2)
+        perm = [0, 6, 7, 8, 9, 10, 1, 2, 3, 4, 5]
+        host = Graph(j.n, [(perm[u], perm[v]) for u, v in j.edges()])
+        emb = find_induced(host, PATTERNS["p3_union_p2"])
+        assert emb is not None and emb.image == frozenset(range(1, 6))
 
 
 def _member(spec, n: int, p: float, seed: int):
