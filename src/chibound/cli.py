@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 from .catalog import catalog_names, named_graph
@@ -238,38 +237,6 @@ def _cmd_hunt(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bench(args) -> int:
-    budget = _budget_from(args)
-
-    def timed(label: str, fn):
-        t0 = time.perf_counter()
-        value = fn()
-        ms = (time.perf_counter() - t0) * 1000.0
-        print(f"bench {label} value={value} ms={ms:.1f}")
-
-    grotzsch = named_graph("grotzsch")
-    schlafli = named_graph("schlafli_complement")
-    timed("chi-grotzsch", lambda: chromatic_number(grotzsch, budget).upper)
-    timed("omega-schlafli", lambda: clique_number(schlafli, budget).lower)
-    timed(
-        "color-kite-grotzsch",
-        lambda: COLORERS["KiteFree"](grotzsch, budget)[0].palette,
-    )
-    timed(
-        "color-k4-schlafli",
-        lambda: COLORERS["K4Free"](schlafli, budget)[0].palette,
-    )
-    timed(
-        "detect-p3p2-schlafli",
-        lambda: find_induced(schlafli, pattern_by_name("p3_union_p2")) is None,
-    )
-    timed(
-        "suite-kite-10",
-        lambda: run_suite("KiteFree", 8, 10, 1, budget).tally("pass"),
-    )
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chibound",
@@ -349,10 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", metavar="FILE", help="save the best graph here")
     _add_budget_args(p)
     p.set_defaults(func=_cmd_hunt)
-
-    p = sub.add_parser("bench", help="time a fixed battery of solves and scans")
-    _add_budget_args(p)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

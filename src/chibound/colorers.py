@@ -17,7 +17,6 @@ hard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from .exact import (
@@ -79,19 +78,11 @@ class ClassMembershipError(ValueError):
 
 # -- shared internals --------------------------------------------------------
 #
-# The recursive procedures work on subsets of the original graph, carried as
-# vertex masks.  Every set they audit or color, and every pattern search and
-# exact solve they run (through the kernels' ``within`` mask), stays in the
-# original vertex ids; no induced copy is built.
-
-
-@dataclass
-class _Run:
-    """The input graph and the run's trace; the trace carries the run's
-    SolveBudget, which bounds every exact solve of the run."""
-
-    g: Graph
-    trace: ProofTrace
+# The recursive procedures take the run's ProofTrace, which holds the input
+# graph and the run's SolveBudget, and work on subsets of that graph, carried
+# as vertex masks.  Every set they audit or color, and every pattern search
+# and exact solve they run (through the kernels' ``within`` mask), stays in
+# the original vertex ids; no induced copy is built.
 
 
 def _cluster(g: Graph, m: int) -> tuple[dict[int, int], int]:
@@ -123,14 +114,15 @@ def _clique_block(m: int) -> tuple[dict[int, int], int]:
     return {v: i for i, v in enumerate(bits(m))}, m.bit_count()
 
 
-def _triangle_free_leaf(run: _Run, live: int) -> tuple[dict[int, int], int] | None:
+def _triangle_free_leaf(
+    trace: ProofTrace, live: int
+) -> tuple[dict[int, int], int] | None:
     """Exact coloring of a triangle-free part, audited; None on a triangle."""
-    g = run.g
+    g = trace.g
     if find_induced(g, PATTERNS["k3"], within=live) is not None:
         return None
-    palette, coloring = require_chromatic(g, run.trace.budget, within=live)
-    run.trace.audit(
-        g,
+    palette, coloring = require_chromatic(g, trace.budget, within=live)
+    trace.audit(
         "leaf/triangle-free",
         "value-le",
         "triangle-free remainder takes at most 4 colors",
@@ -185,23 +177,22 @@ def _wrap(
     class_name: str,
     g: Graph,
     budget: SolveBudget | None,
-    rec: Callable[["_Run", int], tuple[dict[int, int], int]],
+    rec: Callable[[ProofTrace, int], tuple[dict[int, int], int]],
 ) -> tuple[Coloring, ProofTrace]:
     spec: ClassSpec = class_by_name(class_name)
     verdict = is_member(g, spec)
     if not verdict:
         assert verdict.witness is not None
         raise ClassMembershipError(spec.name, verdict.witness)
-    run = _Run(g, ProofTrace(spec.name, budget))
-    colors, _ = rec(run, g.full_mask)
+    trace = ProofTrace(spec.name, g, budget)
+    colors, _ = rec(trace, g.full_mask)
     if len(colors) != g.n:
         raise RuntimeError("internal: decomposition did not cover every vertex")
     colors = _fold_classes(g, colors)
     coloring = Coloring(tuple(colors[v] for v in range(g.n))).compacted()
     omega = require_clique_number(g, budget).lower if g.n else 0
     bound = BINDINGS[spec.name](omega) if omega >= 1 else 0
-    run.trace.audit(
-        g,
+    trace.audit(
         "bound/final-palette",
         "value-le",
         f"palette within the {spec.name} binding function at omega={omega}",
@@ -210,7 +201,7 @@ def _wrap(
     bad = verify_coloring(g, coloring)
     if bad is not None:
         raise RuntimeError(f"internal: improper coloring at edge {bad}")
-    return coloring, run.trace
+    return coloring, trace
 
 
 # -- kite-free ---------------------------------------------------------------
@@ -223,16 +214,15 @@ def color_kite_free(
     return _wrap("KiteFree", g, budget, _kite)
 
 
-def _kite(run: _Run, live: int) -> tuple[dict[int, int], int]:
-    g = run.g
+def _kite(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
+    g = trace.g
     rules: list[tuple[int, int]] = []
     while True:
         pair = _dominated_pair(g, live)
         if pair is None:
             break
         u, v = pair
-        run.trace.audit(
-            g,
+        trace.audit(
             "reduce/dominated-pair",
             "subset",
             f"vertex {u} is dominated by nonadjacent {v} and will copy its color",
@@ -245,37 +235,35 @@ def _kite(run: _Run, live: int) -> tuple[dict[int, int], int]:
         )
         rules.append((u, v))
         live &= ~(1 << u)
-    colors, palette = _kite_core(run, live)
+    colors, palette = _kite_core(trace, live)
     for u, v in reversed(rules):
         colors[u] = colors[v]
     return colors, palette
 
 
-def _kite_core(run: _Run, live: int) -> tuple[dict[int, int], int]:
-    g = run.g
+def _kite_core(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
+    g = trace.g
     if is_independent(g, live):
         return _single_color_block(live)
-    leaf = _triangle_free_leaf(run, live)
+    leaf = _triangle_free_leaf(trace, live)
     if leaf is not None:
         return leaf
-    omega = require_clique_number(g, run.trace.budget, within=live).lower
+    omega = require_clique_number(g, trace.budget, within=live).lower
     emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
     if emb is not None:
-        return _kite_split_p2k3(run, live, emb, omega)
+        return _kite_split_p2k3(trace, live, emb, omega)
     emb = find_induced(g, PATTERNS["hammer"], within=live)
     if emb is not None:
-        return _kite_split_hammer(run, live, emb, omega)
-    run.trace.audit(
-        g,
+        return _kite_split_hammer(trace, live, emb, omega)
+    trace.audit(
         "leaf/k1k3-absent",
         "k1k3-absent",
         "no spare-edge or hammer split and dominated pairs removed leaves "
         "no isolated-vertex-plus-triangle",
         sets={"X": live},
     )
-    palette, coloring = require_chromatic(g, run.trace.budget, within=live)
-    run.trace.audit(
-        g,
+    palette, coloring = require_chromatic(g, trace.budget, within=live)
+    trace.audit(
         "leaf/k1k3-free",
         "value-le",
         "a triangle-containing remainder without K1+K3 takes at most "
@@ -286,9 +274,9 @@ def _kite_core(run: _Run, live: int) -> tuple[dict[int, int], int]:
 
 
 def _kite_split_p2k3(
-    run: _Run, live: int, emb: Embedding, omega: int
+    trace: ProofTrace, live: int, emb: Embedding, omega: int
 ) -> tuple[dict[int, int], int]:
-    g = run.g
+    g = trace.g
     u1, u2 = emb.vertices[0], emb.vertices[1]
     um = 1 << u1 | 1 << u2
     nw = (g.rows[u1] | g.rows[u2]) & live & ~um
@@ -296,29 +284,25 @@ def _kite_split_p2k3(
     x2 = nw & g.rows[u2] & ~g.rows[u1]
     y = nw & g.rows[u1] & g.rows[u2]
     m = live & ~um & ~nw
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-p2k3/eq1-x1",
         "independent",
         "private neighbors of one endpoint of the spare edge are independent",
         sets={"X": x1, "edge": um},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-p2k3/eq1-x2",
         "independent",
         "private neighbors of the other endpoint are independent",
         sets={"X": x2, "edge": um},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-p2k3/m-anticomplete",
         "anticomplete",
         "the non-neighborhood of the spare edge misses both endpoints",
         sets={"X": um, "Y": m},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-p2k3/m-p3free",
         "p3-free",
         "non-neighborhood of the spare edge is a union of cliques",
@@ -326,7 +310,7 @@ def _kite_split_p2k3(
     )
     c1 = 0
     if m:
-        c1 = mask_of(require_clique_number(g, run.trace.budget, within=m).vertices)
+        c1 = mask_of(require_clique_number(g, trace.budget, within=m).vertices)
     c1_closed = c1
     for v in bits(c1):
         c1_closed |= g.rows[v] & live
@@ -335,45 +319,39 @@ def _kite_split_p2k3(
         if g.rows[v] & y == y & ~(1 << v):
             d |= 1 << v
     c = y & ~d
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-p2k3/d-clique",
         "clique",
         "common neighbors complete to the rest of the common neighborhood "
         "form a clique",
         sets={"X": d},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-p2k3/eq2-c-meets-c1",
         "subset",
         "every remaining common neighbor sees the largest remainder clique",
         sets={"X": c, "Y": c1_closed},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-p2k3/eq3-c-complete-c1",
         "complete-between",
         "remaining common neighbors are complete to the largest remainder clique",
         sets={"X": c, "Y": c1},
     )
-    omega1 = require_clique_number(g, run.trace.budget, within=c).lower if c else 0
-    run.trace.audit(
-        g,
+    omega1 = require_clique_number(g, trace.budget, within=c).lower if c else 0
+    trace.audit(
         "split-p2k3/clique-budget",
         "value-le",
         "remainder clique plus a clique of the recursed part fit in omega",
         numbers={"value": c1.bit_count() + omega1, "bound": omega},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-p2k3/edge-budget",
         "value-le",
         "the spare edge extends any clique of the recursed part",
         numbers={"value": omega1 + 2, "bound": omega},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-p2k3/d-budget",
         "value-le",
         "the dominating clique, the spare edge, and a recursed-part clique "
@@ -381,17 +359,15 @@ def _kite_split_p2k3(
         numbers={"value": d.bit_count() + 2 + omega1, "bound": omega},
     )
     cluster_block = _cluster(g, m | um)
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-p2k3/cluster-palette",
         "value-le",
         "cliques of the non-neighborhood plus the spare edge fit in "
         "omega minus omega1 colors",
         numbers={"value": cluster_block[1], "bound": omega - omega1},
     )
-    rec_block = _kite(run, c)
-    run.trace.audit(
-        g,
+    rec_block = _kite(trace, c)
+    trace.audit(
         "split-p2k3/recursion-palette",
         "value-le",
         "recursed common-neighborhood part stays within twice its clique number",
@@ -404,8 +380,7 @@ def _kite_split_p2k3(
         _single_color_block(x2),
         rec_block,
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-p2k3/total",
         "value-le",
         "spare-edge split stays within twice the clique number",
@@ -439,29 +414,26 @@ def _anchor_cells(
 
 
 def _kite_split_hammer(
-    run: _Run, live: int, emb: Embedding, omega: int
+    trace: ProofTrace, live: int, emb: Embedding, omega: int
 ) -> tuple[dict[int, int], int]:
-    g = run.g
+    g = trace.g
     v1, v2, v3, v4, v5 = emb.vertices
     km = 1 << v1 | 1 << v2 | 1 << v4 | 1 << v5
     cell, nm, rest = _anchor_cells(g, live, {1: v1, 2: v2, 4: v4, 5: v5})
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-hammer/cell-12-empty",
         "empty-set",
         "no vertex sees exactly the triangle edge of the hammer anchors",
         sets={"X": cell(1, 2)},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-hammer/cell-45-empty",
         "empty-set",
         "no vertex sees exactly the handle edge of the hammer anchors",
         sets={"X": cell(4, 5)},
     )
     for i in (1, 2, 4, 5):
-        run.trace.audit(
-            g,
+        trace.audit(
             f"split-hammer/cell-{i}-empty",
             "empty-set",
             "no vertex sees exactly one hammer anchor",
@@ -470,8 +442,7 @@ def _kite_split_hammer(
     j2_parts = [(1, 4), (1, 5), (2, 4), (2, 5)]
     j3_parts = [(1, 2, 4), (1, 2, 5), (1, 4, 5), (2, 4, 5)]
     for part in j2_parts + j3_parts:
-        run.trace.audit(
-            g,
+        trace.audit(
             f"split-hammer/cell-{''.join(map(str, part))}-independent",
             "independent",
             "a mixed anchor cell is independent",
@@ -484,38 +455,33 @@ def _kite_split_hammer(
     for part in j3_parts:
         j3 |= cell(*part)
     full = cell(1, 2, 4, 5)
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-hammer/cells-cover",
         "sets-equal",
         "the anchor neighborhood is exactly the mixed cells plus the full cell",
         sets={"X": nm, "Y": j2 | j3 | full},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-hammer/eq4-j2-j3",
         "anticomplete",
         "two-anchor cells are anticomplete to three-anchor cells",
         sets={"X": j2, "Y": j3},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-hammer/hammer-complete-full",
         "complete-between",
         "all five hammer vertices are complete to the full cell",
         sets={"X": emb.vertices, "Y": full},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-hammer/full-cell-omega",
         "omega-le",
         "the full cell lives under the hammer triangle in clique space",
         sets={"X": full},
         numbers={"bound": omega - 3},
     )
-    full_block = _kite(run, full)
-    run.trace.audit(
-        g,
+    full_block = _kite(trace, full)
+    trace.audit(
         "split-hammer/recursion-palette",
         "value-le",
         "recursed full cell stays within twice its clique budget",
@@ -525,12 +491,11 @@ def _kite_split_hammer(
     shared_palette = 0
     for label, word, part in (("j2", "two", j2), ("j3", "three", j3)):
         palette, coloring = (
-            require_chromatic(g, run.trace.budget, within=part)
+            require_chromatic(g, trace.budget, within=part)
             if part
             else (0, Coloring(()))
         )
-        run.trace.audit(
-            g,
+        trace.audit(
             f"split-hammer/{label}-palette",
             "value-le",
             f"{word}-anchor cells together take at most 2 colors",
@@ -540,31 +505,27 @@ def _kite_split_hammer(
         )
         j_colors.update(zip(bits(part), coloring.colors))
         shared_palette = max(shared_palette, palette)
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-hammer/n-block-palette",
         "value-le",
         "mixed cells share one palette of at most 4 colors",
         numbers={"value": shared_palette, "bound": 4},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-hammer/rest-components",
         "components-le-2",
         "outside the anchor neighborhood only vertices and edges remain",
         sets={"X": rest | km},
     )
     rest_block = _cluster(g, rest | km)
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-hammer/rest-palette",
         "value-le",
         "remainder plus anchors take at most 2 colors",
         numbers={"value": rest_block[1], "bound": 2},
     )
     merged, total = _merge(full_block, (j_colors, shared_palette), rest_block)
-    run.trace.audit(
-        g,
+    trace.audit(
         "split-hammer/total",
         "value-le",
         "hammer split stays within twice the clique number",
@@ -583,11 +544,11 @@ def color_p2k3_free(
     return _wrap("P2K3Free", g, budget, _p2k3_main)
 
 
-def _p2k3_main(run: _Run, live: int) -> tuple[dict[int, int], int]:
-    g = run.g
+def _p2k3_main(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
+    g = trace.g
     if is_independent(g, live):
         return _single_color_block(live)
-    cliq = require_clique_number(g, run.trace.budget, within=live).vertices
+    cliq = require_clique_number(g, trace.budget, within=live).vertices
     omega = len(cliq)
     v1 = cliq[0]
     outside = live & ~g.rows[v1] & ~(1 << v1)
@@ -601,39 +562,34 @@ def _p2k3_main(run: _Run, live: int) -> tuple[dict[int, int], int]:
     b = outside & ~taken
     for i, ai in a_sets:
         if ai:
-            run.trace.audit(
-                g,
+            trace.audit(
                 f"greedy-split/a{i}-components",
                 "components-le-2",
                 "a part missing one clique vertex splits into vertices and edges",
                 sets={"X": ai, "missed": 1 << cliq[i - 1], "root": 1 << v1},
             )
-    run.trace.audit(
-        g,
+    trace.audit(
         "greedy-split/b-complete",
         "complete-between",
         "leftover outside vertices see the whole clique except its root",
         sets={"X": b, "Y": cliq[1:]},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "greedy-split/b-independent",
         "independent",
         "leftover outside vertices are independent",
         sets={"X": b},
     )
     nbhd = g.rows[v1] & live
-    run.trace.audit(
-        g,
+    trace.audit(
         "greedy-split/recursion-omega",
         "omega-le",
         "the root neighborhood drops the clique number by one",
         sets={"X": nbhd},
         numbers={"bound": omega - 1},
     )
-    rec_block = _p2k3_main(run, nbhd)
-    run.trace.audit(
-        g,
+    rec_block = _p2k3_main(trace, nbhd)
+    trace.audit(
         "greedy-split/recursion-palette",
         "value-le",
         "recursed neighborhood stays within its squared clique budget",
@@ -643,8 +599,7 @@ def _p2k3_main(run: _Run, live: int) -> tuple[dict[int, int], int]:
     for i, ai in a_sets:
         if ai:
             block = _cluster(g, ai)
-            run.trace.audit(
-                g,
+            trace.audit(
                 f"greedy-split/a{i}-palette",
                 "value-le",
                 "a vertices-and-edges part takes at most 2 colors",
@@ -653,8 +608,7 @@ def _p2k3_main(run: _Run, live: int) -> tuple[dict[int, int], int]:
             blocks.append(block)
     blocks.append(_single_color_block(b | 1 << v1))
     merged, total = _merge(*blocks)
-    run.trace.audit(
-        g,
+    trace.audit(
         "greedy-split/total",
         "value-le",
         "clique-rooted split stays within the squared clique number",
@@ -673,17 +627,16 @@ def color_hammer_free(
     return _wrap("HammerFree", g, budget, _hammer_rec)
 
 
-def _hammer_rec(run: _Run, live: int) -> tuple[dict[int, int], int]:
-    g = run.g
+def _hammer_rec(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
+    g = trace.g
     if is_independent(g, live):
         return _single_color_block(live)
     emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
     if emb is None:
-        return _p2k3_main(run, live)
-    omega = require_clique_number(g, run.trace.budget, within=live).lower
+        return _p2k3_main(trace, live)
+    omega = require_clique_number(g, trace.budget, within=live).lower
     u1, u2 = emb.vertices[0], emb.vertices[1]
-    run.trace.audit(
-        g,
+    trace.audit(
         "twin-edge/eq5-closed-equal",
         "sets-equal",
         "the spare edge endpoints have identical closed neighborhoods",
@@ -695,47 +648,41 @@ def _hammer_rec(run: _Run, live: int) -> tuple[dict[int, int], int]:
     um = 1 << u1 | 1 << u2
     nbhd = g.rows[u1] & live & ~um
     rest = live & ~um & ~nbhd
-    run.trace.audit(
-        g,
+    trace.audit(
         "twin-edge/pair-complete",
         "complete-between",
         "the twin edge is complete to its shared neighborhood",
         sets={"X": um, "Y": nbhd},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "twin-edge/n-omega",
         "omega-le",
         "the shared neighborhood drops the clique number by two",
         sets={"X": nbhd},
         numbers={"bound": omega - 2},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "twin-edge/rest-p3free",
         "p3-free",
         "the remainder plus the twin edge is a union of cliques",
         sets={"X": rest | um},
     )
-    rec_block = _hammer_rec(run, nbhd)
-    run.trace.audit(
-        g,
+    rec_block = _hammer_rec(trace, nbhd)
+    trace.audit(
         "twin-edge/recursion-palette",
         "value-le",
         "recursed shared neighborhood stays within its squared clique budget",
         numbers={"value": rec_block[1], "bound": (omega - 2) * (omega - 2)},
     )
     rest_block = _cluster(g, rest | um)
-    run.trace.audit(
-        g,
+    trace.audit(
         "twin-edge/cluster-palette",
         "value-le",
         "remainder cliques fit in omega colors",
         numbers={"value": rest_block[1], "bound": omega},
     )
     merged, total = _merge(rec_block, rest_block)
-    run.trace.audit(
-        g,
+    trace.audit(
         "twin-edge/total",
         "value-le",
         "twin-edge split stays within the squared clique number",
@@ -754,14 +701,14 @@ def color_c5_free(
     return _wrap("C5Free", g, budget, _c5_rec)
 
 
-def _c5_rec(run: _Run, live: int) -> tuple[dict[int, int], int]:
-    g = run.g
+def _c5_rec(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
+    g = trace.g
     if is_independent(g, live):
         return _single_color_block(live)
-    leaf = _triangle_free_leaf(run, live)
+    leaf = _triangle_free_leaf(trace, live)
     if leaf is not None:
         return leaf
-    omega = require_clique_number(g, run.trace.budget, within=live).lower
+    omega = require_clique_number(g, trace.budget, within=live).lower
     # Layers around a root of largest degree in G[live]: its neighbors, the
     # second sphere, and everything further or unreachable.
     v = max(bits(live), key=lambda w: ((g.rows[w] & live).bit_count(), -w))
@@ -778,75 +725,68 @@ def _c5_rec(run: _Run, live: int) -> tuple[dict[int, int], int]:
     for u in bits(n1):
         missed = n2plus_reach & ~g.rows[u]
         cats[u] = (
-            require_clique_number(g, run.trace.budget, within=missed).lower
+            require_clique_number(g, trace.budget, within=missed).lower
             if missed
             else 0
         )
         if cats[u] <= 2:
             a012 |= 1 << u
     aprime = n1 & ~a012
-    run.trace.audit(
-        g,
+    trace.audit(
         "layers/aprime-clique",
         "clique",
         "neighbors whose second-sphere non-neighborhood holds a triangle "
         "form a clique",
         sets={"X": aprime},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "layers/aprime-size",
         "value-le",
         "that clique extends by the root vertex",
         numbers={"value": aprime.bit_count(), "bound": omega - 1},
     )
     if a012 == 0:
-        return _c5_clique_neighborhood(run, live, v, n1, omega)
-    return _c5_second_neighborhood(run, v, n1, n2, far, a012, aprime, cats, omega)
+        return _c5_clique_neighborhood(trace, live, v, n1, omega)
+    return _c5_second_neighborhood(trace, v, n1, n2, far, a012, aprime, cats, omega)
 
 
 def _c5_clique_neighborhood(
-    run: _Run, live: int, v: int, n1: int, omega: int
+    trace: ProofTrace, live: int, v: int, n1: int, omega: int
 ) -> tuple[dict[int, int], int]:
-    g = run.g
+    g = trace.g
     vprime = next(bits(n1))
     r = live & ~(1 << v) & ~n1
     rec_set = r & g.rows[vprime]
     clus_set = (r & ~g.rows[vprime]) | 1 << v
-    run.trace.audit(
-        g,
+    trace.audit(
         "clique-nbhd/rec-omega",
         "omega-le",
         "the picked neighbor's side of the remainder drops the clique number",
         sets={"X": rec_set, "picked": 1 << vprime},
         numbers={"bound": omega - 1},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "clique-nbhd/cluster-p3free",
         "p3-free",
         "the rest of the remainder plus the root is a union of cliques",
         sets={"X": clus_set},
     )
     clus_block = _cluster(g, clus_set)
-    run.trace.audit(
-        g,
+    trace.audit(
         "clique-nbhd/cluster-palette",
         "value-le",
         "remainder cliques fit in omega colors",
         numbers={"value": clus_block[1], "bound": omega},
     )
-    rec_block = _c5_rec(run, rec_set)
-    run.trace.audit(
-        g,
+    rec_block = _c5_rec(trace, rec_set)
+    trace.audit(
         "clique-nbhd/recursion-palette",
         "value-le",
         "recursed remainder side stays within the binding at omega-1",
         numbers={"value": rec_block[1], "bound": BINDINGS["C5Free"](omega - 1)},
     )
     merged, total = _merge(_clique_block(n1), clus_block, rec_block)
-    run.trace.audit(
-        g,
+    trace.audit(
         "clique-nbhd/total",
         "value-le",
         "clique-neighborhood split stays within the binding",
@@ -856,7 +796,7 @@ def _c5_clique_neighborhood(
 
 
 def _c5_second_neighborhood(
-    run: _Run,
+    trace: ProofTrace,
     v: int,
     n1: int,
     n2: int,
@@ -866,11 +806,10 @@ def _c5_second_neighborhood(
     cats: dict[int, int],
     omega: int,
 ) -> tuple[dict[int, int], int]:
-    g = run.g
-    c = require_clique_number(g, run.trace.budget, within=a012).vertices
+    g = trace.g
+    c = require_clique_number(g, trace.budget, within=a012).vertices
     omega0 = len(c)
-    run.trace.audit(
-        g,
+    trace.audit(
         "second-nbhd/base-clique",
         "value-le",
         "the low-category clique extends by the root vertex",
@@ -888,8 +827,7 @@ def _c5_second_neighborhood(
         bi = remaining & ~taken & ~g.rows[t]
         taken |= bi
         b_masks.append((t, bi))
-    run.trace.audit(
-        g,
+    trace.audit(
         "second-nbhd/b-partition",
         "sets-equal",
         "second-sphere vertices missing part of the clique split by their "
@@ -901,8 +839,7 @@ def _c5_second_neighborhood(
     for idx, (t, bi) in enumerate(b_masks, start=1):
         cat = cats[t]
         if cat == 0:
-            run.trace.audit(
-                g,
+            trace.audit(
                 f"second-nbhd/b{idx}-empty",
                 "empty-set",
                 "a category-0 clique vertex has no second-sphere part",
@@ -911,16 +848,14 @@ def _c5_second_neighborhood(
             continue
         if not bi:
             continue
-        run.trace.audit(
-            g,
+        trace.audit(
             f"second-nbhd/b{idx}-p3free",
             "p3-free",
             "a second-sphere part is a union of cliques",
             sets={"X": bi, "anchor": 1 << t},
         )
         block = _cluster(g, bi)
-        run.trace.audit(
-            g,
+        trace.audit(
             f"second-nbhd/b{idx}-palette",
             "value-le",
             "a second-sphere part takes one color at category <= 1 and two "
@@ -930,15 +865,13 @@ def _c5_second_neighborhood(
         )
         b_blocks.append(block)
         b_total += block[1]
-    run.trace.audit(
-        g,
+    trace.audit(
         "second-nbhd/b-block",
         "value-le",
         "all second-sphere parts fit in twice the low-category clique size",
         numbers={"value": b_total, "bound": 2 * omega0},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "second-nbhd/d-omega",
         "omega-le",
         "vertices complete to the low-category clique drop the clique number "
@@ -946,33 +879,29 @@ def _c5_second_neighborhood(
         sets={"X": d},
         numbers={"bound": omega - omega0},
     )
-    a_block = _c5_rec(run, a012)
-    run.trace.audit(
-        g,
+    a_block = _c5_rec(trace, a012)
+    trace.audit(
         "second-nbhd/a-palette",
         "value-le",
         "recursed low-category neighbors stay within the binding at their "
         "clique number",
         numbers={"value": a_block[1], "bound": BINDINGS["C5Free"](omega0)},
     )
-    d_block = _c5_rec(run, d)
-    run.trace.audit(
-        g,
+    d_block = _c5_rec(trace, d)
+    trace.audit(
         "second-nbhd/d-palette",
         "value-le",
         "recursed complete-side stays within the binding at the reduced "
         "clique number",
         numbers={"value": d_block[1], "bound": BINDINGS["C5Free"](omega - omega0)},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "second-nbhd/far-anticomplete",
         "anticomplete",
         "the high-category clique sees nothing at distance three or beyond",
         sets={"X": aprime, "Y": far},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "second-nbhd/far-p3free",
         "p3-free",
         "distance three and beyond is a union of cliques",
@@ -981,8 +910,7 @@ def _c5_second_neighborhood(
     far_cluster = _cluster(g, far)
     aprime_list = list(bits(aprime))
     far_palette = max(len(aprime_list), far_cluster[1])
-    run.trace.audit(
-        g,
+    trace.audit(
         "second-nbhd/far-block",
         "value-le",
         "the high-category clique and the far cliques share omega colors",
@@ -1018,8 +946,7 @@ def _c5_second_neighborhood(
         colors[v] = base
         fresh = 1
     total = base + fresh
-    run.trace.audit(
-        g,
+    trace.audit(
         "second-nbhd/total",
         "value-le",
         "second-neighborhood split stays within the binding",
@@ -1038,15 +965,14 @@ def color_k4_free(
     return _wrap("K4Free", g, budget, _k4_rec)
 
 
-def _k4_rec(run: _Run, live: int) -> tuple[dict[int, int], int]:
-    g = run.g
+def _k4_rec(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
+    g = trace.g
     if is_independent(g, live):
         return _single_color_block(live)
-    leaf = _triangle_free_leaf(run, live)
+    leaf = _triangle_free_leaf(trace, live)
     if leaf is not None:
         return leaf
-    run.trace.audit(
-        g,
+    trace.audit(
         "triangle-cap/omega",
         "omega-le",
         "without K4 the clique number stays at 3",
@@ -1055,11 +981,11 @@ def _k4_rec(run: _Run, live: int) -> tuple[dict[int, int], int]:
     )
     emb = find_induced(g, PATTERNS["2k3"], within=live)
     if emb is not None:
-        return _k4_two_triangles(run, live, emb)
+        return _k4_two_triangles(trace, live, emb)
     emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
     if emb is not None:
-        return _k4_spare_edge(run, live, emb)
-    return _p2k3_main(run, live)
+        return _k4_spare_edge(trace, live, emb)
+    return _p2k3_main(trace, live)
 
 
 def _triangle_shades(tri: tuple[int, ...], cell: Callable[..., int]) -> dict[int, int]:
@@ -1075,37 +1001,33 @@ def _triangle_shades(tri: tuple[int, ...], cell: Callable[..., int]) -> dict[int
 
 
 def _k4_two_triangles(
-    run: _Run, live: int, emb: Embedding
+    trace: ProofTrace, live: int, emb: Embedding
 ) -> tuple[dict[int, int], int]:
-    g = run.g
+    g = trace.g
     tri = emb.vertices[:3]
     other = emb.vertices[3:]
     cell, _, rest = _anchor_cells(g, live, dict(enumerate(tri, 1)))
-    run.trace.audit(
-        g,
+    trace.audit(
         "two-triangles/cell-123-empty",
         "empty-set",
         "no vertex sees the whole base triangle",
         sets={"X": cell(1, 2, 3)},
     )
     for i in (1, 2, 3):
-        run.trace.audit(
-            g,
+        trace.audit(
             f"two-triangles/cell-{i}-empty",
             "empty-set",
             "no vertex sees exactly one base triangle vertex",
             sets={"X": cell(i), "other-triangle": other},
         )
     for a, b in ((1, 2), (1, 3), (2, 3)):
-        run.trace.audit(
-            g,
+        trace.audit(
             f"two-triangles/cell-{a}{b}-independent",
             "independent",
             "a two-vertex cell of the base triangle is independent",
             sets={"X": cell(a, b)},
         )
-    run.trace.audit(
-        g,
+    trace.audit(
         "two-triangles/rest-p3free",
         "p3-free",
         "outside the base triangle's neighborhood is a union of cliques",
@@ -1113,16 +1035,14 @@ def _k4_two_triangles(
     )
     shades = _triangle_shades(tri, cell)
     rest_block = _cluster(g, rest)
-    run.trace.audit(
-        g,
+    trace.audit(
         "two-triangles/rest-palette",
         "value-le",
         "outside cliques take at most 3 colors",
         numbers={"value": rest_block[1], "bound": 3},
     )
     merged, total = _merge((shades, 3), rest_block)
-    run.trace.audit(
-        g,
+    trace.audit(
         "two-triangles/total",
         "value-le",
         "two-triangle split takes at most 6 colors",
@@ -1132,44 +1052,39 @@ def _k4_two_triangles(
 
 
 def _k4_spare_edge(
-    run: _Run, live: int, emb: Embedding
+    trace: ProofTrace, live: int, emb: Embedding
 ) -> tuple[dict[int, int], int]:
-    g = run.g
+    g = trace.g
     u1, u2 = emb.vertices[:2]
     tri = emb.vertices[2:]
     cell, _, rest = _anchor_cells(g, live, dict(enumerate(tri, 1)))
-    run.trace.audit(
-        g,
+    trace.audit(
         "spare-edge/cell-123-empty",
         "empty-set",
         "no vertex sees the whole triangle",
         sets={"X": cell(1, 2, 3)},
     )
     singles = cell(1) | cell(2) | cell(3)
-    run.trace.audit(
-        g,
+    trace.audit(
         "spare-edge/singles-complete-pair",
         "complete-between",
         "one-vertex cells are complete to the spare edge",
         sets={"X": singles, "Y": [u1, u2]},
     )
-    run.trace.audit(
-        g,
+    trace.audit(
         "spare-edge/singles-independent",
         "independent",
         "one-vertex cells together are independent",
         sets={"X": singles},
     )
     for a, b in ((1, 2), (1, 3), (2, 3)):
-        run.trace.audit(
-            g,
+        trace.audit(
             f"spare-edge/cell-{a}{b}-independent",
             "independent",
             "a two-vertex cell of the triangle is independent",
             sets={"X": cell(a, b)},
         )
-    run.trace.audit(
-        g,
+    trace.audit(
         "spare-edge/rest-components",
         "components-le-2",
         "without a second triangle the outside splits into vertices and edges",
@@ -1177,16 +1092,14 @@ def _k4_spare_edge(
     )
     shades = _triangle_shades(tri, cell)
     rest_block = _cluster(g, rest)
-    run.trace.audit(
-        g,
+    trace.audit(
         "spare-edge/rest-palette",
         "value-le",
         "outside components take at most 2 colors",
         numbers={"value": rest_block[1], "bound": 2},
     )
     merged, total = _merge((shades, 3), _single_color_block(singles), rest_block)
-    run.trace.audit(
-        g,
+    trace.audit(
         "spare-edge/total",
         "value-le",
         "spare-edge split takes at most 6 colors",

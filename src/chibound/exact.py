@@ -107,13 +107,9 @@ class ChromaticResult:
         return self.upper if self.complete else None
 
 
-def greedy_coloring(g: Graph, order: list[int] | None = None) -> Coloring:
-    """First-fit coloring along the given vertex order (default 0..n-1)."""
-    if order is None:
-        order = g.vertices()
-    elif sorted(order) != list(g.vertices()):
-        raise ValueError("order must be a permutation of the vertices")
-    return Coloring(tuple(_first_fit(g.rows, order)))
+def greedy_coloring(g: Graph) -> Coloring:
+    """First-fit coloring along the vertex order 0..n-1."""
+    return Coloring(tuple(_first_fit(g.rows, g.vertices())))
 
 
 def _first_fit(rows: Sequence[int], order: Iterable[int]) -> list[int]:
@@ -304,7 +300,6 @@ def _k_color_search(
         colors[v] = i
         for w in bits(rows[v]):
             adj_colors[w] |= 1 << i
-    max_used = len(clique)
     uncolored = [v for v in verts if colors[v] < 0]
 
     def pick() -> int:
@@ -319,18 +314,36 @@ def _k_color_search(
                 best_v = v
         return best_v
 
-    def solve(remaining: int, max_used: int) -> bool:
+    # One frame per vertex colored so far: [vertex, colors left to try,
+    # neighbors its current color touched, colors in use before it].
+    stack: list[list] = []
+    used = len(clique)
+    while True:
         ticker.tick()
-        if remaining == 0:
-            return True
+        if len(stack) == len(uncolored):
+            return Coloring(tuple(colors[v] for v in verts))
         v = pick()
         # New color indices are tried only in ascending order: allowing one
         # fresh color per step breaks the color-permutation symmetry.
-        limit = min(k, max_used + 1)
-        avail = ~adj_colors[v] & ((1 << limit) - 1)
-        for c in bits(avail):
+        stack.append([v, ~adj_colors[v] & ((1 << min(k, used + 1)) - 1), [], used])
+        # Move the deepest vertex to its next color that passes the forward
+        # check, backtracking out of vertices that have none left.
+        while True:
+            if not stack:
+                return None
+            frame = stack[-1]
+            v, avail, touched, used = frame
+            if colors[v] >= 0:
+                for w in touched:
+                    adj_colors[w] &= ~(1 << colors[v])
+                touched.clear()
+                colors[v] = -1
+            if not avail:
+                stack.pop()
+                continue
+            c = (avail & -avail).bit_length() - 1
+            frame[1] = avail & (avail - 1)
             colors[v] = c
-            touched = []
             ok = True
             for w in bits(rows[v]):
                 if not adj_colors[w] >> c & 1:
@@ -338,16 +351,9 @@ def _k_color_search(
                     touched.append(w)
                     if colors[w] < 0 and adj_colors[w].bit_count() >= k:
                         ok = False
-            if ok and solve(remaining - 1, max(max_used, c + 1)):
-                return True
-            for w in touched:
-                adj_colors[w] &= ~(1 << c)
-            colors[v] = -1
-        return False
-
-    if solve(len(uncolored), max_used):
-        return Coloring(tuple(colors[v] for v in verts))
-    return None
+            if ok:
+                used = max(used, c + 1)
+                break
 
 
 def _first_fit_coloring(rows: Sequence[int], verts: list[int]) -> Coloring:

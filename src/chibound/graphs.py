@@ -123,15 +123,6 @@ class Graph:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        return bool(self.rows[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        self.check_vertex(v)
-        return self.rows[v].bit_count()
-
     def vertices(self) -> range:
         return range(self.n)
 

@@ -138,20 +138,15 @@ def read_graph6(text: str) -> Graph:
         raise GraphParseError(
             f"body has {len(body)} chars, order {n} needs {need_chars}"
         )
-    bits = 0
+    flat: list[int] = []
     for pos, ch in enumerate(body, start=1):
         if not 63 <= ord(ch) <= 126:
             raise GraphParseError(f"body char {pos}: byte out of graph6 range")
-        bits = bits << 6 | (ord(ch) - 63)
-    pad = need_chars * 6 - need_bits
-    if pad and bits & ((1 << pad) - 1):
+        value = ord(ch) - 63
+        flat += (value >> shift & 1 for shift in (5, 4, 3, 2, 1, 0))
+    if any(flat[need_bits:]):
         raise GraphParseError("non-zero padding bits")
-    bits >>= pad
-    edges = []
-    for k, (u, v) in enumerate(_pair_stream(n)):
-        if bits >> (need_bits - 1 - k) & 1:
-            edges.append((u, v))
-    return Graph(n, edges)
+    return Graph(n, [pair for pair, bit in zip(_pair_stream(n), flat) if bit])
 
 
 def _detect_format(path: Path, fmt: str | None) -> str:

@@ -7,8 +7,11 @@ which is what replay() does.  A failed hard step raises immediately; steps
 marked soft record a "soft-gap" verdict and execution continues, since the
 surrounding procedure still guarantees the final palette bound.
 
-All vertex ids in a trace refer to the original input graph, no matter how
-deep the recursion that produced the step.
+A trace belongs to one coloring run: it holds the run's input graph, which
+every step is evaluated against, and the run's SolveBudget.  All vertex ids
+in a trace refer to that graph, no matter how deep the recursion that
+produced the step.  The pattern-absence kinds (p3-free, k1k3-absent) are
+answered by the induced-subgraph search of the patterns module.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .graphs import Graph, bits, components, is_independent, mask_of
+from .patterns import PATTERNS, find_induced
 
 if TYPE_CHECKING:
     from .exact import SolveBudget
@@ -61,23 +65,6 @@ def _is_clique(g: Graph, m: int) -> bool:
     return all(g.rows[v] & m == m & ~(1 << v) for v in bits(m))
 
 
-def _clique_components(g: Graph, m: int) -> bool:
-    return all(_is_clique(g, comp) for comp in components(g, m))
-
-
-def _has_k1_union_k3(g: Graph, m: int) -> bool:
-    for v in bits(m):
-        for w in bits(g.rows[v] & m):
-            if w <= v:
-                continue
-            for x in bits(g.rows[v] & g.rows[w] & m):
-                lonely = m & ~g.rows[v] & ~g.rows[w] & ~g.rows[x]
-                lonely &= ~(1 << v) & ~(1 << w) & ~(1 << x)
-                if lonely:
-                    return True
-    return False
-
-
 def evaluate_step(g: Graph, kind: str, sets: dict[str, tuple[int, ...]],
                   numbers: dict[str, int],
                   budget: SolveBudget | None = None) -> bool:
@@ -94,11 +81,11 @@ def evaluate_step(g: Graph, kind: str, sets: dict[str, tuple[int, ...]],
     if kind == "clique":
         return _is_clique(g, x)
     if kind == "p3-free":
-        return _clique_components(g, x)
+        return find_induced(g, PATTERNS["p3"], within=x) is None
     if kind == "components-le-2":
         return all(c.bit_count() <= 2 for c in components(g, x))
     if kind == "k1k3-absent":
-        return not _has_k1_union_k3(g, x)
+        return find_induced(g, PATTERNS["k1_union_k3"], within=x) is None
     if kind == "omega-le":
         from .exact import require_clique_number
 
@@ -118,18 +105,18 @@ def evaluate_step(g: Graph, kind: str, sets: dict[str, tuple[int, ...]],
 class ProofTrace:
     """Ordered log of audited decomposition steps for one coloring run.
 
-    The budget is the run's: it bounds the exact solves that audit steps
-    make.
+    g is the run's input graph; budget bounds every exact solve of the run,
+    the audit steps' own included.
     """
 
-    def __init__(self, label: str, budget: SolveBudget | None = None):
+    def __init__(self, label: str, g: Graph, budget: SolveBudget | None = None):
         self.label = label
+        self.g = g
         self.budget = budget
         self.steps: list[TraceStep] = []
 
     def audit(
         self,
-        g: Graph,
         tag: str,
         kind: str,
         assertion: str,
@@ -137,7 +124,8 @@ class ProofTrace:
         numbers: dict[str, int] | None = None,
         soft: bool = False,
     ) -> bool:
-        """Evaluate a predicate, record the step, raise on hard failure.
+        """Evaluate a predicate on the run's graph, record the step, and
+        raise on hard failure.
 
         Each named set is a vertex mask or an iterable of vertex ids.
         """
@@ -146,7 +134,9 @@ class ProofTrace:
             for name, vals in (sets or {}).items()
         )
         frozen_nums = tuple((numbers or {}).items())
-        ok = evaluate_step(g, kind, dict(frozen_sets), dict(frozen_nums), self.budget)
+        ok = evaluate_step(
+            self.g, kind, dict(frozen_sets), dict(frozen_nums), self.budget
+        )
         verdict = HOLDS if ok else (SOFT_GAP if soft else VIOLATED)
         step = TraceStep(tag, kind, assertion, verdict, frozen_sets, frozen_nums)
         self.steps.append(step)
@@ -165,9 +155,6 @@ class ProofTrace:
     @property
     def violated_count(self) -> int:
         return sum(1 for s in self.steps if s.verdict == VIOLATED)
-
-    def soft_gap_tags(self) -> list[str]:
-        return [s.tag for s in self.steps if s.verdict == SOFT_GAP]
 
     def serialize(self) -> str:
         head = f"trace|{self.label}|steps={len(self.steps)}"

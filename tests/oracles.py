@@ -3,21 +3,54 @@
 Everything here is written naively on purpose: subsets and bijections are
 enumerated outright, colorings are searched by direct assignment, and the
 graph6 decoder below shares no code with the package reader.  Slow is fine;
-these run on orders <= 8.
+the enumerations run on orders <= 8.  The two mask predicates check the
+p3-free and k1k3-absent audit kinds without the pattern search.
 """
 
 from itertools import combinations, permutations, product
 
 from chibound import Graph
+from chibound.graphs import bits, components
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return bool(g.rows[u] >> v & 1)
+
+
+def degree(g: Graph, v: int) -> int:
+    return g.rows[v].bit_count()
 
 
 def brute_clique_number(g: Graph) -> int:
     best = 0
     for size in range(g.n, 0, -1):
         for subset in combinations(range(g.n), size):
-            if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
+            if all(has_edge(g, u, v) for u, v in combinations(subset, 2)):
                 return size
     return best
+
+
+def clique_components(g: Graph, m: int) -> bool:
+    """Whether every component of G[m] is a clique (G[m] is P3-free)."""
+    return all(
+        g.rows[v] & comp == comp & ~(1 << v)
+        for comp in components(g, m)
+        for v in bits(comp)
+    )
+
+
+def has_k1_union_k3(g: Graph, m: int) -> bool:
+    """Whether some triangle of G[m] misses a vertex of m outright."""
+    for v in bits(m):
+        for w in bits(g.rows[v] & m):
+            if w <= v:
+                continue
+            for x in bits(g.rows[v] & g.rows[w] & m):
+                lonely = m & ~g.rows[v] & ~g.rows[w] & ~g.rows[x]
+                lonely &= ~(1 << v) & ~(1 << w) & ~(1 << x)
+                if lonely:
+                    return True
+    return False
 
 
 def brute_chromatic_number(g: Graph) -> int:
@@ -45,9 +78,9 @@ def brute_find_induced(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
     if k > host.n:
         return None
     pattern_edges = {(u, v) for u, v in pattern.edges()}
-    host_degrees = [host.degree(v) for v in range(host.n)]
+    host_degrees = [degree(host, v) for v in range(host.n)]
     min_pattern_degree = min(
-        (pattern.degree(v) for v in range(k)), default=0
+        (degree(pattern, v) for v in range(k)), default=0
     )
     candidates = [v for v in range(host.n) if host_degrees[v] >= 0]
     for subset in combinations(candidates, k):
@@ -58,7 +91,7 @@ def brute_find_induced(host: Graph, pattern: Graph) -> tuple[int, ...] | None:
             for a in range(k):
                 for b in range(a + 1, k):
                     want = (a, b) in pattern_edges
-                    have = host.has_edge(image[a], image[b])
+                    have = has_edge(host, image[a], image[b])
                     if want != have:
                         ok = False
                         break
@@ -85,7 +118,7 @@ def induced_embeddings(host: Graph, pattern: Graph) -> list[tuple[int, ...]]:
             return
         for v in range(host.n):
             if v not in image and all(
-                host.has_edge(v, image[j]) == pattern.has_edge(i, j) for j in range(i)
+                has_edge(host, v, image[j]) == has_edge(pattern, i, j) for j in range(i)
             ):
                 extend(image + [v])
 
@@ -103,7 +136,7 @@ def embedding_is_induced(host: Graph, pattern, emb) -> bool:
     if not all(0 <= v < host.n for v in vs):
         return False
     return all(
-        host.has_edge(vs[i], vs[j]) == p.has_edge(i, j)
+        has_edge(host, vs[i], vs[j]) == has_edge(p, i, j)
         for i, j in combinations(range(p.n), 2)
     )
 

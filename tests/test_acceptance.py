@@ -31,7 +31,13 @@ from chibound import (
 )
 from chibound.suite import _sample_instance
 
-from oracles import brute_chromatic_number, brute_clique_number, brute_find_induced
+from oracles import (
+    brute_chromatic_number,
+    brute_clique_number,
+    brute_find_induced,
+    degree,
+    has_edge,
+)
 
 SOFT_ALLOWED = re.compile(r"^(split-hammer/j[23]-palette|second-nbhd/b\d+-palette)$")
 SUITE_SEED = 20260814
@@ -67,7 +73,7 @@ def test_ten_regular_witness_invariants(capfd):
         g = named_graph("schlafli_complement")
         assert g.n == 27
         assert g.edge_count == 135
-        assert all(g.degree(v) == 10 for v in g.vertices())
+        assert all(degree(g, v) == 10 for v in g.vertices())
         assert clique_number(g).value == 3
         assert is_member(g, class_by_name("K4Free"))
         t0 = time.perf_counter()
@@ -115,8 +121,9 @@ def test_sampled_members_across_all_classes(capfd):
                 assert coloring.palette <= bound, (class_name, index)
                 assert chromatic_number(g).value <= bound, (class_name, index)
                 assert trace.violated_count == 0, (class_name, index)
-                for tag in trace.soft_gap_tags():
-                    assert SOFT_ALLOWED.match(tag), (class_name, index, tag)
+                for step in trace.steps:
+                    if step.verdict == "soft-gap":
+                        assert SOFT_ALLOWED.match(step.tag), (class_name, index, step.tag)
         assert time.perf_counter() - t0 < 600.0
 
     _verdict(capfd, "200 audited members per class", body)
@@ -168,8 +175,8 @@ def test_pattern_search_agrees_with_oracle(capfd):
                     assert len(set(image)) == pattern.graph.n
                     for i in range(pattern.graph.n):
                         for j in range(i + 1, pattern.graph.n):
-                            assert pattern.graph.has_edge(i, j) == host.has_edge(
-                                image[i], image[j]
+                            assert has_edge(pattern.graph, i, j) == has_edge(
+                                host, image[i], image[j]
                             )
 
     _verdict(capfd, "induced-pattern search vs oracle, 517 hosts", body)

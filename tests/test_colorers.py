@@ -36,7 +36,6 @@ from chibound import (
     verify_coloring,
 )
 from chibound.colorers import (
-    _Run,
     _c5_clique_neighborhood,
     _cluster,
     _dominated_pair,
@@ -51,8 +50,9 @@ def check_run(g, coloring, trace, bound):
     assert verify_coloring(g, coloring) is None
     assert coloring.palette <= bound
     assert trace.violated_count == 0
-    for tag in trace.soft_gap_tags():
-        assert SOFT_ALLOWED.match(tag), tag
+    for step in trace.steps:
+        if step.verdict == "soft-gap":
+            assert SOFT_ALLOWED.match(step.tag), step.tag
 
 
 class TestEvaluateBound:
@@ -272,16 +272,14 @@ class TestC5Free:
         # neighborhood is the single vertex 4, a clique, which is the
         # precondition of the clique-neighborhood split.
         g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5)])
-        run = _Run(g, ProofTrace("C5Free"))
-        colors, total = _c5_clique_neighborhood(
-            run, g.full_mask, 5, 1 << 4, 4
-        )
+        trace = ProofTrace("C5Free", g)
+        colors, total = _c5_clique_neighborhood(trace, g.full_mask, 5, 1 << 4, 4)
         assert sorted(colors) == list(g.vertices())
         for u, v in g.edges():
             assert colors[u] != colors[v]
         assert total <= evaluate_bound("C5Free", 4)
-        assert any(s.tag == "clique-nbhd/total" for s in run.trace.steps)
-        assert run.trace.violated_count == 0
+        assert any(s.tag == "clique-nbhd/total" for s in trace.steps)
+        assert trace.violated_count == 0
 
 
 class TestK4Free:

@@ -29,7 +29,7 @@ from chibound import (
 )
 from chibound import exact
 
-from oracles import brute_chromatic_number, brute_clique_number
+from oracles import brute_chromatic_number, brute_clique_number, has_edge
 
 
 class TestCliqueNumber:
@@ -44,7 +44,7 @@ class TestCliqueNumber:
         assert len(res.vertices) == 3
         for i, u in enumerate(res.vertices):
             for v in res.vertices[i + 1 :]:
-                assert g.has_edge(u, v)
+                assert has_edge(g, u, v)
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=50, deadline=None)
@@ -59,6 +59,14 @@ class TestChromaticNumber:
         assert chromatic_number(named_graph("schlafli_complement")).value == 6
         doubled = join(named_graph("grotzsch"), named_graph("grotzsch"))
         assert chromatic_number(doubled).value == 8
+
+    def test_long_odd_cycle(self):
+        # Deeper than Python's default recursion limit: the k search colors
+        # one vertex per step.
+        g = cycle(999)
+        res = chromatic_number(g)
+        assert res.complete and res.value == 3
+        assert verify_coloring(g, res.coloring) is None
 
     def test_empty_graph(self):
         res = chromatic_number(empty(0))
@@ -176,7 +184,7 @@ GAPPED = Graph(7, [(0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (1, 6), (3, 5), (4, 6
 
 
 def _is_clique(g: Graph, vertices) -> bool:
-    return all(g.has_edge(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :])
+    return all(has_edge(g, u, v) for i, u in enumerate(vertices) for v in vertices[i + 1 :])
 
 
 def _with_edge(g: Graph) -> Graph:
@@ -328,17 +336,16 @@ class TestVerifyAndGreedy:
         assert greedy_coloring(empty(4)).palette == 1
         assert greedy_coloring(cycle(5)).palette == 3
 
-    def test_greedy_needs_permutation(self):
-        for order in ([0, 1], [0, 0, 1], [0, 1, 3]):
-            with pytest.raises(ValueError, match="permutation"):
-                greedy_coloring(complete(3), order=order)
-
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)
     def test_greedy_always_proper(self, seed):
         g = gnp(9, 0.4, seed)
         assert verify_coloring(g, greedy_coloring(g)) is None
-        assert greedy_coloring(g) == greedy_coloring(g, order=list(range(9)))
+        # First fit along 0..n-1: the least color no earlier neighbor has.
+        colors = greedy_coloring(g).colors
+        for v in g.vertices():
+            earlier = {colors[w] for w in range(v) if g.rows[v] >> w & 1}
+            assert colors[v] == min(set(range(v + 1)) - earlier)
 
 
 class TestBudgetValidation:

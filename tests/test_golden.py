@@ -40,7 +40,7 @@ from chibound import (
     sample_class,
     write_graph6,
 )
-from chibound.colorers import _c5_clique_neighborhood, _Run
+from chibound.colorers import _c5_clique_neighborhood
 from chibound.generators import extremal_family
 
 SAMPLES_PER_CLASS = 20
@@ -111,9 +111,9 @@ def case_digest(key: str) -> str:
 def clique_nbhd_step_digest() -> str:
     """The C5 clique-neighborhood split run directly, rooted at vertex 5."""
     g = CLIQUE_NBHD
-    run = _Run(g, ProofTrace("C5Free"))
-    colors, _ = _c5_clique_neighborhood(run, g.full_mask, 5, 1 << 4, 4)
-    return _digest([colors[v] for v in g.vertices()], run.trace)
+    trace = ProofTrace("C5Free", g)
+    colors, _ = _c5_clique_neighborhood(trace, g.full_mask, 5, 1 << 4, 4)
+    return _digest([colors[v] for v in g.vertices()], trace)
 
 
 def hunt_walks_digest() -> str:

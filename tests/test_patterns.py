@@ -35,6 +35,7 @@ from chibound.patterns import _co_connected, _search
 from oracles import (
     brute_find_induced,
     count_induced,
+    degree,
     embedding_is_induced,
     induced_embeddings,
 )
@@ -116,7 +117,7 @@ def _first_through(pattern, every, u, v):
     (a, b), ascending, that some copy maps to (u, v), then the least such
     copy with the rest read in static order (descending degree, then id)."""
     p = pattern.graph
-    static = sorted(range(p.n), key=lambda i: (-p.degree(i), i))
+    static = sorted(range(p.n), key=lambda i: (-degree(p, i), i))
     for a in range(p.n):
         for b in range(p.n):
             hits = [vs for vs in every if a != b and (vs[a], vs[b]) == (u, v)]

@@ -1,6 +1,10 @@
 """Audit-step evaluation, trace recording, and replay."""
 
+from functools import reduce
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chibound import (
     AuditViolation,
@@ -12,10 +16,15 @@ from chibound import (
     disjoint_union,
     empty,
     evaluate_step,
+    gnp,
+    join,
     named_graph,
     path,
     replay,
 )
+from chibound.graphs import bits
+
+from oracles import clique_components, has_k1_union_k3
 
 
 def _eval(g, kind, sets=None, numbers=None):
@@ -108,17 +117,59 @@ class TestEvaluateStep:
             _eval(empty(2), "independent", sets={"X": [5]})
 
 
+DENSITIES = (0.2, 0.5, 0.8)
+
+
+@st.composite
+def _gnp_host(draw, max_order):
+    n = draw(st.integers(0, max_order))
+    return gnp(n, draw(st.sampled_from(DENSITIES)), draw(st.integers(0, 2**32)))
+
+
+@st.composite
+def _masked(draw, hosts):
+    """A host with a random, full or empty vertex mask."""
+    g = draw(hosts)
+    which = draw(st.sampled_from(("random", "full", "empty")))
+    if which == "random":
+        return g, draw(st.integers(0, g.full_mask))
+    return g, g.full_mask if which == "full" else 0
+
+
+def _join_all(parts):
+    return reduce(join, parts)
+
+
+class TestPatternAbsenceKinds:
+    """The p3-free and k1k3-absent kinds, answered by the induced-subgraph
+    search, against direct mask predicates."""
+
+    def _check(self, g, m):
+        sets = {"X": tuple(bits(m))}
+        assert evaluate_step(g, "p3-free", sets, {}) == clique_components(g, m)
+        assert evaluate_step(g, "k1k3-absent", sets, {}) == (not has_k1_union_k3(g, m))
+
+    @given(_masked(_gnp_host(12)))
+    @settings(max_examples=150, deadline=None)
+    def test_gnp_hosts(self, host):
+        self._check(*host)
+
+    # A join's co-components are searched one at a time.
+    @given(_masked(st.lists(_gnp_host(6), min_size=2, max_size=3).map(_join_all)))
+    @settings(max_examples=150, deadline=None)
+    def test_joins(self, host):
+        self._check(*host)
+
+
 class TestProofTrace:
     def test_sets_may_be_masks(self):
-        trace = ProofTrace("Demo")
-        trace.audit(cycle(5), "root/indep", "independent", "mask form",
-                    sets={"X": 0b101})
+        trace = ProofTrace("Demo", cycle(5))
+        trace.audit("root/indep", "independent", "mask form", sets={"X": 0b101})
         assert trace.steps[0].sets == (("X", (0, 2)),)
 
     def test_holds_step_recorded(self):
-        g = cycle(5)
-        trace = ProofTrace("Demo")
-        ok = trace.audit(g, "root/indep", "independent",
+        trace = ProofTrace("Demo", cycle(5))
+        ok = trace.audit("root/indep", "independent",
                          "chosen set is independent", sets={"X": [2, 0]})
         assert ok
         step = trace.steps[0]
@@ -128,20 +179,18 @@ class TestProofTrace:
         assert trace.soft_gap_count == 0
 
     def test_soft_failure_continues(self):
-        g = cycle(5)
-        trace = ProofTrace("Demo")
-        ok = trace.audit(g, "root/padding", "independent",
+        trace = ProofTrace("Demo", cycle(5))
+        ok = trace.audit("root/padding", "independent",
                          "palette slack stays tight", sets={"X": [0, 1]}, soft=True)
         assert not ok
         assert trace.steps[0].verdict == "soft-gap"
-        assert trace.soft_gap_tags() == ["root/padding"]
+        assert trace.soft_gap_count == 1
         assert trace.violated_count == 0
 
     def test_hard_failure_raises(self):
-        g = cycle(5)
-        trace = ProofTrace("Demo")
+        trace = ProofTrace("Demo", cycle(5))
         with pytest.raises(AuditViolation) as exc:
-            trace.audit(g, "root/bad", "clique", "span forms a clique",
+            trace.audit("root/bad", "clique", "span forms a clique",
                         sets={"X": [0, 1, 2]})
         assert exc.value.step.tag == "root/bad"
         assert exc.value.step.verdict == "violated"
@@ -150,10 +199,9 @@ class TestProofTrace:
         assert trace.violated_count == 1
 
     def test_serialize_shape(self):
-        g = cycle(5)
-        trace = ProofTrace("Demo")
-        trace.audit(g, "a", "independent", "first", sets={"X": [0, 2]})
-        trace.audit(g, "b", "value-le", "second",
+        trace = ProofTrace("Demo", cycle(5))
+        trace.audit("a", "independent", "first", sets={"X": [0, 2]})
+        trace.audit("b", "value-le", "second",
                     numbers={"value": 1, "bound": 3})
         text = trace.serialize()
         lines = text.splitlines()
@@ -166,10 +214,9 @@ class TestProofTrace:
 class TestReplay:
     def _trace_on_cycle(self):
         g = cycle(5)
-        trace = ProofTrace("Demo")
-        trace.audit(g, "ok/indep", "independent", "holds here",
-                    sets={"X": [0, 2]})
-        trace.audit(g, "gap/indep", "independent", "soft here",
+        trace = ProofTrace("Demo", g)
+        trace.audit("ok/indep", "independent", "holds here", sets={"X": [0, 2]})
+        trace.audit("gap/indep", "independent", "soft here",
                     sets={"X": [0, 1]}, soft=True)
         return g, trace
 
@@ -183,9 +230,9 @@ class TestReplay:
         assert [s.tag for s in bad] == ["ok/indep"]
 
     def test_trace_budget_reaches_omega_steps(self):
-        trace = ProofTrace("Demo", SolveBudget(node_limit=1))
+        trace = ProofTrace("Demo", cycle(5), SolveBudget(node_limit=1))
         with pytest.raises(BudgetExhausted):
-            trace.audit(cycle(5), "cap/omega", "omega-le", "small cliques",
+            trace.audit("cap/omega", "omega-le", "small cliques",
                         sets={"X": range(5)}, numbers={"bound": 2})
 
     def test_mismatch_when_soft_gap_starts_holding(self):
