@@ -20,7 +20,7 @@ from .exact import (
     require_clique_number,
 )
 from .graphs import Graph, join
-from .patterns import ClassSpec, class_by_name, is_member
+from .patterns import ClassSpec, class_by_name, in_class, is_member
 
 _MASK64 = (1 << 64) - 1
 
@@ -102,12 +102,13 @@ class SampleExhausted(RuntimeError):
 
 
 def sample_class(cfg: SampleConfig) -> Graph:
-    """First G(n, p) draw that is a member of the class, by pure rejection."""
+    """First G(n, p) draw that is a member of the class, by pure rejection.
+    Only the verdict is asked for (``in_class``), not a witness."""
     spec = class_by_name(cfg.class_name)
     rng = SplitMix64(cfg.seed)
     for _ in range(cfg.max_tries):
         g = gnp(cfg.n, cfg.p, rng.next_u64())
-        if is_member(g, spec):
+        if in_class(g, spec):
             return g
     raise SampleExhausted(cfg)
 

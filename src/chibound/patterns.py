@@ -8,13 +8,14 @@ lexicographically least one in that search order.  A search through a
 host pair pins two pattern vertices to it first and keeps that order for
 the rest.
 
-Absence is proved per co-component.  Every class pattern but k3 and k4 is
-co-connected (its complement is connected), so each induced copy lies
-inside one co-component of the host.  On a join, such a pattern is searched
-in each co-component on its own, and it is absent when no part holds it.
-When a part does hold a copy, the whole host is searched, so the copy
-returned is the one the unsplit search finds.  A search through a host pair
-is not split.
+Absence of p3, k3, k4, p3_union_p2, p2_union_k3 and k1_union_k3 is decided
+by an anchored kernel, by bit operations on the host rows alone; the kernels
+are keyed by pattern graph.  Every other co-connected pattern (its
+complement is connected) is proved absent per co-component: each induced
+copy lies inside one co-component of the host, so on a join each part is
+searched on its own.  When a copy exists, the whole host is searched, so the
+copy returned is the one the plain search finds.  A search through a host
+pair takes neither shortcut.
 """
 
 from __future__ import annotations
@@ -179,6 +180,90 @@ def _co_connected(p: Graph) -> bool:
     return len(co_components(p, p.full_mask)) == 1
 
 
+def _clusters(rows: Sequence[int], m: int) -> bool:
+    """Whether G[m] is P3-free: each component is a clique, the closed
+    neighbourhood of each of its vertices."""
+    while m:
+        low = m & -m
+        comp = rest = rows[low.bit_length() - 1] & m | low
+        while rest:
+            b = rest & -rest
+            if rows[b.bit_length() - 1] & m | b != comp:
+                return False
+            rest ^= b
+        m ^= comp
+    return True
+
+
+def _triangle_free(rows: Sequence[int], m: int) -> bool:
+    """Whether G[m] has no triangle: no later neighbourhood holds an edge."""
+    while m:
+        low = m & -m
+        m ^= low
+        later = rest = rows[low.bit_length() - 1] & m
+        while rest:
+            b = rest & -rest
+            if rows[b.bit_length() - 1] & later:
+                return False
+            rest ^= b
+    return True
+
+
+def _k4_free(rows: Sequence[int], m: int) -> bool:
+    """Whether G[m] has no K4: no later neighbourhood holds a triangle."""
+    while m:
+        low = m & -m
+        m ^= low
+        if not _triangle_free(rows, rows[low.bit_length() - 1] & m):
+            return False
+    return True
+
+
+def _triangles_dominate(rows: Sequence[int], m: int) -> bool:
+    """Whether G[m] is K1 + K3-free: every triangle dominates m, so no
+    vertex's non-neighbourhood holds a triangle."""
+    rest = m
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if not _triangle_free(rows, m & ~(rows[low.bit_length() - 1] | low)):
+            return False
+    return True
+
+
+def _edge_anchored(far_free):
+    """Kernel for P + P2, given far_free(rows, m) that tells G[m] is P-free:
+    every copy of P + P2 is a P in G - N[x] - N[y] for an edge xy, and back."""
+
+    def absent(rows: Sequence[int], m: int) -> bool:
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            rx = rows[low.bit_length() - 1]
+            near = rx & rest
+            while near:
+                b = near & -near
+                near ^= b
+                if not far_free(rows, m & ~(rx | rows[b.bit_length() - 1])):
+                    return False
+        return True
+
+    return absent
+
+
+# Absence kernels by pattern graph: kernel(rows, m) is True exactly when
+# G[m] has no induced copy of the pattern.
+_ABSENT = {
+    path(3): _clusters,
+    complete(3): _triangle_free,
+    complete(4): _k4_free,
+    named_graph("p3_union_p2"): _edge_anchored(_clusters),
+    named_graph("p2_union_k3"): _edge_anchored(_triangle_free),
+    named_graph("k1_union_k3"): _triangles_dominate,
+}
+
+
 def _search(
     rows: Sequence[int], full: int, pattern: Pattern, through: tuple[int, int] | None
 ) -> tuple[int, ...] | None:
@@ -247,9 +332,10 @@ def find_induced(
     and finds the occurrence a search of the induced copy would find; its
     vertices are ids of the host.
 
-    On a join, a co-connected pattern is proved absent one co-component at
-    a time (see the module docstring); a copy that is found comes from the
-    whole search, as without the split.
+    A pattern with an absence kernel is proved absent by the kernel, and
+    on a join any other co-connected pattern one co-component at a time
+    (see the module docstring).  A copy that is found comes from the whole
+    search, as without either shortcut.
 
     With a pair of distinct host vertices ``through=(u, v)`` only
     occurrences whose image contains both u and v count.  Each pattern pair
@@ -259,7 +345,7 @@ def find_induced(
     pattern of order k.  When the host with uv toggled back has no
     occurrence, every occurrence holds u and v, so the answer is None
     exactly when the full search's is; ``is_member`` relies on this.  This
-    search is not split.
+    search takes neither shortcut.
     """
     if through is not None:
         u, v = through
@@ -268,7 +354,11 @@ def find_induced(
         if u == v:
             raise ValueError(f"through needs two distinct vertices, got ({u}, {v})")
     rows, full = restrict(host, within)
-    if through is None and _co_connected(pattern.graph):
+    absent = _ABSENT.get(pattern.graph)
+    if through is None and absent is not None:
+        if absent(rows, full):
+            return None
+    elif through is None and _co_connected(pattern.graph):
         parts = co_components(host, full)
         if len(parts) > 1 and all(
             _search([r & part for r in rows], part, pattern, None) is None
@@ -299,3 +389,14 @@ def is_member(
         if emb is not None:
             return Membership(cls.name, False, emb)
     return Membership(cls.name, True)
+
+
+def in_class(g: Graph, cls: ClassSpec) -> bool:
+    """The verdict of ``is_member`` alone.  Patterns with an absence kernel
+    go first, smallest first, and the kernel alone decides them."""
+    order = sorted(cls.forbidden, key=lambda p: (p.graph not in _ABSENT, p.graph.n, p.name))
+    for pattern in order:
+        absent = _ABSENT.get(pattern.graph)
+        if not (absent(g.rows, g.full_mask) if absent else find_induced(g, pattern) is None):
+            return False
+    return True

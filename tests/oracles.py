@@ -4,12 +4,14 @@ Everything here is written naively on purpose: subsets and bijections are
 enumerated outright, colorings are searched by direct assignment, and the
 graph6 decoder below shares no code with the package reader.  Slow is fine;
 the enumerations run on orders <= 8.  The two mask predicates check the
-p3-free and k1k3-absent audit kinds without the pattern search.
+p3-free and k1k3-absent audit kinds without the pattern search, and the
+reference sampler is sample_class's rejection loop over the full
+membership test, witness search included.
 """
 
 from itertools import combinations, permutations, product
 
-from chibound import Graph
+from chibound import Graph, SplitMix64, class_by_name, gnp, is_member
 from chibound.graphs import bits, components
 
 
@@ -51,6 +53,19 @@ def has_k1_union_k3(g: Graph, m: int) -> bool:
                 if lonely:
                     return True
     return False
+
+
+def reference_sample_class(cfg) -> Graph | None:
+    """What sample_class must return for a SampleConfig: the first of
+    max_tries G(n, p) draws, each seeded by the next word of one splitmix64
+    stream, that the full is_member test accepts; None when none is."""
+    spec = class_by_name(cfg.class_name)
+    rng = SplitMix64(cfg.seed)
+    for _ in range(cfg.max_tries):
+        g = gnp(cfg.n, cfg.p, rng.next_u64())
+        if is_member(g, spec):
+            return g
+    return None
 
 
 def brute_chromatic_number(g: Graph) -> int:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chibound import (
+    CLASSES,
     HuntResult,
     SampleConfig,
     SampleExhausted,
@@ -22,6 +23,8 @@ from chibound import (
     named_graph,
     sample_class,
 )
+
+from oracles import reference_sample_class
 
 _MASK64 = (1 << 64) - 1
 
@@ -126,6 +129,41 @@ class TestSampleClass:
             sample_class(cfg)
         assert exc.value.config is cfg
         assert "30" in str(exc.value)
+
+    @pytest.mark.parametrize("cls", sorted(CLASSES))
+    def test_matches_reference_loop_in_every_class(self, cls):
+        # Orders 0 and 1 accept the first draw; the others reject some.
+        for n, p, seed in ((0, 0.5, 1), (1, 0.5, 2), (5, 0.5, 3), (9, 0.3, 4), (12, 0.9, 5)):
+            cfg = SampleConfig(n=n, p=p, seed=seed, class_name=cls, max_tries=200)
+            want = reference_sample_class(cfg)
+            if want is None:
+                with pytest.raises(SampleExhausted):
+                    sample_class(cfg)
+            else:
+                assert sample_class(cfg) == want, (n, p, seed)
+
+    @given(
+        st.sampled_from(sorted(CLASSES)),
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]),
+        st.integers(min_value=0, max_value=_MASK64),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_loop(self, cls, n, p, seed):
+        cfg = SampleConfig(n=n, p=p, seed=seed, class_name=cls, max_tries=20)
+        want = reference_sample_class(cfg)
+        if want is None:
+            with pytest.raises(SampleExhausted):
+                sample_class(cfg)
+        else:
+            assert sample_class(cfg) == want
+
+    def test_exhaustion_matches_reference_loop(self):
+        # Every draw of G(8, 1) is K8, which holds a triangle.
+        cfg = SampleConfig(n=8, p=1.0, seed=9, class_name="TriangleFree", max_tries=5)
+        assert reference_sample_class(cfg) is None
+        with pytest.raises(SampleExhausted):
+            sample_class(cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -30,13 +30,15 @@ from chibound import (
     sample_class,
 )
 from chibound.graphs import restrict
-from chibound.patterns import _co_connected, _search
+from chibound.patterns import _ABSENT, _co_connected, _search, in_class
 
 from oracles import (
     brute_find_induced,
+    clique_components,
     count_induced,
     degree,
     embedding_is_induced,
+    has_k1_union_k3,
     induced_embeddings,
 )
 
@@ -211,6 +213,117 @@ class TestFindInducedOnJoins:
         host = Graph(j.n, [(perm[u], perm[v]) for u, v in j.edges()])
         emb = find_induced(host, PATTERNS["p3_union_p2"])
         assert emb is not None and emb.image == frozenset(range(1, 6))
+
+
+KERNEL_PATTERNS = ("p3", "k3", "k4", "p3_union_p2", "p2_union_k3", "k1_union_k3")
+
+
+def _within(host: Graph):
+    """A full (as None or as a mask), random or empty vertex mask."""
+    return st.sampled_from([None, host.full_mask, 0]) | st.integers(0, host.full_mask)
+
+
+class TestAbsenceKernels:
+    """Each anchored kernel says absent exactly when the search finds no
+    copy, and find_induced still returns the search's first copy."""
+
+    def _check(self, host: Graph, within):
+        rows, full = restrict(host, within)
+        keep = [v for v in host.vertices() if full >> v & 1]
+        for name in KERNEL_PATTERNS:
+            pattern = PATTERNS[name]
+            absent = _ABSENT[pattern.graph](rows, full)
+            whole = _search(rows, full, pattern, None)
+            assert absent == (whole is None), name
+            mine = find_induced(host, pattern, within=within)
+            assert mine == (None if whole is None else Embedding(name, whole)), name
+            if len(keep) <= 8:
+                oracle = brute_find_induced(host.induced(keep), pattern.graph)
+                assert absent == (oracle is None), name
+        assert _ABSENT[PATTERNS["p3"].graph](rows, full) == clique_components(host, full)
+        assert _ABSENT[PATTERNS["k1_union_k3"].graph](rows, full) == (
+            not has_k1_union_k3(host, full)
+        )
+
+    @given(
+        st.integers(min_value=0, max_value=14),
+        st.sampled_from([0.2, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**32),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_match_search_on_random_hosts(self, n, p, seed, data):
+        host = gnp(n, p, seed)
+        self._check(host, data.draw(_within(host)))
+
+    @given(
+        st.lists(
+            st.tuples(PART_ORDERS, st.sampled_from([0.2, 0.5, 0.8]), st.integers(0, 2**32)),
+            min_size=2,
+            max_size=3,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_match_search_on_joins(self, parts, data):
+        j = reduce(join, (gnp(n, p, seed) for n, p, seed in parts))
+        perm = data.draw(st.permutations(range(j.n)))
+        host = Graph(j.n, [(perm[u], perm[v]) for u, v in j.edges()])
+        self._check(host, data.draw(_within(host)))
+
+    def test_only_the_last_edge_sees_the_p3(self):
+        # P3 0-1-2 under a triangle 3,4,5 that sees all of it, and the edge
+        # 6-7 apart from everything.  Every edge but 6-7, the last one
+        # scanned, has only 6-7 left outside its neighbourhood.
+        edges = [(0, 1), (1, 2), (3, 4), (3, 5), (4, 5), (6, 7)]
+        edges += [(a, b) for a in range(3) for b in range(3, 6)]
+        host = Graph(8, edges)
+        far_with_p3 = [
+            (x, y)
+            for x, y in host.edges()
+            if not clique_components(host, host.full_mask & ~(host.rows[x] | host.rows[y]))
+        ]
+        assert far_with_p3 == [(6, 7)]
+        pattern = PATTERNS["p3_union_p2"]
+        assert not _ABSENT[pattern.graph](host.rows, host.full_mask)
+        emb = find_induced(host, pattern)
+        assert emb is not None and emb.image == frozenset({0, 1, 2, 6, 7})
+        self._check(host, None)
+        self._check(host.toggled(6, 7), None)
+        assert find_induced(host.toggled(6, 7), pattern) is None
+
+    def test_kernels_are_keyed_by_graph(self):
+        # A pattern that borrows a kernel pattern's name keeps its own graph
+        # and is searched: C4 holds a C4 but no P3+P2.  One with a kernel
+        # pattern's graph uses the kernel.
+        impostor = Pattern("p3_union_p2", cycle(4))
+        assert impostor.graph not in _ABSENT
+        emb = find_induced(cycle(4), impostor)
+        assert emb is not None and emb.image == frozenset(range(4))
+        renamed = Pattern("cherry", path(3))
+        assert _ABSENT[renamed.graph] is _ABSENT[PATTERNS["p3"].graph]
+        assert find_induced(path(3), renamed) == Embedding("cherry", (0, 1, 2))
+        assert find_induced(complete(3), renamed) is None
+
+
+class TestInClass:
+    @given(
+        st.sampled_from(sorted(CLASSES)),
+        st.integers(min_value=0, max_value=13),
+        st.sampled_from([0.1, 0.2, 0.5, 0.8, 0.95]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_is_member(self, cls, n, p, seed):
+        g = gnp(n, p, seed)
+        assert in_class(g, CLASSES[cls]) == bool(is_member(g, CLASSES[cls]))
+
+    def test_catalog_members_and_non_members(self):
+        assert in_class(named_graph("schlafli_complement"), CLASSES["K4Free"])
+        assert in_class(named_graph("grotzsch"), CLASSES["KiteFree"])
+        assert not in_class(cycle(5), CLASSES["C5Free"])
+        assert not in_class(complete(4), CLASSES["K4Free"])
+        assert not in_class(named_graph("p3_union_p2"), CLASSES["P3P2"])
 
 
 def _member(spec, n: int, p: float, seed: int):

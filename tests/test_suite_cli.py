@@ -15,6 +15,7 @@ from chibound import (
     run_suite,
     write_graph,
 )
+from chibound import suite
 from chibound.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERDICT, main
 
 
@@ -50,6 +51,12 @@ class TestRunSuite:
                 assert r.palette <= r.bound
                 assert r.chi is not None and r.chi <= r.bound
                 assert r.violated == 0
+
+    def test_non_member_sample_is_an_internal_error(self, monkeypatch):
+        # The check must hold under python -O too, so it is not an assert.
+        monkeypatch.setattr(suite, "_sample_instance", lambda *_: complete(4))
+        with pytest.raises(RuntimeError, match="internal: .*K4Free"):
+            run_suite("K4Free", n=6, count=2, seed=0)
 
     def test_footer_totals_add_up(self):
         report = run_suite("HammerFree", n=7, count=8, seed=2)
