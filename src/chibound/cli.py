@@ -19,7 +19,6 @@ from .exact import (
     SolveBudget,
     chromatic_number,
     clique_number,
-    require_clique_number,
     verify_coloring,
 )
 from .generators import (
@@ -166,10 +165,9 @@ def _cmd_color(args) -> int:
     if spec.name not in COLORERS:
         _say(f"no colorer for class {spec.name}; choose from {sorted(COLORERS)}")
         return EXIT_USAGE
-    budget = _budget_from(args)
-    coloring, trace = COLORERS[spec.name](g, budget)
+    coloring, trace = COLORERS[spec.name](g, _budget_from(args))
     print(" ".join(map(str, coloring.colors)))
-    omega = require_clique_number(g, budget).lower
+    omega = trace.clique(g.full_mask).lower
     _say(
         f"class={spec.name} n={g.n} palette={coloring.palette} "
         f"bound={evaluate_bound(spec.name, omega) if omega else 0} omega={omega} "

@@ -19,12 +19,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .exact import (
-    SolveBudget,
-    require_chromatic,
-    require_clique_number,
-    verify_coloring,
-)
+from .exact import SolveBudget, require_chromatic, verify_coloring
 from .graphs import (
     Coloring,
     Graph,
@@ -190,7 +185,7 @@ def _wrap(
         raise RuntimeError("internal: decomposition did not cover every vertex")
     colors = _fold_classes(g, colors)
     coloring = Coloring(tuple(colors[v] for v in range(g.n))).compacted()
-    omega = require_clique_number(g, budget).lower if g.n else 0
+    omega = trace.clique(g.full_mask).lower
     bound = BINDINGS[spec.name](omega) if omega >= 1 else 0
     trace.audit(
         "bound/final-palette",
@@ -248,7 +243,7 @@ def _kite_core(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
     leaf = _triangle_free_leaf(trace, live)
     if leaf is not None:
         return leaf
-    omega = require_clique_number(g, trace.budget, within=live).lower
+    omega = trace.clique(live).lower
     emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
     if emb is not None:
         return _kite_split_p2k3(trace, live, emb, omega)
@@ -308,9 +303,7 @@ def _kite_split_p2k3(
         "non-neighborhood of the spare edge is a union of cliques",
         sets={"X": m},
     )
-    c1 = 0
-    if m:
-        c1 = mask_of(require_clique_number(g, trace.budget, within=m).vertices)
+    c1 = mask_of(trace.clique(m).vertices)
     c1_closed = c1
     for v in bits(c1):
         c1_closed |= g.rows[v] & live
@@ -338,7 +331,7 @@ def _kite_split_p2k3(
         "remaining common neighbors are complete to the largest remainder clique",
         sets={"X": c, "Y": c1},
     )
-    omega1 = require_clique_number(g, trace.budget, within=c).lower if c else 0
+    omega1 = trace.clique(c).lower
     trace.audit(
         "split-p2k3/clique-budget",
         "value-le",
@@ -548,7 +541,7 @@ def _p2k3_main(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
     g = trace.g
     if is_independent(g, live):
         return _single_color_block(live)
-    cliq = require_clique_number(g, trace.budget, within=live).vertices
+    cliq = trace.clique(live).vertices
     omega = len(cliq)
     v1 = cliq[0]
     outside = live & ~g.rows[v1] & ~(1 << v1)
@@ -634,7 +627,7 @@ def _hammer_rec(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
     emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
     if emb is None:
         return _p2k3_main(trace, live)
-    omega = require_clique_number(g, trace.budget, within=live).lower
+    omega = trace.clique(live).lower
     u1, u2 = emb.vertices[0], emb.vertices[1]
     trace.audit(
         "twin-edge/eq5-closed-equal",
@@ -708,7 +701,7 @@ def _c5_rec(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
     leaf = _triangle_free_leaf(trace, live)
     if leaf is not None:
         return leaf
-    omega = require_clique_number(g, trace.budget, within=live).lower
+    omega = trace.clique(live).lower
     # Layers around a root of largest degree in G[live]: its neighbors, the
     # second sphere, and everything further or unreachable.
     v = max(bits(live), key=lambda w: ((g.rows[w] & live).bit_count(), -w))
@@ -723,12 +716,7 @@ def _c5_rec(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
     cats: dict[int, int] = {}
     a012 = 0
     for u in bits(n1):
-        missed = n2plus_reach & ~g.rows[u]
-        cats[u] = (
-            require_clique_number(g, trace.budget, within=missed).lower
-            if missed
-            else 0
-        )
+        cats[u] = trace.clique(n2plus_reach & ~g.rows[u]).lower
         if cats[u] <= 2:
             a012 |= 1 << u
     aprime = n1 & ~a012
@@ -807,7 +795,7 @@ def _c5_second_neighborhood(
     omega: int,
 ) -> tuple[dict[int, int], int]:
     g = trace.g
-    c = require_clique_number(g, trace.budget, within=a012).vertices
+    c = trace.clique(a012).vertices
     omega0 = len(c)
     trace.audit(
         "second-nbhd/base-clique",

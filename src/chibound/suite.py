@@ -12,13 +12,13 @@ import time
 from dataclasses import dataclass, field
 
 from .catalog import named_graph
-from .colorers import COLORERS, BINDINGS
-from .exact import BudgetExhausted, SolveBudget, require_chromatic, require_clique_number, verify_coloring
+from .colorers import COLORERS, BINDINGS, ClassMembershipError
+from .exact import BudgetExhausted, SolveBudget, require_chromatic, verify_coloring
 from .generators import SampleConfig, SampleExhausted, SplitMix64, mutate_within_class, sample_class
 from .graphs import Graph, complete
 # perfbench's tracer wraps the is_member this module binds, so it stays bound.
-from .patterns import class_by_name, in_class, is_member
-from .trace import AuditViolation
+from .patterns import class_by_name, is_member
+from .trace import AuditViolation, ProofTrace
 
 _PROFILE_DENSE = ((6, 0.5), (9, 0.75), (12, 0.9))
 _PROFILES: dict[str, tuple[tuple[int, float], ...]] = {
@@ -189,15 +189,19 @@ def _run_instance(
         if verify_coloring(g, coloring) is not None:
             verdict = "fail"
             note = "improper"
+    except ClassMembershipError as exc:
+        raise RuntimeError(f"internal: sampled a graph outside {class_name}") from exc
     except AuditViolation as exc:
+        trace = exc.trace
         verdict = "fail"
         note = f"audit:{exc.step.tag}"
         violated = 1
     except BudgetExhausted:
+        trace = ProofTrace(class_name, g, budget)
         verdict = "unknown"
         note = "colorer-budget"
     try:
-        omega = require_clique_number(g, budget).lower
+        omega = trace.clique(g.full_mask).lower
         bound = BINDINGS[class_name](omega) if omega >= 1 else 0
     except BudgetExhausted:
         if verdict == "pass":
@@ -272,7 +276,5 @@ def run_suite(
                 )
             )
             continue
-        if not in_class(inst, spec):
-            raise RuntimeError(f"internal: sampled a graph outside {spec.name}")
         report.records.append(_run_instance(index, spec.name, inst, budget))
     return report

@@ -10,20 +10,22 @@ surrounding procedure still guarantees the final palette bound.
 A trace belongs to one coloring run: it holds the run's input graph, which
 every step is evaluated against, and the run's SolveBudget.  All vertex ids
 in a trace refer to that graph, no matter how deep the recursion that
-produced the step.  The pattern-absence kinds (p3-free, k1k3-absent) are
-answered by the induced-subgraph search of the patterns module.
+produced the step.  ProofTrace.clique solves the clique number of each vertex
+set once per run under that budget; the colorers and a recorded omega-le step
+read it.  evaluate_step takes the run, and replay() evaluates on a fresh run of
+its own graph, so it solves every clique afresh under the default budget.  The
+pattern-absence kinds (p3-free, k1k3-absent) are answered by the
+induced-subgraph search of the patterns module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
+from .exact import CliqueResult, SolveBudget, require_clique_number
 from .graphs import Graph, bits, components, is_independent, mask_of
 from .patterns import PATTERNS, find_induced
-
-if TYPE_CHECKING:
-    from .exact import SolveBudget
 
 HOLDS = "holds"
 SOFT_GAP = "soft-gap"
@@ -65,12 +67,12 @@ def _is_clique(g: Graph, m: int) -> bool:
     return all(g.rows[v] & m == m & ~(1 << v) for v in bits(m))
 
 
-def evaluate_step(g: Graph, kind: str, sets: dict[str, tuple[int, ...]],
-                  numbers: dict[str, int],
-                  budget: SolveBudget | None = None) -> bool:
-    """Re-evaluate one audit predicate against the graph.  The budget bounds
-    the exact clique solve of the omega-le kind, which raises
-    BudgetExhausted when it runs out."""
+def evaluate_step(run: ProofTrace, kind: str, sets: dict[str, tuple[int, ...]],
+                  numbers: dict[str, int]) -> bool:
+    """Re-evaluate one audit predicate against the run's graph.  The omega-le
+    kind reads run.clique, which raises BudgetExhausted when the run's
+    budget runs out."""
+    g = run.g
     if kind == "value-le":
         return numbers["value"] <= numbers["bound"]
     if kind == "empty-set":
@@ -87,9 +89,7 @@ def evaluate_step(g: Graph, kind: str, sets: dict[str, tuple[int, ...]],
     if kind == "k1k3-absent":
         return find_induced(g, PATTERNS["k1_union_k3"], within=x) is None
     if kind == "omega-le":
-        from .exact import require_clique_number
-
-        return require_clique_number(g, budget, within=x).lower <= numbers["bound"]
+        return run.clique(x).lower <= numbers["bound"]
     y = _mask(g, sets["Y"]) if "Y" in sets else 0
     if kind == "anticomplete":
         return x & y == 0 and all(g.rows[v] & y == 0 for v in bits(x))
@@ -114,6 +114,14 @@ class ProofTrace:
         self.g = g
         self.budget = budget
         self.steps: list[TraceStep] = []
+        self._cliques: dict[int, CliqueResult] = {}
+
+    def clique(self, mask: int) -> CliqueResult:
+        """Proven maximum clique of G[mask], solved once per run under the
+        run's budget.  BudgetExhausted propagates and is never cached."""
+        if mask not in self._cliques:
+            self._cliques[mask] = require_clique_number(self.g, self.budget, within=mask)
+        return self._cliques[mask]
 
     def audit(
         self,
@@ -134,9 +142,7 @@ class ProofTrace:
             for name, vals in (sets or {}).items()
         )
         frozen_nums = tuple((numbers or {}).items())
-        ok = evaluate_step(
-            self.g, kind, dict(frozen_sets), dict(frozen_nums), self.budget
-        )
+        ok = evaluate_step(self, kind, dict(frozen_sets), dict(frozen_nums))
         verdict = HOLDS if ok else (SOFT_GAP if soft else VIOLATED)
         step = TraceStep(tag, kind, assertion, verdict, frozen_sets, frozen_nums)
         self.steps.append(step)
@@ -165,11 +171,13 @@ def replay(g: Graph, trace: ProofTrace) -> list[TraceStep]:
     """Re-evaluate every step against the graph; return the mismatches.
 
     A step replays cleanly when re-evaluation agrees with the recorded
-    verdict: holds-steps still hold, soft-gap steps still fail.
+    verdict: holds-steps still hold, soft-gap steps still fail.  Steps are
+    evaluated on a fresh run, so cliques are solved afresh on g.
     """
+    run = ProofTrace(trace.label, g)
     bad = []
     for step in trace.steps:
-        ok = evaluate_step(g, step.kind, dict(step.sets), dict(step.numbers))
+        ok = evaluate_step(run, step.kind, dict(step.sets), dict(step.numbers))
         if ok != (step.verdict == HOLDS):
             bad.append(step)
     return bad

@@ -1,21 +1,26 @@
 """Suite runner reports and the command-line front end."""
 
 import re
+from collections import Counter
 
 import pytest
 
 from chibound import (
     COLORERS,
+    ProofTrace,
     SuiteRecord,
     cycle,
+    color_k4_free,
+    color_kite_free,
     complete,
     dumps,
+    extremal_family,
     loads,
     named_graph,
     run_suite,
     write_graph,
 )
-from chibound import suite
+from chibound import exact, suite
 from chibound.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERDICT, main
 
 
@@ -220,8 +225,13 @@ class TestCliColorVerify:
 
     def test_color_omega_respects_budget(self, grotzsch_file, monkeypatch):
         # The colorer is stubbed out, so only the omega report can run out.
-        done = COLORERS["KiteFree"](named_graph("grotzsch"))
-        monkeypatch.setitem(COLORERS, "KiteFree", lambda g, budget: done)
+        # Like a real colorer, the stub returns a trace bound to the caller's
+        # budget, so the report's omega is solved under it.
+        coloring, _ = COLORERS["KiteFree"](named_graph("grotzsch"))
+        monkeypatch.setitem(
+            COLORERS, "KiteFree",
+            lambda g, budget: (coloring, ProofTrace("KiteFree", g, budget)),
+        )
         code = main(["color", "--class", "kitefree", grotzsch_file, "--budget-nodes", "1"])
         assert code == EXIT_UNKNOWN
 
@@ -241,6 +251,38 @@ class TestCliColorVerify:
         garbage = tmp_path / "garbage.txt"
         garbage.write_text("zero one two\n")
         assert main(["verify", str(k3), "--coloring", str(garbage)]) == EXIT_USAGE
+
+
+class TestOneCliqueSolvePerMask:
+    """A run solves the clique number of each vertex set at most once: the
+    colorers, the omega-le audits and the final palette bound share the
+    run's answer, and the CLI report reads it too."""
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        counts = Counter()
+        real = exact.clique_number
+
+        def counted(g, budget=None, *, within=None):
+            counts[g, g.full_mask if within is None else within] += 1
+            return real(g, budget, within=within)
+
+        monkeypatch.setattr(exact, "clique_number", counted)
+        return counts
+
+    def test_k4_free_colorer(self, solves):
+        color_k4_free(named_graph("schlafli_complement"))
+        assert solves and max(solves.values()) == 1
+
+    def test_kite_free_colorer(self, solves):
+        color_kite_free(extremal_family("kite-odd", 2))
+        assert solves and max(solves.values()) == 1
+
+    def test_color_command(self, solves, tmp_path):
+        path = tmp_path / "schlafli.g6"
+        write_graph(named_graph("schlafli_complement"), str(path))
+        assert main(["color", "--class", "k4free", str(path)]) == EXIT_OK
+        assert solves and max(solves.values()) == 1
 
 
 class TestCliSuiteHuntBench:

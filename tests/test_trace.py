@@ -29,7 +29,7 @@ from oracles import clique_components, has_k1_union_k3
 
 def _eval(g, kind, sets=None, numbers=None):
     frozen = {k: tuple(v) for k, v in (sets or {}).items()}
-    return evaluate_step(g, kind, frozen, numbers or {})
+    return evaluate_step(ProofTrace("Demo", g), kind, frozen, numbers or {})
 
 
 class TestEvaluateStep:
@@ -76,11 +76,9 @@ class TestEvaluateStep:
         assert not _eval(g, "omega-le", sets={"X": range(11)}, numbers={"bound": 1})
 
     def test_omega_le_uses_the_given_budget(self):
+        run = ProofTrace("Demo", cycle(5), SolveBudget(node_limit=1))
         with pytest.raises(BudgetExhausted):
-            evaluate_step(
-                cycle(5), "omega-le", {"X": tuple(range(5))}, {"bound": 2},
-                SolveBudget(node_limit=1),
-            )
+            evaluate_step(run, "omega-le", {"X": tuple(range(5))}, {"bound": 2})
 
     def test_omega_le_on_a_subset(self):
         g = disjoint_union(complete(4), complete(2))
@@ -145,9 +143,9 @@ class TestPatternAbsenceKinds:
     search, against direct mask predicates."""
 
     def _check(self, g, m):
-        sets = {"X": tuple(bits(m))}
-        assert evaluate_step(g, "p3-free", sets, {}) == clique_components(g, m)
-        assert evaluate_step(g, "k1k3-absent", sets, {}) == (not has_k1_union_k3(g, m))
+        run, sets = ProofTrace("Demo", g), {"X": tuple(bits(m))}
+        assert evaluate_step(run, "p3-free", sets, {}) == clique_components(g, m)
+        assert evaluate_step(run, "k1k3-absent", sets, {}) == (not has_k1_union_k3(g, m))
 
     @given(_masked(_gnp_host(12)))
     @settings(max_examples=150, deadline=None)
@@ -218,6 +216,8 @@ class TestReplay:
         trace.audit("ok/indep", "independent", "holds here", sets={"X": [0, 2]})
         trace.audit("gap/indep", "independent", "soft here",
                     sets={"X": [0, 1]}, soft=True)
+        trace.audit("ok/omega", "omega-le", "no triangle",
+                    sets={"X": range(5)}, numbers={"bound": 2})
         return g, trace
 
     def test_clean_replay(self):
@@ -226,8 +226,10 @@ class TestReplay:
 
     def test_mismatch_when_holds_step_breaks(self):
         _, trace = self._trace_on_cycle()
+        # The omega-le step is flagged only if replay solves the clique on
+        # K5 itself rather than reading the recording run's answer on C5.
         bad = replay(complete(5), trace)
-        assert [s.tag for s in bad] == ["ok/indep"]
+        assert [s.tag for s in bad] == ["ok/indep", "ok/omega"]
 
     def test_trace_budget_reaches_omega_steps(self):
         trace = ProofTrace("Demo", cycle(5), SolveBudget(node_limit=1))
