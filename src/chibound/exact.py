@@ -19,6 +19,11 @@ searched whole as before.  A split clique search still returns the clique
 the whole search would have returned; a split coloring colors the parts with
 disjoint palettes.  A chromatic solve walks the complement at most once: it
 reuses the parts its clique search walked.
+
+The chromatic solver tries k = omega, omega + 1, ... in turn.  Its k search
+picks as DSATUR does (most neighbor colors, then highest degree, then lowest
+id) and keeps saturation in level masks, one per count of neighbor colors,
+so a search node costs O(k) mask operations and walks no vertex list.
 """
 
 from __future__ import annotations
@@ -286,74 +291,101 @@ def clique_number(
     return CliqueResult(tuple(best), len(best), upper, complete, ticker.nodes)
 
 
+def _shift(level: list[int], moved: int, order: range) -> None:
+    """Move the vertices of moved one level along order (ascending is up).
+    A vertex sits in one level at most, so each level's share is a carry."""
+    carry = 0
+    for s in order:
+        here = level[s] & moved
+        level[s] ^= here ^ carry
+        carry = here
+
+
 def _k_color_search(
     rows: Sequence[int], verts: list[int], k: int, ticker: _Ticker, clique: list[int]
 ) -> Coloring | None:
     """k-coloring search on the given vertices, with the clique precolored
     0, 1, ...; needs k >= len(clique).  A found coloring lists the vertices
     in the order of verts; None proves that no k-coloring exists.  Raises
-    _OutOfBudget when the ticker runs out."""
+    _OutOfBudget when the ticker runs out.
+
+    Each node colors the uncolored vertex with the most neighbor colors,
+    then the highest degree, then the lowest id (DSATUR, Brelaz 1979).
+    Saturation lives in masks, as in San Segundo's PASS (2012): near[c]
+    holds the vertices with a neighbor colored c, and level[s] the
+    uncolored vertices with exactly s neighbor colors, s = 0..k.  Coloring
+    v with c reaches rows[v] & ~near[c] and moves those vertices up one
+    level; the forward check fails when one would reach level k."""
     colors = [-1] * len(rows)
-    # Color masks already present on each vertex's neighborhood.
-    adj_colors = [0] * len(rows)
+    near = [0] * k
     for i, v in enumerate(clique):
         colors[v] = i
-        for w in bits(rows[v]):
-            adj_colors[w] |= 1 << i
-    uncolored = [v for v in verts if colors[v] < 0]
+        near[i] = rows[v]
+    by_degree: dict[int, int] = {}
+    for v in verts:
+        if colors[v] < 0:
+            d = rows[v].bit_count()
+            by_degree[d] = by_degree.get(d, 0) | 1 << v
+    degree_classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+    level = [sum(degree_classes)] + [0] * k
+    n_free = level[0].bit_count()
+    up, down = range(k + 1), range(k, -1, -1)
+    for reached in near:
+        _shift(level, reached, up)
 
-    def pick() -> int:
-        best_v = -1
-        best_key = (-1, -1, 1)
-        for v in uncolored:
-            if colors[v] >= 0:
-                continue
-            key = (adj_colors[v].bit_count(), rows[v].bit_count(), -v)
-            if key > best_key:
-                best_key = key
-                best_v = v
-        return best_v
-
-    # One frame per vertex colored so far: [vertex, colors left to try,
-    # neighbors its current color touched, colors in use before it].
+    # One frame per vertex colored so far: [vertex, its level, colors left
+    # to try, neighbors its current color reached, colors in use before it].
     stack: list[list] = []
     used = len(clique)
     while True:
         ticker.tick()
-        if len(stack) == len(uncolored):
+        if len(stack) == n_free:
             return Coloring(tuple(colors[v] for v in verts))
-        v = pick()
+        s = k
+        while not level[s]:
+            s -= 1
+        top = level[s]
+        for mask in degree_classes:
+            if top & mask:
+                top &= mask
+                break
+        bit = top & -top
+        v = bit.bit_length() - 1
+        level[s] ^= bit
         # New color indices are tried only in ascending order: allowing one
         # fresh color per step breaks the color-permutation symmetry.
-        stack.append([v, ~adj_colors[v] & ((1 << min(k, used + 1)) - 1), [], used])
+        avail = 0
+        for c in range(min(k, used + 1)):
+            if not near[c] & bit:
+                avail |= 1 << c
+        stack.append([v, s, avail, 0, used])
         # Move the deepest vertex to its next color that passes the forward
         # check, backtracking out of vertices that have none left.
         while True:
             if not stack:
                 return None
             frame = stack[-1]
-            v, avail, touched, used = frame
-            if colors[v] >= 0:
-                for w in touched:
-                    adj_colors[w] &= ~(1 << colors[v])
-                touched.clear()
+            v, s, avail, reached, used = frame
+            c = colors[v]
+            if c >= 0:
+                near[c] ^= reached
+                _shift(level, reached, down)
                 colors[v] = -1
             if not avail:
+                level[s] |= 1 << v
                 stack.pop()
                 continue
             c = (avail & -avail).bit_length() - 1
-            frame[1] = avail & (avail - 1)
+            frame[2] = avail & (avail - 1)
+            reached = rows[v] & ~near[c]
+            if reached & level[k - 1]:  # one would reach level k
+                continue
+            near[c] |= reached
+            _shift(level, reached, up)
             colors[v] = c
-            ok = True
-            for w in bits(rows[v]):
-                if not adj_colors[w] >> c & 1:
-                    adj_colors[w] |= 1 << c
-                    touched.append(w)
-                    if colors[w] < 0 and adj_colors[w].bit_count() >= k:
-                        ok = False
-            if ok:
-                used = max(used, c + 1)
-                break
+            frame[3] = reached
+            used = max(used, c + 1)
+            break
 
 
 def _first_fit_coloring(rows: Sequence[int], verts: list[int]) -> Coloring:

@@ -6,12 +6,16 @@ graph6 decoder below shares no code with the package reader.  Slow is fine;
 the enumerations run on orders <= 8.  The two mask predicates check the
 p3-free and k1k3-absent audit kinds without the pattern search, and the
 reference sampler is sample_class's rejection loop over the full
-membership test, witness search included.
+membership test, witness search included.  The reference k search is the
+chromatic solver's earlier per-vertex scan, which the mask-based search must
+match node for node.
 """
 
 from itertools import combinations, permutations, product
+from typing import Sequence
 
-from chibound import Graph, SplitMix64, class_by_name, gnp, is_member
+from chibound import Coloring, Graph, SplitMix64, class_by_name, gnp, is_member
+from chibound.exact import _Ticker
 from chibound.graphs import bits, components
 
 
@@ -204,3 +208,77 @@ def decode_graph6_reference(line: str) -> tuple[int, set[tuple[int, int]]]:
                 edges.add((u, v))
             idx += 1
     return n, edges
+
+
+def reference_k_color_search(
+    rows: Sequence[int], verts: list[int], k: int, ticker: _Ticker, clique: list[int]
+) -> Coloring | None:
+    """The k-coloring search as it was before its saturation moved into
+    masks, kept verbatim: pick() scans every uncolored vertex for the most
+    neighbor colors, then the highest degree, then the lowest id.
+
+    k-coloring search on the given vertices, with the clique precolored
+    0, 1, ...; needs k >= len(clique).  A found coloring lists the vertices
+    in the order of verts; None proves that no k-coloring exists.  Raises
+    _OutOfBudget when the ticker runs out."""
+    colors = [-1] * len(rows)
+    # Color masks already present on each vertex's neighborhood.
+    adj_colors = [0] * len(rows)
+    for i, v in enumerate(clique):
+        colors[v] = i
+        for w in bits(rows[v]):
+            adj_colors[w] |= 1 << i
+    uncolored = [v for v in verts if colors[v] < 0]
+
+    def pick() -> int:
+        best_v = -1
+        best_key = (-1, -1, 1)
+        for v in uncolored:
+            if colors[v] >= 0:
+                continue
+            key = (adj_colors[v].bit_count(), rows[v].bit_count(), -v)
+            if key > best_key:
+                best_key = key
+                best_v = v
+        return best_v
+
+    # One frame per vertex colored so far: [vertex, colors left to try,
+    # neighbors its current color touched, colors in use before it].
+    stack: list[list] = []
+    used = len(clique)
+    while True:
+        ticker.tick()
+        if len(stack) == len(uncolored):
+            return Coloring(tuple(colors[v] for v in verts))
+        v = pick()
+        # New color indices are tried only in ascending order: allowing one
+        # fresh color per step breaks the color-permutation symmetry.
+        stack.append([v, ~adj_colors[v] & ((1 << min(k, used + 1)) - 1), [], used])
+        # Move the deepest vertex to its next color that passes the forward
+        # check, backtracking out of vertices that have none left.
+        while True:
+            if not stack:
+                return None
+            frame = stack[-1]
+            v, avail, touched, used = frame
+            if colors[v] >= 0:
+                for w in touched:
+                    adj_colors[w] &= ~(1 << colors[v])
+                touched.clear()
+                colors[v] = -1
+            if not avail:
+                stack.pop()
+                continue
+            c = (avail & -avail).bit_length() - 1
+            frame[1] = avail & (avail - 1)
+            colors[v] = c
+            ok = True
+            for w in bits(rows[v]):
+                if not adj_colors[w] >> c & 1:
+                    adj_colors[w] |= 1 << c
+                    touched.append(w)
+                    if colors[w] < 0 and adj_colors[w].bit_count() >= k:
+                        ok = False
+            if ok:
+                used = max(used, c + 1)
+                break

@@ -18,6 +18,7 @@ from chibound import (
     complete,
     cycle,
     empty,
+    extremal_family,
     gnp,
     greedy_coloring,
     join,
@@ -29,7 +30,12 @@ from chibound import (
 )
 from chibound import exact
 
-from oracles import brute_chromatic_number, brute_clique_number, has_edge
+from oracles import (
+    brute_chromatic_number,
+    brute_clique_number,
+    has_edge,
+    reference_k_color_search,
+)
 
 
 class TestCliqueNumber:
@@ -66,7 +72,14 @@ class TestChromaticNumber:
         g = cycle(999)
         res = chromatic_number(g)
         assert res.complete and res.value == 3
+        assert res.nodes_used == 998
         assert verify_coloring(g, res.coloring) is None
+
+    def test_search_effort_is_pinned(self):
+        # Node counts are deterministic: a count that moves means the k
+        # search's vertex or color order moved.
+        assert chromatic_number(named_graph("schlafli_complement")).nodes_used == 7020
+        assert chromatic_number(extremal_family("kite-odd", 2)).nodes_used == 7048
 
     def test_empty_graph(self):
         res = chromatic_number(empty(0))
@@ -175,6 +188,37 @@ class TestWithinMask:
         assert require_clique_number(g, within=0b11111).value == 2
         value, coloring = require_chromatic(g, within=0b11111)
         assert value == 3 and coloring.n == 5
+
+
+def _same_as_reference(g: Graph, budget: SolveBudget, within: int | None = None):
+    """The solve with the k search swapped for the reference search gives
+    the same result, bounds, node count and coloring included."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exact, "_k_color_search", reference_k_color_search)
+        ref = chromatic_number(g, budget, within=within)
+    assert chromatic_number(g, budget, within=within) == ref
+
+
+class TestKColorSearchReference:
+    """The mask-based k search against the per-vertex scan it replaced."""
+
+    @given(
+        st.integers(min_value=0, max_value=14),
+        st.sampled_from([0.3, 0.5, 0.7]),
+        st.integers(min_value=0, max_value=2**32),
+        st.none() | st.integers(min_value=0, max_value=2**14 - 1),
+        st.sampled_from([3, 40, 10_000]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, n, p, seed, mask, nodes):
+        g = gnp(n, p, seed)
+        within = None if mask is None else mask & g.full_mask
+        _same_as_reference(g, SolveBudget(node_limit=nodes), within)
+
+    def test_schlafli_complement_across_budgets(self):
+        g = named_graph("schlafli_complement")
+        for nodes in range(1, 7021, 97):
+            _same_as_reference(g, SolveBudget(node_limit=nodes))
 
 
 # The path 0-2-3-1: first-fit by id uses 3 colors where 2 suffice.
