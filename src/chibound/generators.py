@@ -1,9 +1,11 @@
 """Seeded random and extremal instance generation.
 
 The random stream is a splitmix64 generator written out in full so corpora
-are reproducible bit-for-bit across platforms and languages.  Samplers
-reject until a draw passes class membership; the hunt hill-climbs over
-membership-preserving edge toggles looking for high-chromatic members.
+are reproducible bit-for-bit across platforms and languages; ``gnp`` takes
+each vertex pair's draw by its index.  Samplers reject until a draw passes
+class membership, stopping a draw at the first vertex that closes a
+forbidden copy; the hunt hill-climbs over membership-preserving edge toggles
+looking for high-chromatic members.
 """
 
 from __future__ import annotations
@@ -20,15 +22,20 @@ from .exact import (
     require_clique_number,
 )
 from .graphs import Graph, join
-from .patterns import ClassSpec, class_by_name, in_class, is_member
+from .patterns import _ANCHORED, ClassSpec, class_by_name, in_class, is_member
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 class SplitMix64:
-    """splitmix64: state += 0x9E3779B97F4A7C15; z = state; z = (z ^ z>>30) *
-    0xBF58476D1CE4E5B9; z = (z ^ z>>27) * 0x94D049BB133111EB; return z ^ z>>31.
-    All arithmetic modulo 2^64."""
+    """splitmix64: state += _GAMMA; return _mix(state), modulo 2^64."""
 
     __slots__ = ("state",)
 
@@ -36,11 +43,8 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        self.state = (self.state + _GAMMA) & _MASK64
+        return _mix(self.state)
 
     def below(self, n: int) -> int:
         """Uniform draw in [0, n) by rejection, so streams stay portable."""
@@ -53,6 +57,24 @@ class SplitMix64:
                 return draw % n
 
 
+def _grow(rows: list[int], edges: list[tuple[int, int]], p: float, seed: int):
+    """Draw G(n, p) into rows and edges, n = len(rows), one vertex at a time,
+    yielding w once they hold G[0..w].  Draw i of the stream is
+    _mix(seed + i * gamma), so the pair (u, w), u < w, takes draw
+    idx(u, w) + 1 = w + u*n - u*(u+3)/2 directly."""
+    n = len(rows)
+    threshold = int(p * (_MASK64 + 1))
+    first = [seed + (u * n - u * (u + 3) // 2) * _GAMMA for u in range(n)]
+    for w in range(n):
+        at = w * _GAMMA
+        for u in range(w):
+            if _mix((first[u] + at) & _MASK64) < threshold:
+                rows[u] |= 1 << w
+                rows[w] |= 1 << u
+                edges.append((u, w))
+        yield w
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
     """Seeded G(n, p): pairs (u, v) with u < v in lexicographic order each
     consume one draw; the edge exists when draw < floor(p * 2^64)."""
@@ -60,14 +82,9 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("order must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be within [0, 1]")
-    threshold = int(p * (_MASK64 + 1))
-    rng = SplitMix64(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.next_u64() < threshold
-    ]
+    edges: list[tuple[int, int]] = []
+    for _ in _grow([0] * n, edges, p, seed):
+        pass
     return Graph(n, edges, name=f"gnp-{n}")
 
 
@@ -102,14 +119,23 @@ class SampleExhausted(RuntimeError):
 
 
 def sample_class(cfg: SampleConfig) -> Graph:
-    """First G(n, p) draw that is a member of the class, by pure rejection.
-    Only the verdict is asked for (``in_class``), not a witness."""
+    """First G(n, p) draw that is a member of the class, by rejection.
+
+    A try draws ``gnp``'s graph one vertex at a time and stops as soon as an
+    anchored kernel finds a forbidden copy through the last vertex w (once
+    w + 1 reaches the pattern's order).  G[0..w] is induced in the whole
+    draw, so the graph returned and the tries spent are those of drawing
+    every graph whole; a draw that completes gets the full verdict."""
     spec = class_by_name(cfg.class_name)
+    kernels = [(p.graph.n - 1, _ANCHORED[p.graph]) for p in spec.forbidden if p.graph in _ANCHORED]
     rng = SplitMix64(cfg.seed)
     for _ in range(cfg.max_tries):
-        g = gnp(cfg.n, cfg.p, rng.next_u64())
-        if in_class(g, spec):
-            return g
+        rows, edges = [0] * cfg.n, []
+        grown = _grow(rows, edges, cfg.p, rng.next_u64())
+        if all(k(rows, (2 << w) - 1, w) for w in grown for low, k in kernels if w >= low):
+            g = Graph(cfg.n, edges, name=f"gnp-{cfg.n}")
+            if in_class(g, spec):
+                return g
     raise SampleExhausted(cfg)
 
 

@@ -7,9 +7,10 @@ line or character position in the message.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
-from .graphs import Graph
+from .graphs import Graph, bits
 
 FORMATS = ("dimacs", "graph6")
 
@@ -77,11 +78,10 @@ def read_dimacs(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def _pair_stream(n: int):
-    """graph6 bit order: column v, rows 0..v-1, for v = 1..n-1."""
-    for v in range(1, n):
-        for u in range(v):
-            yield u, v
+# The six bits of each body character, most significant first, and back.
+# Column v of the body holds the pairs (0, v), ..., (v - 1, v).
+_G6_BITS = {63 + i: format(i, "06b") for i in range(64)}
+_G6_CHAR = {six: chr(code) for code, six in _G6_BITS.items()}
 
 
 def write_graph6(g: Graph) -> str:
@@ -93,19 +93,11 @@ def write_graph6(g: Graph) -> str:
         head = "~" + "".join(
             chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)
         )
-    body = []
-    group = 0
-    filled = 0
-    for u, v in _pair_stream(g.n):
-        group = group << 1 | (g.rows[u] >> v & 1)
-        filled += 1
-        if filled == 6:
-            body.append(chr(63 + group))
-            group = 0
-            filled = 0
-    if filled:
-        body.append(chr(63 + (group << (6 - filled))))
-    return head + "".join(body)
+    flat = "".join(
+        format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n)
+    )
+    flat += "0" * (-len(flat) % 6)
+    return head + "".join([_G6_CHAR[flat[i:i + 6]] for i in range(0, len(flat), 6)])
 
 
 def read_graph6(text: str) -> Graph:
@@ -138,15 +130,17 @@ def read_graph6(text: str) -> Graph:
         raise GraphParseError(
             f"body has {len(body)} chars, order {n} needs {need_chars}"
         )
-    flat: list[int] = []
-    for pos, ch in enumerate(body, start=1):
-        if not 63 <= ord(ch) <= 126:
-            raise GraphParseError(f"body char {pos}: byte out of graph6 range")
-        value = ord(ch) - 63
-        flat += (value >> shift & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(flat[need_bits:]):
+    bad = re.search("[^?-~]", body)
+    if bad:
+        raise GraphParseError(f"body char {bad.start() + 1}: byte out of graph6 range")
+    flat = body.translate(_G6_BITS)
+    if "1" in flat[need_bits:]:
         raise GraphParseError("non-zero padding bits")
-    return Graph(n, [pair for pair, bit in zip(_pair_stream(n), flat) if bit])
+    edges = []
+    for v in range(1, n):
+        start = v * (v - 1) // 2
+        edges += [(u, v) for u in bits(int(flat[start:start + v][::-1], 2))]
+    return Graph(n, edges)
 
 
 def _detect_format(path: Path, fmt: str | None) -> str:

@@ -15,7 +15,8 @@ complement is connected) is proved absent per co-component: each induced
 copy lies inside one co-component of the host, so on a join each part is
 searched on its own.  When a copy exists, the whole host is searched, so the
 copy returned is the one the plain search finds.  A search through a host
-pair takes neither shortcut.
+pair (u, v) asks only the kernel anchored at u, for p3_union_p2 and k4: no
+copy through u leaves none through u and v.  Any copy comes from the search.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import cache
 from typing import Sequence
 
 from .catalog import named_graph
-from .graphs import Graph, co_components, complete, cycle, mask_of, path, restrict
+from .graphs import Graph, bits, co_components, complete, cycle, mask_of, path, restrict
 
 MAX_PATTERN_ORDER = 8
 
@@ -264,6 +265,41 @@ _ABSENT = {
 }
 
 
+def _p3p2_through(rows: Sequence[int], m: int, w: int) -> bool:
+    """Whether G[m] has no P3 + P2 through w: no neighbour y of w leaves a P3
+    in G - N[w] - N[y], and no edge xy off N[w] leaves w a component in
+    G - N[x] - N[y] that is not a clique (a neighbour z with another closed
+    neighbourhood)."""
+    rw = rows[w]
+    if not all(_clusters(rows, m & ~(rw | rows[y])) for y in bits(rw & m)):
+        return False
+    bit = 1 << w
+    rest = m & ~rw & ~bit
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        rx = rows[low.bit_length() - 1]
+        ys = rx & rest
+        while ys:
+            b = ys & -ys
+            ys ^= b
+            side = m & ~(rx | rows[b.bit_length() - 1])
+            closed = zs = rw & side | bit
+            while zs:
+                z = zs & -zs
+                if rows[z.bit_length() - 1] & side | z != closed:
+                    return False
+                zs ^= z
+    return True
+
+
+# Vertex-anchored kernels: kernel(rows, m, w) is True when no copy in G[m] holds w.
+_ANCHORED = {
+    named_graph("p3_union_p2"): _p3p2_through,
+    complete(4): lambda rows, m, w: _triangle_free(rows, rows[w] & m),
+}
+
+
 def _search(
     rows: Sequence[int], full: int, pattern: Pattern, through: tuple[int, int] | None
 ) -> tuple[int, ...] | None:
@@ -344,8 +380,8 @@ def find_induced(
     found is returned; this costs about O(n^(k-2)) instead of O(n^k) for a
     pattern of order k.  When the host with uv toggled back has no
     occurrence, every occurrence holds u and v, so the answer is None
-    exactly when the full search's is; ``is_member`` relies on this.  This
-    search takes neither shortcut.
+    exactly when the full search's is; ``is_member`` relies on this.  The
+    kernel anchored at u (see the module docstring) needs no precondition.
     """
     if through is not None:
         u, v = through
@@ -355,10 +391,14 @@ def find_induced(
             raise ValueError(f"through needs two distinct vertices, got ({u}, {v})")
     rows, full = restrict(host, within)
     absent = _ABSENT.get(pattern.graph)
-    if through is None and absent is not None:
+    if through is not None:
+        anchored = _ANCHORED.get(pattern.graph)
+        if anchored is not None and anchored(rows, full, through[0]):
+            return None
+    elif absent is not None:
         if absent(rows, full):
             return None
-    elif through is None and _co_connected(pattern.graph):
+    elif _co_connected(pattern.graph):
         parts = co_components(host, full)
         if len(parts) > 1 and all(
             _search([r & part for r in rows], part, pattern, None) is None

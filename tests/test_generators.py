@@ -1,5 +1,7 @@
 """Seeded generation: random stream, samplers, mutation, witnesses, hunt."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from chibound import (
     mutate_within_class,
     named_graph,
     sample_class,
+    write_graph6,
 )
 
 from oracles import reference_sample_class
@@ -96,16 +99,16 @@ class TestGnp:
     def test_edge_decisions_follow_the_stream(self):
         # One draw per vertex pair in lexicographic order, edge present when
         # the draw falls under floor(p * 2^64).
-        n, p, seed = 6, 0.37, 991
-        threshold = int(p * (_MASK64 + 1))
-        stream = iter(_reference_stream(seed, n * (n - 1) // 2))
-        expected = [
-            (u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if next(stream) < threshold
-        ]
-        assert list(gnp(n, p, seed).edges()) == expected
+        for n, p, seed in ((6, 0.37, 991), (0, 0.5, 1), (1, 0.5, 2), (2, 0.5, 3), (13, 0.6, _MASK64)):
+            threshold = int(p * (_MASK64 + 1))
+            stream = iter(_reference_stream(seed, n * (n - 1) // 2))
+            expected = [
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if next(stream) < threshold
+            ]
+            assert list(gnp(n, p, seed).edges()) == expected, (n, p, seed)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -132,8 +135,11 @@ class TestSampleClass:
 
     @pytest.mark.parametrize("cls", sorted(CLASSES))
     def test_matches_reference_loop_in_every_class(self, cls):
-        # Orders 0 and 1 accept the first draw; the others reject some.
-        for n, p, seed in ((0, 0.5, 1), (1, 0.5, 2), (5, 0.5, 3), (9, 0.3, 4), (12, 0.9, 5)):
+        # Orders 0 to 2 accept the first draw; the others reject some, and
+        # at p = 1 every draw is one complete graph.
+        cases = [(0, 0.5, 1), (1, 0.5, 2), (5, 0.5, 3), (9, 0.3, 4), (12, 0.9, 5)]
+        cases += [(0, 0.0, 6), (1, 1.0, 7), (2, 0.0, 8), (2, 1.0, 9), (7, 0.0, 10), (7, 1.0, 11)]
+        for n, p, seed in cases:
             cfg = SampleConfig(n=n, p=p, seed=seed, class_name=cls, max_tries=200)
             want = reference_sample_class(cfg)
             if want is None:
@@ -157,6 +163,21 @@ class TestSampleClass:
                 sample_class(cfg)
         else:
             assert sample_class(cfg) == want
+
+    @pytest.mark.parametrize(
+        "cfg, tries, line",
+        [
+            (SampleConfig(10, 0.3, 5, "K4Free"), 11, "IG_?aTWuo"),
+            # K1 + K3 has an isolated vertex: a vertex drawn with no edge to
+            # the ones before it can still complete a copy.
+            (SampleConfig(9, 0.5, 3, "K1K3Free"), 148, "H|vrZZk"),
+        ],
+    )
+    def test_pinned_multi_try_samples(self, cfg, tries, line):
+        assert write_graph6(sample_class(cfg)) == line
+        assert sample_class(replace(cfg, max_tries=tries)) == sample_class(cfg)
+        with pytest.raises(SampleExhausted):
+            sample_class(replace(cfg, max_tries=tries - 1))
 
     def test_exhaustion_matches_reference_loop(self):
         # Every draw of G(8, 1) is K8, which holds a triangle.

@@ -76,6 +76,19 @@ class TestGraph6:
         n, edges = decode_graph6_reference(line)
         assert (n, edges) == (g.n, set(g.edges()))
 
+    @given(
+        st.integers(min_value=0, max_value=62) | st.integers(min_value=63, max_value=70),
+        st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reference_decoder_round_trip(self, n, p, seed):
+        # Orders from 63 take the four-byte size form.
+        g = gnp(n, p, seed)
+        line = write_graph6(g)
+        assert decode_graph6_reference(line) == (n, set(g.edges()))
+        assert read_graph6(line) == g
+
     def test_four_byte_size_form(self):
         g = Graph(100, [(0, 99)])
         line = write_graph6(g)
@@ -89,13 +102,14 @@ class TestGraph6:
 
     def test_padding_must_be_zero(self):
         # C5 fills 10 of 12 bit slots, so the final group ends in two
-        # padding bits; setting the lowest one must be rejected.
+        # padding bits; setting either one must be rejected.
         line = write_graph6(cycle(5))
         group = ord(line[-1]) - 63
-        assert group & 1 == 0
-        corrupted = line[:-1] + chr(63 + (group | 1))
-        with pytest.raises(GraphParseError):
-            read_graph6(corrupted)
+        assert group & 3 == 0
+        for pad in (1, 2):
+            corrupted = line[:-1] + chr(63 + (group | pad))
+            with pytest.raises(GraphParseError, match="padding"):
+                read_graph6(corrupted)
 
     def test_out_of_range_byte_rejected(self):
         with pytest.raises(GraphParseError):

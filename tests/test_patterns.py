@@ -1,6 +1,7 @@
 """Induced-pattern detection and hereditary class membership."""
 
 from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ from chibound import (
     sample_class,
 )
 from chibound.graphs import restrict
-from chibound.patterns import _ABSENT, _co_connected, _search, in_class
+from chibound.patterns import _ABSENT, _ANCHORED, _co_connected, _search, in_class
 
 from oracles import (
     brute_find_induced,
@@ -304,6 +305,42 @@ class TestAbsenceKernels:
         assert _ABSENT[renamed.graph] is _ABSENT[PATTERNS["p3"].graph]
         assert find_induced(path(3), renamed) == Embedding("cherry", (0, 1, 2))
         assert find_induced(complete(3), renamed) is None
+
+
+class TestAnchoredKernels:
+    """kernel(rows, m, w) says absent exactly when no induced copy in G[m]
+    holds w, and a search through (u, v) returns the pinned search's copy."""
+
+    @given(
+        st.integers(min_value=1, max_value=9),
+        st.sampled_from([0.2, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**32),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_match_brute_force(self, n, p, seed, data):
+        host = gnp(n, p, seed)
+        m = data.draw(st.integers(0, host.full_mask))
+        for name in ("p3_union_p2", "k4"):
+            pattern = PATTERNS[name].graph
+            copies = [vs for vs in induced_embeddings(host, pattern) if all(m >> v & 1 for v in vs)]
+            for w in host.vertices():
+                if m >> w & 1:
+                    held = any(w in vs for vs in copies)
+                    assert _ANCHORED[pattern](host.rows, m, w) == (not held), (name, w)
+
+    @pytest.mark.parametrize("cls", ["KiteFree", "HammerFree", "C5Free", "K4Free", "P2K3Free"])
+    def test_through_matches_pinned_search_on_member_toggles(self, cls):
+        spec = CLASSES[cls]
+        for seed in range(3):
+            for n, p in ((12, 0.8), (12, 0.15)):
+                g = _member(spec, n, p, seed)
+                for u, v in combinations(range(n), 2):
+                    cand = g.toggled(u, v)
+                    for pattern in spec.forbidden:
+                        pinned = _search(cand.rows, cand.full_mask, pattern, (u, v))
+                        want = None if pinned is None else Embedding(pattern.name, pinned)
+                        assert find_induced(cand, pattern, through=(u, v)) == want
 
 
 class TestInClass:
