@@ -118,16 +118,21 @@ def greedy_coloring(g: Graph) -> Coloring:
 
 
 def _first_fit(rows: Sequence[int], order: Iterable[int]) -> list[int]:
-    """First-fit colors by vertex id along the order; -1 off the order."""
+    """First-fit colors by vertex id along the order; -1 off the order.
+    Each color class is kept as a vertex mask, so v gets the first class
+    that misses its row."""
     colors = [-1] * len(rows)
+    classes: list[int] = []
     for v in order:
-        taken = 0
-        for w in bits(rows[v]):
-            if colors[w] >= 0:
-                taken |= 1 << colors[w]
+        row = rows[v]
         c = 0
-        while taken >> c & 1:
+        for members in classes:
+            if not members & row:
+                break
             c += 1
+        else:
+            classes.append(0)
+        classes[c] |= 1 << v
         colors[v] = c
     return colors
 

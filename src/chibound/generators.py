@@ -125,17 +125,16 @@ def sample_class(cfg: SampleConfig) -> Graph:
     anchored kernel finds a forbidden copy through the last vertex w (once
     w + 1 reaches the pattern's order).  G[0..w] is induced in the whole
     draw, so the graph returned and the tries spent are those of drawing
-    every graph whole; a draw that completes gets the full verdict."""
+    every graph whole.  Every copy lies in the prefix that ends at its last
+    vertex, so a draw that completes is a member."""
     spec = class_by_name(cfg.class_name)
-    kernels = [(p.graph.n - 1, _ANCHORED[p.graph]) for p in spec.forbidden if p.graph in _ANCHORED]
+    kernels = [(p.graph.n - 1, _ANCHORED[p.graph]) for p in spec.forbidden]
     rng = SplitMix64(cfg.seed)
     for _ in range(cfg.max_tries):
         rows, edges = [0] * cfg.n, []
         grown = _grow(rows, edges, cfg.p, rng.next_u64())
         if all(k(rows, (2 << w) - 1, w) for w in grown for low, k in kernels if w >= low):
-            g = Graph(cfg.n, edges, name=f"gnp-{cfg.n}")
-            if in_class(g, spec):
-                return g
+            return Graph(cfg.n, edges, name=f"gnp-{cfg.n}")
     raise SampleExhausted(cfg)
 
 
@@ -149,21 +148,27 @@ def _unrank_pair(idx: int, n: int) -> tuple[int, int]:
     return u, u + 1 + idx
 
 
+def _require_member(g: Graph, spec: ClassSpec, what: str) -> None:
+    """Raise ValueError naming a forbidden copy when g is not in the class."""
+    if not in_class(g, spec):
+        witness = is_member(g, spec).witness
+        assert witness is not None
+        raise ValueError(
+            f"{what} is not in {spec.name}: induced "
+            f"{witness.pattern} on {sorted(witness.vertices)}"
+        )
+
+
 def mutate_within_class(g: Graph, class_name: str, steps: int, seed: int) -> Graph:
     """Random single-edge toggles, each kept only when the result still
     passes membership; always returns an in-class graph.
 
-    The start graph gets the full membership test.  Each toggle of the pair
-    uv is then tested with ``is_member(..., through=(u, v))``: the graph it
-    came from is a member, so only forbidden copies through u and v can
-    appear."""
+    The start graph gets the full membership verdict.  Each toggle of the
+    pair uv is then tested with ``in_class(..., through=(u, v))``: the graph
+    it came from is a member, so only forbidden copies through u and v can
+    appear, and the kernels anchored at u decide."""
     spec = class_by_name(class_name)
-    verdict = is_member(g, spec)
-    if not verdict:
-        assert verdict.witness is not None
-        raise ValueError(
-            f"graph is not in {spec.name}: induced {verdict.witness.pattern}"
-        )
+    _require_member(g, spec, "graph")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     pairs = g.n * (g.n - 1) // 2
@@ -173,7 +178,7 @@ def mutate_within_class(g: Graph, class_name: str, steps: int, seed: int) -> Gra
     for _ in range(steps):
         u, v = _unrank_pair(rng.below(pairs), g.n)
         candidate = g.toggled(u, v)
-        if is_member(candidate, spec, through=(u, v)):
+        if in_class(candidate, spec, through=(u, v)):
             g = candidate
     return g
 
@@ -241,7 +246,7 @@ def _hunt_start(spec: ClassSpec, n: int, rng: SplitMix64) -> Graph:
             continue
     k = min(n, 3)
     triangle = Graph(n, [(u, v) for u in range(k) for v in range(u + 1, k)])
-    return triangle if is_member(triangle, spec) else Graph(n)
+    return triangle if in_class(triangle, spec) else Graph(n)
 
 
 def hunt(
@@ -256,9 +261,9 @@ def hunt(
 
     Starts from a sampled member of the class unless a start graph is given.
     Moves are single-edge toggles kept only when membership is preserved.
-    The start and the result get the full membership test; the current
+    The start and the result get the full membership verdict; the current
     graph is always a member, so a toggle of uv is tested only for forbidden
-    copies through u and v (``is_member(..., through=(u, v))``).  A
+    copies through u and v (``in_class(..., through=(u, v))``).  A
     move is accepted when its exact chromatic number beats the current one,
     or ties it with fewer edges.  The exact solver only runs when the greedy
     upper bound leaves an acceptance possible, and a candidate whose solve
@@ -274,13 +279,7 @@ def hunt(
         start = _hunt_start(spec, n, rng)
     else:
         n = start.n
-    verdict = is_member(start, spec)
-    if not verdict:
-        assert verdict.witness is not None
-        raise ValueError(
-            f"start graph is not in {spec.name}: induced "
-            f"{verdict.witness.pattern} on {sorted(verdict.witness.vertices)}"
-        )
+    _require_member(start, spec, "start graph")
     cur = start
     cur_chi, _ = require_chromatic(cur, budget)
     evaluations = 1
@@ -288,7 +287,7 @@ def hunt(
     for _ in range(steps if pairs else 0):
         u, v = _unrank_pair(rng.below(pairs), n)
         cand = cur.toggled(u, v)
-        if not is_member(cand, spec, through=(u, v)):
+        if not in_class(cand, spec, through=(u, v)):
             continue
         upper = greedy_coloring(cand).palette
         tie_possible = cand.edge_count < cur.edge_count and upper >= cur_chi
@@ -304,8 +303,7 @@ def hunt(
         ):
             cur, cur_chi = cand, cand_chi
     omega = require_clique_number(cur, budget).lower
-    final = is_member(cur, spec)
-    if not final:
+    if not in_class(cur, spec):
         raise RuntimeError("internal: hunt left the class")
     return HuntResult(
         class_name=spec.name,

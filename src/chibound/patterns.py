@@ -8,15 +8,21 @@ lexicographically least one in that search order.  A search through a
 host pair pins two pattern vertices to it first and keeps that order for
 the rest.
 
-Absence of p3, k3, k4, p3_union_p2, p2_union_k3 and k1_union_k3 is decided
-by an anchored kernel, by bit operations on the host rows alone; the kernels
-are keyed by pattern graph.  Every other co-connected pattern (its
+Every forbidden pattern of every class in CLASSES (k3, k4, kite, hammer, c5,
+p3_union_p2, p2_union_k3, k1_union_k3) has a vertex-anchored kernel, which
+tells by bit operations on the host rows alone whether any copy holds a given
+vertex w, case by case over the role w plays in the copy.  Absence of p3,
+k3, k4, p3_union_p2, p2_union_k3 and k1_union_k3 is decided by a whole-graph
+kernel, and absence of kite, hammer and c5 by sweeping the anchored kernel
+over the vertices in id order, since each copy holds its last vertex.  The
+kernels are keyed by pattern graph.  Every other co-connected pattern (its
 complement is connected) is proved absent per co-component: each induced
 copy lies inside one co-component of the host, so on a join each part is
 searched on its own.  When a copy exists, the whole host is searched, so the
 copy returned is the one the plain search finds.  A search through a host
-pair (u, v) asks only the kernel anchored at u, for p3_union_p2 and k4: no
-copy through u leaves none through u and v.  Any copy comes from the search.
+pair (u, v) first asks the kernel anchored at u: no copy through u leaves
+none through u and v.  ``in_class`` gives the verdict from the kernels
+alone.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from functools import cache
 from typing import Sequence
 
 from .catalog import named_graph
-from .graphs import Graph, bits, co_components, complete, cycle, mask_of, path, restrict
+from .graphs import Graph, co_components, complete, cycle, mask_of, path, restrict
 
 MAX_PATTERN_ORDER = 8
 
@@ -253,6 +259,261 @@ def _edge_anchored(far_free):
     return absent
 
 
+def _edgeless(rows: Sequence[int], m: int) -> bool:
+    """Whether G[m] has no edge."""
+    rest = m
+    while rest:
+        low = rest & -rest
+        if rows[low.bit_length() - 1] & m:
+            return False
+        rest ^= low
+    return True
+
+
+def _clique_at(rows: Sequence[int], m: int, w: int) -> bool:
+    """Whether no P3 in G[m] holds w: every vertex of N[w] has N[w] as its
+    closed neighbourhood, so w's component is a clique."""
+    closed = zs = rows[w] & m | 1 << w
+    while zs:
+        z = zs & -zs
+        if rows[z.bit_length() - 1] & m | z != closed:
+            return False
+        zs ^= z
+    return True
+
+
+def _k3_at(rows: Sequence[int], m: int, w: int) -> bool:
+    """Whether no triangle in G[m] holds w: N(w) has no edge."""
+    return _edgeless(rows, rows[w] & m)
+
+
+def _edge_through(far_free, at_free):
+    """Kernel anchored at w for P + P2, given far_free(rows, m), which tells
+    that G[m] is P-free, and at_free(rows, m, w), which tells that no P in
+    G[m] holds w.  A copy holds w either in its P2, with a neighbour y that
+    leaves a P in G - N[w] - N[y], or in its P, opposite an edge xy off N[w]
+    that leaves a P through w in G - N[x] - N[y].  P-freeness is hereditary,
+    so the first case needs a P in G - N[w]."""
+
+    def absent(rows: Sequence[int], m: int, w: int) -> bool:
+        rw = rows[w]
+        out = m & ~rw & ~(1 << w)
+        rest = 0 if far_free(rows, out) else rw & m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if not far_free(rows, out & ~rows[low.bit_length() - 1]):
+                return False
+        rest = out
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            rx = rows[low.bit_length() - 1]
+            ys = rx & rest
+            while ys:
+                b = ys & -ys
+                ys ^= b
+                if not at_free(rows, m & ~(rx | rows[b.bit_length() - 1]), w):
+                    return False
+        return True
+
+    return absent
+
+
+def _k1k3_through(rows: Sequence[int], m: int, w: int) -> bool:
+    """Whether G[m] has no K1 + K3 through w: no triangle misses N[w], and no
+    edge xy in N(w) misses a vertex off N[w]."""
+    rw = rows[w]
+    out = m & ~rw & ~(1 << w)
+    if not _triangle_free(rows, out):
+        return False
+    rest = rw & m
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        rx = rows[low.bit_length() - 1]
+        far = out & ~rx
+        ys = rx & rest if far else 0
+        while ys:
+            b = ys & -ys
+            if far & ~rows[b.bit_length() - 1]:
+                return False
+            ys ^= b
+    return True
+
+
+# The kite, hammer and C5 kernels below start each case from a vertex o off
+# N[w]: every vertex of those patterns has a non-neighbour in the pattern.
+# On the dense members a hunt walks through, N[w] is most of G and the cases
+# cost little.
+
+
+def _kite_through(rows: Sequence[int], m: int, w: int) -> bool:
+    """Whether G[m] has no kite through w.  The kite is a diamond, centres c
+    and c' adjacent to each other and to the tips t and t', with a pendant p
+    on t'.  For each o off N[w]: w is p with o and a later y as the
+    centres; w is a centre with o as p; or w and o are the tips."""
+    rw = rows[w]
+    near = rw & m
+    rest = out = m & ~rw & ~(1 << w)
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        ro = rows[low.bit_length() - 1]
+        # w = p, o and y the centres: t' in N(w), t off N[w], t' and t apart.
+        ys = ro & rest
+        while ys:
+            b = ys & -ys
+            ys ^= b
+            both = ro & rows[b.bit_length() - 1]
+            tips = near & both
+            ts = out & both if tips else 0
+            while ts:
+                t = ts & -ts
+                if tips & ~rows[t.bit_length() - 1]:
+                    return False
+                ts ^= t
+        # w = c, o = p: c' in N(w) - N(o) sees t' in N(w) & N(o) and t in
+        # N(w) - N(o) - N(t').
+        held = near & ro
+        cs = near & ~ro if held else 0
+        while cs:
+            c = cs & -cs
+            cs ^= c
+            rc = rows[c.bit_length() - 1]
+            ts = rc & near & ~ro
+            tps = rc & held if ts else 0
+            while tps:
+                t = tps & -tps
+                if ts & ~rows[t.bit_length() - 1]:
+                    return False
+                tps ^= t
+        # w and o the tips: the centres an edge xy of N(w) & N(o), and p on
+        # w (off N(o)) or on o (off N(w)) misses x and y.
+        pend = near & ~ro | out & ro
+        xs = near & ro if pend else 0
+        while xs:
+            x = xs & -xs
+            xs ^= x
+            rx = rows[x.bit_length() - 1]
+            spare = pend & ~rx
+            ys = rx & xs if spare else 0
+            while ys:
+                b = ys & -ys
+                if spare & ~rows[b.bit_length() - 1]:
+                    return False
+                ys ^= b
+    return True
+
+
+def _hammer_through(rows: Sequence[int], m: int, w: int) -> bool:
+    """Whether G[m] has no hammer through w.  The hammer is a triangle
+    t t' h with a path h - i - e.  For each o off N[w]: o and a later y are
+    t and t', with w as i or e; or o is e, with w as h or a triangle
+    vertex."""
+    rw = rows[w]
+    near = rw & m
+    rest = m & ~rw & ~(1 << w)
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        ro = rows[low.bit_length() - 1]
+        # o, y = t, t': a hub h that sees both, and in N(w) - N(o) - N(y)
+        # either e off N(h) (h in N(w), w = i) or i in N(h) (h off N(w), w = e).
+        ys = ro & rest
+        while ys:
+            b = ys & -ys
+            ys ^= b
+            ry = rows[b.bit_length() - 1]
+            miss = near & ~(ro | ry)
+            hs = ro & ry & m if miss else 0
+            while hs:
+                h = hs & -hs
+                rh = rows[h.bit_length() - 1]
+                if miss & (~rh if h & near else rh):
+                    return False
+                hs ^= h
+        # o = e and i in N(o): w = h when i is in N(w), with an edge tt' in
+        # N(w) - N(o) - N(i); w a triangle vertex when i is off N[w], with an
+        # edge from h in N(w) & N(i) - N(o) to t' in N(w) - N(i) - N(o).
+        tri = near & ~ro
+        mids = ro & m if tri else 0
+        while mids:
+            i = mids & -mids
+            mids ^= i
+            ri = rows[i.bit_length() - 1]
+            if i & near:
+                if not _edgeless(rows, tri & ~ri):
+                    return False
+                continue
+            hubs = tri & ri
+            others = tri & ~ri if hubs else 0
+            while others and hubs:
+                h = hubs & -hubs
+                if rows[h.bit_length() - 1] & others:
+                    return False
+                hubs ^= h
+    return True
+
+
+def _c5_through(rows: Sequence[int], m: int, w: int) -> bool:
+    """Whether G[m] has no induced C5 through w: no edge ab off N[w] has a
+    neighbour x of w in N(a) - N(b) apart from a neighbour y of w in
+    N(b) - N(a)."""
+    rw = rows[w]
+    near = rw & m
+    rest = m & ~rw & ~(1 << w)
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        ra = rows[low.bit_length() - 1]
+        bs = ra & rest
+        while bs:
+            b = bs & -bs
+            bs ^= b
+            rb = rows[b.bit_length() - 1]
+            ys = near & rb & ~ra
+            xs = near & ra & ~rb if ys else 0
+            while xs:
+                x = xs & -xs
+                if ys & ~rows[x.bit_length() - 1]:
+                    return False
+                xs ^= x
+    return True
+
+
+# Vertex-anchored kernels: kernel(rows, m, w) is True exactly when no induced
+# copy in G[m] holds w.  Every pattern of every class in CLASSES has one.
+_ANCHORED = {
+    complete(3): _k3_at,
+    complete(4): lambda rows, m, w: _triangle_free(rows, rows[w] & m),
+    named_graph("p3_union_p2"): _edge_through(_clusters, _clique_at),
+    named_graph("p2_union_k3"): _edge_through(_triangle_free, _k3_at),
+    named_graph("k1_union_k3"): _k1k3_through,
+    named_graph("kite"): _kite_through,
+    named_graph("hammer"): _hammer_through,
+    cycle(5): _c5_through,
+}
+
+
+def _swept(anchored):
+    """Absence kernel from an anchored one: each copy in G[m] holds its last
+    vertex w and lies in the part of m up to w."""
+
+    def absent(rows: Sequence[int], m: int) -> bool:
+        seen = 0
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            seen |= low
+            if not anchored(rows, seen, low.bit_length() - 1):
+                return False
+        return True
+
+    return absent
+
+
 # Absence kernels by pattern graph: kernel(rows, m) is True exactly when
 # G[m] has no induced copy of the pattern.
 _ABSENT = {
@@ -262,41 +523,9 @@ _ABSENT = {
     named_graph("p3_union_p2"): _edge_anchored(_clusters),
     named_graph("p2_union_k3"): _edge_anchored(_triangle_free),
     named_graph("k1_union_k3"): _triangles_dominate,
-}
-
-
-def _p3p2_through(rows: Sequence[int], m: int, w: int) -> bool:
-    """Whether G[m] has no P3 + P2 through w: no neighbour y of w leaves a P3
-    in G - N[w] - N[y], and no edge xy off N[w] leaves w a component in
-    G - N[x] - N[y] that is not a clique (a neighbour z with another closed
-    neighbourhood)."""
-    rw = rows[w]
-    if not all(_clusters(rows, m & ~(rw | rows[y])) for y in bits(rw & m)):
-        return False
-    bit = 1 << w
-    rest = m & ~rw & ~bit
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        rx = rows[low.bit_length() - 1]
-        ys = rx & rest
-        while ys:
-            b = ys & -ys
-            ys ^= b
-            side = m & ~(rx | rows[b.bit_length() - 1])
-            closed = zs = rw & side | bit
-            while zs:
-                z = zs & -zs
-                if rows[z.bit_length() - 1] & side | z != closed:
-                    return False
-                zs ^= z
-    return True
-
-
-# Vertex-anchored kernels: kernel(rows, m, w) is True when no copy in G[m] holds w.
-_ANCHORED = {
-    named_graph("p3_union_p2"): _p3p2_through,
-    complete(4): lambda rows, m, w: _triangle_free(rows, rows[w] & m),
+    named_graph("kite"): _swept(_kite_through),
+    named_graph("hammer"): _swept(_hammer_through),
+    cycle(5): _swept(_c5_through),
 }
 
 
@@ -431,12 +660,15 @@ def is_member(
     return Membership(cls.name, True)
 
 
-def in_class(g: Graph, cls: ClassSpec) -> bool:
-    """The verdict of ``is_member`` alone.  Patterns with an absence kernel
-    go first, smallest first, and the kernel alone decides them."""
-    order = sorted(cls.forbidden, key=lambda p: (p.graph not in _ABSENT, p.graph.n, p.name))
-    for pattern in order:
-        absent = _ABSENT.get(pattern.graph)
-        if not (absent(g.rows, g.full_mask) if absent else find_induced(g, pattern) is None):
-            return False
-    return True
+def in_class(
+    g: Graph, cls: ClassSpec, *, through: tuple[int, int] | None = None
+) -> bool:
+    """The verdict of ``is_member`` alone, from the kernels, with no search.
+
+    With ``through=(u, v)``, under ``is_member``'s precondition, every
+    forbidden copy holds u, so the kernels anchored at u decide; without
+    it, the absence kernels do."""
+    rows, full = g.rows, g.full_mask
+    if through is None:
+        return all(_ABSENT[p.graph](rows, full) for p in cls.forbidden)
+    return all(_ANCHORED[p.graph](rows, full, through[0]) for p in cls.forbidden)

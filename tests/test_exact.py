@@ -391,6 +391,18 @@ class TestVerifyAndGreedy:
             earlier = {colors[w] for w in range(v) if g.rows[v] >> w & 1}
             assert colors[v] == min(set(range(v + 1)) - earlier)
 
+    @given(st.integers(min_value=0, max_value=2**32), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_first_fit_along_a_partial_order(self, seed, data):
+        # The least color no neighbor earlier in the order has; -1 off it.
+        g = gnp(10, 0.5, seed)
+        order = data.draw(st.permutations(range(g.n)))[: data.draw(st.integers(0, g.n))]
+        colors = exact._first_fit(g.rows, order)
+        for i, v in enumerate(order):
+            earlier = {colors[w] for w in order[:i] if g.rows[v] >> w & 1}
+            assert colors[v] == min(set(range(i + 1)) - earlier)
+        assert all(colors[v] == -1 for v in g.vertices() if v not in order)
+
 
 class TestBudgetValidation:
     def test_rejects_nonpositive(self):

@@ -216,7 +216,7 @@ class TestFindInducedOnJoins:
         assert emb is not None and emb.image == frozenset(range(1, 6))
 
 
-KERNEL_PATTERNS = ("p3", "k3", "k4", "p3_union_p2", "p2_union_k3", "k1_union_k3")
+KERNEL_PATTERNS = ("p3", "k3", "k4", "kite", "hammer", "c5", "p3_union_p2", "p2_union_k3", "k1_union_k3")
 
 
 def _within(host: Graph):
@@ -307,9 +307,27 @@ class TestAbsenceKernels:
         assert find_induced(complete(3), renamed) is None
 
 
+def _member_toggles(spec):
+    """Every single-pair toggle (u, v, candidate) of a few sampled members of
+    the class, dense and sparse."""
+    for seed in range(3):
+        for n, p in ((12, 0.8), (12, 0.15)):
+            g = _member(spec, n, p, seed)
+            for u, v in combinations(range(n), 2):
+                yield u, v, g.toggled(u, v)
+
+
 class TestAnchoredKernels:
     """kernel(rows, m, w) says absent exactly when no induced copy in G[m]
     holds w, and a search through (u, v) returns the pinned search's copy."""
+
+    def test_every_class_pattern_has_one(self):
+        # sample_class and in_class look every forbidden pattern up here,
+        # and in_class also in the absence kernels.
+        for spec in CLASSES.values():
+            for pattern in spec.forbidden:
+                assert pattern.graph in _ANCHORED, (spec.name, pattern.name)
+                assert pattern.graph in _ABSENT, (spec.name, pattern.name)
 
     @given(
         st.integers(min_value=1, max_value=9),
@@ -321,26 +339,29 @@ class TestAnchoredKernels:
     def test_match_brute_force(self, n, p, seed, data):
         host = gnp(n, p, seed)
         m = data.draw(st.integers(0, host.full_mask))
-        for name in ("p3_union_p2", "k4"):
-            pattern = PATTERNS[name].graph
+        for pattern in _ANCHORED:
+            name = pattern.name
             copies = [vs for vs in induced_embeddings(host, pattern) if all(m >> v & 1 for v in vs)]
             for w in host.vertices():
                 if m >> w & 1:
                     held = any(w in vs for vs in copies)
                     assert _ANCHORED[pattern](host.rows, m, w) == (not held), (name, w)
 
-    @pytest.mark.parametrize("cls", ["KiteFree", "HammerFree", "C5Free", "K4Free", "P2K3Free"])
+    @pytest.mark.parametrize("cls", sorted(CLASSES))
     def test_through_matches_pinned_search_on_member_toggles(self, cls):
         spec = CLASSES[cls]
-        for seed in range(3):
-            for n, p in ((12, 0.8), (12, 0.15)):
-                g = _member(spec, n, p, seed)
-                for u, v in combinations(range(n), 2):
-                    cand = g.toggled(u, v)
-                    for pattern in spec.forbidden:
-                        pinned = _search(cand.rows, cand.full_mask, pattern, (u, v))
-                        want = None if pinned is None else Embedding(pattern.name, pinned)
-                        assert find_induced(cand, pattern, through=(u, v)) == want
+        for u, v, cand in _member_toggles(spec):
+            for pattern in spec.forbidden:
+                pinned = _search(cand.rows, cand.full_mask, pattern, (u, v))
+                want = None if pinned is None else Embedding(pattern.name, pinned)
+                assert find_induced(cand, pattern, through=(u, v)) == want
+
+    @pytest.mark.parametrize("cls", sorted(CLASSES))
+    def test_in_class_through_matches_is_member_on_member_toggles(self, cls):
+        spec = CLASSES[cls]
+        for u, v, cand in _member_toggles(spec):
+            want = bool(is_member(cand, spec, through=(u, v)))
+            assert in_class(cand, spec, through=(u, v)) == want, (cls, u, v)
 
 
 class TestInClass:
@@ -354,6 +375,17 @@ class TestInClass:
     def test_agrees_with_is_member(self, cls, n, p, seed):
         g = gnp(n, p, seed)
         assert in_class(g, CLASSES[cls]) == bool(is_member(g, CLASSES[cls]))
+
+    @pytest.mark.parametrize("cls", sorted(CLASSES))
+    def test_agrees_with_is_member_in_every_class(self, cls):
+        # The anchored kernels' prefix sweeps decide kite, hammer and c5;
+        # the grid reaches members and non-members of every class.
+        spec = CLASSES[cls]
+        for n in (5, 8, 11, 14):
+            for p in (0.15, 0.5, 0.85):
+                for seed in range(8):
+                    g = gnp(n, p, seed)
+                    assert in_class(g, spec) == bool(is_member(g, spec)), (cls, n, p, seed)
 
     def test_catalog_members_and_non_members(self):
         assert in_class(named_graph("schlafli_complement"), CLASSES["K4Free"])
