@@ -11,14 +11,14 @@ once, results keep the graph's own vertex ids, and the search runs exactly as
 it would on the induced copy renumbered by ascending id.
 
 Both solvers split a join over its co-components (the components of the
-complement, from ``graphs.co_components``, which the pattern search shares)
-when at least two of them have an edge: clique number and chromatic number
-add over a join, so each part is searched on its own under the one shared
-budget.  A prime graph, or a join of one part with edgeless parts, is
-searched whole as before.  A split clique search still returns the clique
-the whole search would have returned; a split coloring colors the parts with
-disjoint palettes.  A chromatic solve walks the complement at most once: it
-reuses the parts its clique search walked.
+complement, from ``graphs.co_components``) when at least two of them have an
+edge: clique number and chromatic number add over a join, so each part is
+searched on its own under the one shared budget.  A prime graph, or a join
+of one part with edgeless parts, is searched whole as before.  A split
+clique search still returns the clique the whole search would have
+returned; a split coloring colors the parts with disjoint palettes.  A
+chromatic solve walks the complement at most once: it reuses the parts its
+clique search walked.
 
 The chromatic solver tries k = omega, omega + 1, ... in turn.  Its k search
 picks as DSATUR does (most neighbor colors, then highest degree, then lowest

@@ -4,9 +4,7 @@ A class is given by its forbidden induced patterns.  Detection is exact
 backtracking: pattern vertices are matched in a fixed static order
 (descending pattern degree, then id) and host candidates are tried in
 ascending id, so the first embedding found is deterministic and is the
-lexicographically least one in that search order.  A search through a
-host pair pins two pattern vertices to it first and keeps that order for
-the rest.
+lexicographically least one in that search order.
 
 Every forbidden pattern of every class in CLASSES (k3, k4, kite, hammer, c5,
 p3_union_p2, p2_union_k3, k1_union_k3) has a vertex-anchored kernel, which
@@ -15,14 +13,9 @@ vertex w, case by case over the role w plays in the copy.  Absence of p3,
 k3, k4, p3_union_p2, p2_union_k3 and k1_union_k3 is decided by a whole-graph
 kernel, and absence of kite, hammer and c5 by sweeping the anchored kernel
 over the vertices in id order, since each copy holds its last vertex.  The
-kernels are keyed by pattern graph.  Every other co-connected pattern (its
-complement is connected) is proved absent per co-component: each induced
-copy lies inside one co-component of the host, so on a join each part is
-searched on its own.  When a copy exists, the whole host is searched, so the
-copy returned is the one the plain search finds.  A search through a host
-pair (u, v) first asks the kernel anchored at u: no copy through u leaves
-none through u and v.  ``in_class`` gives the verdict from the kernels
-alone.
+kernels are keyed by pattern graph.  When a kernel finds a copy, or the
+pattern has no kernel, the search finds the copy.  ``in_class`` gives the
+verdict from the kernels alone.
 """
 
 from __future__ import annotations
@@ -32,7 +25,7 @@ from functools import cache
 from typing import Sequence
 
 from .catalog import named_graph
-from .graphs import Graph, co_components, complete, cycle, mask_of, path, restrict
+from .graphs import Graph, complete, cycle, mask_of, path, restrict
 
 MAX_PATTERN_ORDER = 8
 
@@ -151,9 +144,12 @@ def class_by_name(name: str) -> ClassSpec:
     )
 
 
-def _plan(p: Graph, order: list[int]) -> tuple:
-    """Per position of a match order: the pattern vertex, and the vertices
-    before it that it must be adjacent and non-adjacent to."""
+@cache
+def _match_plan(p: Graph) -> tuple:
+    """Per position of the static match order (descending degree, then id):
+    the pattern vertex, and the vertices before it that it must be adjacent
+    and non-adjacent to.  Computed once per pattern."""
+    order = sorted(range(p.n), key=lambda i: (-p.rows[i].bit_count(), i))
     return tuple(
         (
             pv,
@@ -162,29 +158,6 @@ def _plan(p: Graph, order: list[int]) -> tuple:
         )
         for pos, pv in enumerate(order)
     )
-
-
-@cache
-def _match_plans(p: Graph):
-    """The plan of the static match order (descending degree, then id), and
-    for each adjacency bit the pinned plans (a, b, plan) of the pairs (a, b)
-    with that adjacency: a and b first, then the other vertices in static
-    order.  Computed once per pattern."""
-    static = sorted(range(p.n), key=lambda i: (-p.rows[i].bit_count(), i))
-    pinned: tuple[list, list] = ([], [])
-    for a in range(p.n):
-        for b in range(p.n):
-            if a != b:
-                rest = [i for i in static if i != a and i != b]
-                pinned[p.rows[a] >> b & 1].append((a, b, _plan(p, [a, b, *rest])))
-    return _plan(p, static), tuple(map(tuple, pinned))
-
-
-@cache
-def _co_connected(p: Graph) -> bool:
-    """Whether the pattern's complement is connected.  Computed once per
-    pattern."""
-    return len(co_components(p, p.full_mask)) == 1
 
 
 def _clusters(rows: Sequence[int], m: int) -> bool:
@@ -529,19 +502,14 @@ _ABSENT = {
 }
 
 
-def _search(
-    rows: Sequence[int], full: int, pattern: Pattern, through: tuple[int, int] | None
-) -> tuple[int, ...] | None:
+def _search(rows: Sequence[int], full: int, pattern: Pattern) -> tuple[int, ...] | None:
     """Backtracking core on G[full], given G's rows restricted to full: the
-    host vertices of the first embedding, or None.  With a host pair
-    ``through`` only embeddings whose image holds both its vertices are
-    searched: each pattern pair of matching adjacency is pinned to it in
-    turn, ascending (a, b), and the rest is matched as usual."""
+    host vertices of the first embedding, or None."""
     p = pattern.graph
     k = p.n
     if k > full.bit_count():
         return None
-    static, pinned = _match_plans(p)
+    plan = _match_plan(p)
     # Host vertices usable for pattern vertex i must have at least its degree.
     host_deg = [r.bit_count() for r in rows]
     need = [r.bit_count() for r in p.rows]
@@ -552,7 +520,6 @@ def _search(
     assign = [0] * k
 
     def extend(pos: int, used: int):
-        # plan is the match plan of the current start, bound below.
         if pos == k:
             return tuple(assign)
         pv, adjacent, apart = plan[pos]
@@ -570,26 +537,11 @@ def _search(
             cand ^= low
         return None
 
-    if through is None:
-        plan = static
-        return extend(0, 0)
-    u, v = through
-    if full >> u & 1 and full >> v & 1:
-        for a, b, plan in pinned[rows[u] >> v & 1]:
-            if degree_ok[a] >> u & 1 and degree_ok[b] >> v & 1:
-                assign[a], assign[b] = u, v
-                got = extend(2, 1 << u | 1 << v)
-                if got is not None:
-                    return got
-    return None
+    return extend(0, 0)
 
 
 def find_induced(
-    host: Graph,
-    pattern: Pattern,
-    *,
-    within: int | None = None,
-    through: tuple[int, int] | None = None,
+    host: Graph, pattern: Pattern, *, within: int | None = None
 ) -> Embedding | None:
     """First induced occurrence of the pattern in the host, or None.
 
@@ -597,64 +549,25 @@ def find_induced(
     and finds the occurrence a search of the induced copy would find; its
     vertices are ids of the host.
 
-    A pattern with an absence kernel is proved absent by the kernel, and
-    on a join any other co-connected pattern one co-component at a time
-    (see the module docstring).  A copy that is found comes from the whole
-    search, as without either shortcut.
-
-    With a pair of distinct host vertices ``through=(u, v)`` only
-    occurrences whose image contains both u and v count.  Each pattern pair
-    (a, b) with the adjacency of u and v is pinned to (u, v) in ascending
-    order of (a, b), the rest is matched as usual, and the first occurrence
-    found is returned; this costs about O(n^(k-2)) instead of O(n^k) for a
-    pattern of order k.  When the host with uv toggled back has no
-    occurrence, every occurrence holds u and v, so the answer is None
-    exactly when the full search's is; ``is_member`` relies on this.  The
-    kernel anchored at u (see the module docstring) needs no precondition.
+    A pattern with an absence kernel is proved absent by the kernel (see
+    the module docstring).  A copy that is found comes from the search, as
+    without the kernel.
     """
-    if through is not None:
-        u, v = through
-        host.check_vertex(u)
-        host.check_vertex(v)
-        if u == v:
-            raise ValueError(f"through needs two distinct vertices, got ({u}, {v})")
     rows, full = restrict(host, within)
     absent = _ABSENT.get(pattern.graph)
-    if through is not None:
-        anchored = _ANCHORED.get(pattern.graph)
-        if anchored is not None and anchored(rows, full, through[0]):
-            return None
-    elif absent is not None:
-        if absent(rows, full):
-            return None
-    elif _co_connected(pattern.graph):
-        parts = co_components(host, full)
-        if len(parts) > 1 and all(
-            _search([r & part for r in rows], part, pattern, None) is None
-            for part in parts
-            if part.bit_count() >= pattern.graph.n
-        ):
-            return None
-    got = _search(rows, full, pattern, through)
+    if absent is not None and absent(rows, full):
+        return None
+    got = _search(rows, full, pattern)
     return None if got is None else Embedding(pattern.name, got)
 
 
-def is_member(
-    g: Graph, cls: ClassSpec, *, through: tuple[int, int] | None = None
-) -> Membership:
+def is_member(g: Graph, cls: ClassSpec) -> Membership:
     """Membership verdict for a hereditary class, smallest patterns first.
 
-    ``through=(u, v)`` is for graphs that differ from a known member in the
-    pair uv alone: precondition, g with uv toggled back is in the class.
-    Then every forbidden copy in g holds both u and v (a copy missing one
-    of them is induced in the member too), so searching only the copies
-    through u and v gives the verdict, and the stopping pattern, of the
-    full test.  The witness is the first copy through u and v, which can
-    differ from the full test's.  Without the precondition the verdict can
-    be wrong; test a graph from scratch with through=None.
-    """
+    The witness of a non-member is the first copy of the first forbidden
+    pattern found."""
     for pattern in sorted(cls.forbidden, key=lambda p: (p.graph.n, p.name)):
-        emb = find_induced(g, pattern, through=through)
+        emb = find_induced(g, pattern)
         if emb is not None:
             return Membership(cls.name, False, emb)
     return Membership(cls.name, True)
@@ -665,9 +578,13 @@ def in_class(
 ) -> bool:
     """The verdict of ``is_member`` alone, from the kernels, with no search.
 
-    With ``through=(u, v)``, under ``is_member``'s precondition, every
-    forbidden copy holds u, so the kernels anchored at u decide; without
-    it, the absence kernels do."""
+    Without ``through`` the absence kernels decide.  ``through=(u, v)`` is
+    for graphs that differ from a known member in the pair uv alone:
+    precondition, g with uv toggled back is in the class.  Then every
+    forbidden copy in g holds both u and v (a copy missing one of them is
+    induced in the member too), so the kernels anchored at u decide.
+    Without the precondition the verdict can be wrong; test a graph from
+    scratch with through=None."""
     rows, full = g.rows, g.full_mask
     if through is None:
         return all(_ABSENT[p.graph](rows, full) for p in cls.forbidden)

@@ -10,8 +10,7 @@ tightness witnesses, and every graph in test_colorers.py that reaches a
 named branch, each colored by every colorer whose class admits it.  The
 larger kite witnesses (joins of three and four Grotzsch graphs, the Schlafli
 complement, and its join with one Grotzsch graph) are colored by the
-KiteFree colorer only: they are the joins whose pattern searches split over
-co-components.
+KiteFree colorer only, the colorer whose bound they are tight for.
 
 Two more digests pin the membership-preserving walks: the hunt results of
 every colorer class at order 16, and mutate_within_class runs from the

@@ -31,7 +31,7 @@ from chibound import (
     sample_class,
 )
 from chibound.graphs import restrict
-from chibound.patterns import _ABSENT, _ANCHORED, _co_connected, _search, in_class
+from chibound.patterns import _ABSENT, _ANCHORED, _search, in_class
 
 from oracles import (
     brute_find_induced,
@@ -115,49 +115,24 @@ class TestFindInducedWithin:
             find_induced(path(3), PATTERNS["p3"], within=1 << 5)
 
 
-def _first_through(pattern, every, u, v):
-    """The copy the pinned search returns first: the first pattern pair
-    (a, b), ascending, that some copy maps to (u, v), then the least such
-    copy with the rest read in static order (descending degree, then id)."""
-    p = pattern.graph
-    static = sorted(range(p.n), key=lambda i: (-degree(p, i), i))
-    for a in range(p.n):
-        for b in range(p.n):
-            hits = [vs for vs in every if a != b and (vs[a], vs[b]) == (u, v)]
-            if hits:
-                rest = [i for i in static if i not in (a, b)]
-                first = min(hits, key=lambda vs: [vs[i] for i in rest])
-                return Embedding(pattern.name, first)
-    return None
-
-
-class TestFindInducedThrough:
-    @given(
-        st.integers(min_value=2, max_value=10),
-        st.sampled_from([0.25, 0.5, 0.75]),
-        st.integers(min_value=0, max_value=2**32),
-        st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_filtered_full_search(self, n, p, seed, data):
-        host = gnp(n, p, seed)
-        u = data.draw(st.integers(min_value=0, max_value=n - 1))
-        v = data.draw(st.integers(min_value=0, max_value=n - 1).filter(lambda x: x != u))
-        for pattern in PATTERNS.values():
-            every = induced_embeddings(host, pattern.graph)
-            emb = find_induced(host, pattern, through=(u, v))
-            assert emb == _first_through(pattern, every, u, v), pattern.name
-
-    def test_pair_outside_mask_finds_nothing(self):
-        host = complete(4)
-        assert find_induced(host, PATTERNS["k3"], through=(0, 1)) is not None
-        assert find_induced(host, PATTERNS["k3"], within=0b1110, through=(0, 1)) is None
-
-    def test_rejects_bad_pair(self):
-        for pattern in ("p3", "k4"):
-            for pair in ((1, 1), (0, 5)):
-                with pytest.raises(ValueError):
-                    find_induced(path(3), PATTERNS[pattern], through=pair)
+class TestWitnessOrder:
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_first_copy_is_least_in_static_order(self, n):
+        # The first embedding is the least copy read in static order:
+        # descending pattern degree, then pattern id.
+        for p in (0.25, 0.5, 0.75):
+            for seed in range(6):
+                host = gnp(n, p, seed)
+                for name, pattern in PATTERNS.items():
+                    g = pattern.graph
+                    static = sorted(range(g.n), key=lambda i: (-degree(g, i), i))
+                    every = induced_embeddings(host, g)
+                    want = (
+                        Embedding(name, min(every, key=lambda vs: [vs[i] for i in static]))
+                        if every
+                        else None
+                    )
+                    assert find_induced(host, pattern) == want, (name, n, p, seed)
 
 
 PART_ORDERS = st.integers(min_value=0, max_value=6)
@@ -165,8 +140,8 @@ PART_DENSITIES = st.sampled_from([0.0, 0.3, 0.6, 1.0])
 
 
 class TestFindInducedOnJoins:
-    """A co-connected pattern is searched part by part on a join to prove
-    it absent; the answer must be the unsplit search's, witness and all."""
+    """On a join, with the parts interleaved in id order, find_induced
+    gives the search's answer, witness and all."""
 
     @given(
         st.lists(
@@ -186,24 +161,11 @@ class TestFindInducedOnJoins:
         keep = [v for v in host.vertices() if within is None or within >> v & 1]
         for name, pattern in PATTERNS.items():
             mine = find_induced(host, pattern, within=within)
-            whole = _search(*restrict(host, within), pattern, None)
+            whole = _search(*restrict(host, within), pattern)
             assert mine == (None if whole is None else Embedding(name, whole)), name
             if host.n <= 8:
                 oracle = brute_find_induced(host.induced(keep), pattern.graph)
                 assert (mine is None) == (oracle is None), name
-
-    def test_co_connected_patterns(self):
-        split = {name for name, p in PATTERNS.items() if _co_connected(p.graph)}
-        assert split == {
-            "2k3",
-            "c5",
-            "hammer",
-            "house",
-            "k1_union_k3",
-            "kite",
-            "p2_union_k3",
-            "p3_union_p2",
-        }
 
     def test_copy_found_in_a_later_part_is_the_first_copy(self):
         # Part A is vertex 0, isolated in A, plus a P3+P2 on 6..10; part B
@@ -234,7 +196,7 @@ class TestAbsenceKernels:
         for name in KERNEL_PATTERNS:
             pattern = PATTERNS[name]
             absent = _ABSENT[pattern.graph](rows, full)
-            whole = _search(rows, full, pattern, None)
+            whole = _search(rows, full, pattern)
             assert absent == (whole is None), name
             mine = find_induced(host, pattern, within=within)
             assert mine == (None if whole is None else Embedding(name, whole)), name
@@ -319,7 +281,7 @@ def _member_toggles(spec):
 
 class TestAnchoredKernels:
     """kernel(rows, m, w) says absent exactly when no induced copy in G[m]
-    holds w, and a search through (u, v) returns the pinned search's copy."""
+    holds w."""
 
     def test_every_class_pattern_has_one(self):
         # sample_class and in_class look every forbidden pattern up here,
@@ -348,19 +310,20 @@ class TestAnchoredKernels:
                     assert _ANCHORED[pattern](host.rows, m, w) == (not held), (name, w)
 
     @pytest.mark.parametrize("cls", sorted(CLASSES))
-    def test_through_matches_pinned_search_on_member_toggles(self, cls):
+    def test_matches_full_search_on_member_toggles(self, cls):
+        # Toggling uv in a member leaves every forbidden copy holding u, so
+        # each kernel anchored at u answers as the search of the whole graph.
         spec = CLASSES[cls]
         for u, v, cand in _member_toggles(spec):
             for pattern in spec.forbidden:
-                pinned = _search(cand.rows, cand.full_mask, pattern, (u, v))
-                want = None if pinned is None else Embedding(pattern.name, pinned)
-                assert find_induced(cand, pattern, through=(u, v)) == want
+                want = find_induced(cand, pattern) is None
+                assert _ANCHORED[pattern.graph](cand.rows, cand.full_mask, u) == want
 
     @pytest.mark.parametrize("cls", sorted(CLASSES))
     def test_in_class_through_matches_is_member_on_member_toggles(self, cls):
         spec = CLASSES[cls]
         for u, v, cand in _member_toggles(spec):
-            want = bool(is_member(cand, spec, through=(u, v)))
+            want = bool(is_member(cand, spec))
             assert in_class(cand, spec, through=(u, v)) == want, (cls, u, v)
 
 
@@ -421,12 +384,13 @@ class TestMembershipThrough:
             u = rng.below(n)
             v = (u + 1 + rng.below(n - 1)) % n
             cand = g.toggled(u, v)
-            fast = is_member(cand, spec, through=(u, v))
-            assert bool(fast) == bool(is_member(cand, spec)), (cls, u, v)
-            if fast:
+            full = is_member(cand, spec)
+            assert in_class(cand, spec, through=(u, v)) == bool(full), (cls, u, v)
+            if full:
                 g = cand
             else:
-                assert {u, v} <= fast.witness.image
+                # g is a member, so every forbidden copy holds u and v.
+                assert {u, v} <= full.witness.image
 
 
 class TestMembership:
