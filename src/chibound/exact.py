@@ -24,6 +24,8 @@ The chromatic solver tries k = omega, omega + 1, ... in turn.  Its k search
 picks as DSATUR does (most neighbor colors, then highest degree, then lowest
 id) and keeps saturation in level masks, one per count of neighbor colors,
 so a search node costs O(k) mask operations and walks no vertex list.
+``k_colorable`` answers at one known k: a maximum clique, then at most one
+such k search.
 """
 
 from __future__ import annotations
@@ -472,6 +474,24 @@ def chromatic_number(
         upper += hi
     witness = Coloring(tuple(colors[v] for v in verts)).compacted()
     return ChromaticResult(lower, upper, witness, complete, ticker.nodes)
+
+
+def k_colorable(g: Graph, k: int, budget: SolveBudget | None = None) -> bool:
+    """Whether g has a proper k-coloring: False when a maximum clique search
+    finds more than k vertices, else the verdict of one k search with that
+    clique precolored.  Both share one budget; raises BudgetExhausted when
+    it runs out before the answer is proven."""
+    ticker = _Ticker(budget or SolveBudget())
+    try:
+        clique, complete, _, _ = _max_clique_search(g.rows, g.full_mask, ticker)
+        if len(clique) > k:
+            return False
+        if not complete:
+            raise _OutOfBudget
+        found = _k_color_search(g.rows, list(g.vertices()), k, ticker, clique)
+    except _OutOfBudget:
+        raise BudgetExhausted(f"{k}-colorability unresolved within budget") from None
+    return found is not None
 
 
 def require_chromatic(

@@ -18,6 +18,7 @@ from .exact import (
     BudgetExhausted,
     SolveBudget,
     greedy_coloring,
+    k_colorable,
     require_chromatic,
     require_clique_number,
 )
@@ -265,9 +266,21 @@ def hunt(
     graph is always a member, so a toggle of uv is tested only for forbidden
     copies through u and v (``in_class(..., through=(u, v))``).  A
     move is accepted when its exact chromatic number beats the current one,
-    or ties it with fewer edges.  The exact solver only runs when the greedy
-    upper bound leaves an acceptance possible, and a candidate whose solve
-    exhausts the budget is skipped.  Never claims optimality.
+    or ties it with fewer edges.
+
+    Only the start's chromatic number c is solved in full: a toggle moves it
+    by at most one, so a candidate needs one ``k_colorable`` decision.  An
+    added edge is kept when the candidate is not c-colorable (chi c + 1), a
+    removed one (a tie with fewer edges) when it is not (c - 1)-colorable.
+    A decision runs only when the greedy coloring uses more than k colors;
+    ``evaluations`` counts the start solve and each completed decision.
+
+    Budget rule: the budget bounds the start solve and each decision on its
+    own.  A start solve that runs out raises BudgetExhausted, a decision
+    that runs out skips its candidate.  Where nothing runs out, the walk is
+    the one a full solve of each candidate's chi would take; under a tight
+    budget a decision can finish where a full solve would not, so more
+    candidates complete.  Never claims optimality.
     """
     spec = class_by_name(class_name)
     if steps < 0:
@@ -289,19 +302,17 @@ def hunt(
         cand = cur.toggled(u, v)
         if not in_class(cand, spec, through=(u, v)):
             continue
-        upper = greedy_coloring(cand).palette
-        tie_possible = cand.edge_count < cur.edge_count and upper >= cur_chi
-        if upper <= cur_chi and not tie_possible:
+        added = cand.rows[u] >> v & 1
+        k = cur_chi if added else cur_chi - 1
+        if greedy_coloring(cand).palette <= k:
             continue
         try:
-            cand_chi, _ = require_chromatic(cand, budget)
+            keep = not k_colorable(cand, k, budget)
         except BudgetExhausted:
             continue
         evaluations += 1
-        if cand_chi > cur_chi or (
-            cand_chi == cur_chi and cand.edge_count < cur.edge_count
-        ):
-            cur, cur_chi = cand, cand_chi
+        if keep:
+            cur, cur_chi = cand, cur_chi + added
     omega = require_clique_number(cur, budget).lower
     if not in_class(cur, spec):
         raise RuntimeError("internal: hunt left the class")

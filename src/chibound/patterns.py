@@ -10,12 +10,12 @@ Every forbidden pattern of every class in CLASSES (k3, k4, kite, hammer, c5,
 p3_union_p2, p2_union_k3, k1_union_k3) has a vertex-anchored kernel, which
 tells by bit operations on the host rows alone whether any copy holds a given
 vertex w, case by case over the role w plays in the copy.  Absence of p3,
-k3, k4, p3_union_p2, p2_union_k3 and k1_union_k3 is decided by a whole-graph
-kernel, and absence of kite, hammer and c5 by sweeping the anchored kernel
-over the vertices in id order, since each copy holds its last vertex.  The
-kernels are keyed by pattern graph.  When a kernel finds a copy, or the
-pattern has no kernel, the search finds the copy.  ``in_class`` gives the
-verdict from the kernels alone.
+k3, k4, p3_union_p2, p2_union_k3, k1_union_k3 and 2k3 (which the K4Free
+colorer seeks) is decided by a whole-graph kernel, and absence of kite,
+hammer and c5 by sweeping the anchored kernel over the vertices in id order,
+since each copy holds its last vertex.  The kernels are keyed by pattern
+graph.  When a kernel finds a copy, or the pattern has no kernel, the search
+finds the copy.  ``in_class`` gives the verdict from the kernels alone.
 """
 
 from __future__ import annotations
@@ -230,6 +230,29 @@ def _edge_anchored(far_free):
         return True
 
     return absent
+
+
+def _no_2k3(rows: Sequence[int], m: int) -> bool:
+    """Whether G[m] is 2K3-free: no triangle xyz, x its lowest vertex,
+    leaves a triangle in G - N(x) - N(y) - N(z)."""
+    rest = m
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        rx = rows[low.bit_length() - 1]
+        ys = rx & rest
+        while ys:
+            b = ys & -ys
+            ys ^= b
+            ry = rows[b.bit_length() - 1]
+            zs = rx & ry & ys
+            rxy = rx | ry
+            while zs:
+                c = zs & -zs
+                zs ^= c
+                if not _triangle_free(rows, m & ~(rxy | rows[c.bit_length() - 1])):
+                    return False
+    return True
 
 
 def _edgeless(rows: Sequence[int], m: int) -> bool:
@@ -496,6 +519,7 @@ _ABSENT = {
     named_graph("p3_union_p2"): _edge_anchored(_clusters),
     named_graph("p2_union_k3"): _edge_anchored(_triangle_free),
     named_graph("k1_union_k3"): _triangles_dominate,
+    named_graph("2k3"): _no_2k3,
     named_graph("kite"): _swept(_kite_through),
     named_graph("hammer"): _swept(_hammer_through),
     cycle(5): _swept(_c5_through),

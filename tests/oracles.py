@@ -8,14 +8,26 @@ p3-free and k1k3-absent audit kinds without the pattern search, and the
 reference sampler is sample_class's rejection loop over the full
 membership test, witness search included.  The reference k search is the
 chromatic solver's earlier per-vertex scan, which the mask-based search must
-match node for node.
+match node for node.  The reference hunt solves every candidate's chromatic
+number in full, where hunt decides one k per toggle.
 """
 
 from itertools import combinations, permutations, product
 from typing import Sequence
 
-from chibound import Coloring, Graph, SplitMix64, class_by_name, gnp, is_member
+from chibound import (
+    Coloring,
+    Graph,
+    SplitMix64,
+    chromatic_number,
+    class_by_name,
+    clique_number,
+    gnp,
+    greedy_coloring,
+    is_member,
+)
 from chibound.exact import _Ticker
+from chibound.generators import _hunt_start, _unrank_pair
 from chibound.graphs import bits, components
 
 
@@ -70,6 +82,39 @@ def reference_sample_class(cfg) -> Graph | None:
         if is_member(g, spec):
             return g
     return None
+
+
+def reference_hunt(
+    class_name: str, n: int, steps: int, seed: int, budget=None
+) -> tuple[Graph, int, int, int]:
+    """What hunt must return without a start graph, as (graph, chi, omega,
+    evaluations): the same start and toggles, every toggle tested by the
+    full is_member, and a full chromatic_number of each candidate that the
+    greedy bound leaves open.  A candidate is kept when its chi beats the
+    current one or ties it with fewer edges; an incomplete solve skips it.
+    Assumes the start solve and the last clique solve complete."""
+    spec = class_by_name(class_name)
+    rng = SplitMix64(seed)
+    cur = _hunt_start(spec, n, rng)
+    cur_chi = chromatic_number(cur, budget).value
+    evaluations = 1
+    pairs = n * (n - 1) // 2
+    for _ in range(steps if pairs else 0):
+        u, v = _unrank_pair(rng.below(pairs), n)
+        cand = cur.toggled(u, v)
+        if not is_member(cand, spec):
+            continue
+        upper = greedy_coloring(cand).palette
+        fewer = cand.edge_count < cur.edge_count
+        if upper < cur_chi or (upper == cur_chi and not fewer):
+            continue
+        res = chromatic_number(cand, budget)
+        if not res.complete:
+            continue
+        evaluations += 1
+        if res.value > cur_chi or (res.value == cur_chi and fewer):
+            cur, cur_chi = cand, res.value
+    return cur, cur_chi, clique_number(cur, budget).value, evaluations
 
 
 def brute_chromatic_number(g: Graph) -> int:

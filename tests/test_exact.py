@@ -24,6 +24,7 @@ from chibound import (
     join,
     mycielskian,
     named_graph,
+    read_graph6,
     require_chromatic,
     require_clique_number,
     verify_coloring,
@@ -197,6 +198,49 @@ def _same_as_reference(g: Graph, budget: SolveBudget, within: int | None = None)
         mp.setattr(exact, "_k_color_search", reference_k_color_search)
         ref = chromatic_number(g, budget, within=within)
     assert chromatic_number(g, budget, within=within) == ref
+
+
+class TestKColorable:
+    """One k search with the greedy maximal clique precolored."""
+
+    @given(
+        st.integers(min_value=0, max_value=7),
+        st.sampled_from([0.3, 0.5, 0.7]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle(self, n, p, seed):
+        g = gnp(n, p, seed)
+        chi = brute_chromatic_number(g)
+        for k in range(n + 1):
+            assert exact.k_colorable(g, k) == (chi <= k), k
+
+    def test_effort_is_pinned_by_the_budget(self):
+        # chi 6, omega 3: the clique search and the refutation of k = 5 take
+        # 6,863 nodes; the clique search and a 6-coloring take 36.
+        g = named_graph("schlafli_complement")
+        assert exact.k_colorable(g, 5, SolveBudget(node_limit=6863)) is False
+        with pytest.raises(BudgetExhausted):
+            exact.k_colorable(g, 5, SolveBudget(node_limit=6862))
+        assert exact.k_colorable(g, 6, SolveBudget(node_limit=36)) is True
+        with pytest.raises(BudgetExhausted):
+            exact.k_colorable(g, 6, SolveBudget(node_limit=35))
+
+    def test_clique_above_k_answers_under_any_budget(self):
+        # The greedy maximal clique of K5 plus a pendant vertex is the K5,
+        # so no search step is needed to refute k <= 4.
+        g = Graph(6, [*complete(5).edges(), (4, 5)])
+        for k in range(5):
+            assert exact.k_colorable(g, k, SolveBudget(node_limit=1)) is False
+
+    def test_clique_search_settles_what_the_greedy_clique_misses(self):
+        # Omega 9 in this 16-vertex C5-free graph (a hunt candidate), but
+        # the greedy maximal clique has 5 vertices: a k search from it takes
+        # 2,977 nodes to refute k = 8, where the clique search takes 9.
+        g = read_graph6("OdtxmO}uXnetnzNjxM}qb")
+        assert len(exact._greedy_maximal_clique(g.rows, g.full_mask)) == 5
+        assert exact.k_colorable(g, 8, SolveBudget(node_limit=9)) is False
+        assert exact.k_colorable(g, 9, SolveBudget(node_limit=17)) is True
 
 
 class TestKColorSearchReference:

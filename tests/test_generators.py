@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from chibound import (
     CLASSES,
+    BudgetExhausted,
     HuntResult,
     SampleConfig,
     SampleExhausted,
+    SolveBudget,
     SplitMix64,
     chromatic_number,
     class_by_name,
@@ -27,7 +29,7 @@ from chibound import (
     write_graph6,
 )
 
-from oracles import reference_sample_class
+from oracles import reference_hunt, reference_sample_class
 
 _MASK64 = (1 << 64) - 1
 
@@ -314,6 +316,47 @@ class TestHunt:
         res = hunt(cls, n=30, steps=1, seed=0)
         assert res.graph.n == 30
         assert is_member(res.graph, class_by_name(cls))
+
+    @pytest.mark.parametrize("n", [10, 16])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("cls", sorted(CLASSES))
+    def test_matches_full_solve_per_candidate(self, cls, seed, n):
+        res = hunt(cls, n=n, steps=100, seed=seed)
+        graph, chi, omega, evaluations = reference_hunt(cls, n, 100, seed)
+        assert write_graph6(res.graph) == write_graph6(graph)
+        assert (res.chi, res.omega, res.evaluations) == (chi, omega, evaluations)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(CLASSES)),
+        st.integers(0, 2**32),
+        st.integers(8, 14),
+        st.integers(5, 60),
+    )
+    def test_chi_stays_exact_when_decisions_run_out(self, cls, seed, n, node_limit):
+        # Under a tight budget some decisions run out and skip their
+        # candidate; the chi carried by +-1 steps must still be exact.
+        budget = SolveBudget(node_limit=node_limit)
+        start = hunt(cls, n=n, steps=0, seed=seed).graph
+        start_done = chromatic_number(start, budget).complete
+        try:
+            res = hunt(cls, n=n, steps=60, seed=seed, budget=budget)
+        except BudgetExhausted as exc:
+            assert not start_done or str(exc).startswith("clique number")
+            return
+        assert start_done
+        assert is_member(res.graph, class_by_name(cls))
+        assert res.chi == chromatic_number(res.graph).value
+
+    def test_tight_budget_completes_more_decisions(self):
+        # A decision at one k can finish where a full solve of chi, clique
+        # search and k = omega, omega + 1, ... under the same budget, runs
+        # out: 16 decisions complete here where 13 full solves would.
+        budget = SolveBudget(node_limit=12)
+        res = hunt("P2K3Free", n=12, steps=100, seed=2, budget=budget)
+        assert res.evaluations == 16
+        assert reference_hunt("P2K3Free", 12, 100, 2, budget)[3] == 13
+        assert res.chi == chromatic_number(res.graph).value
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError, match="not in"):

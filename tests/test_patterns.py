@@ -178,7 +178,9 @@ class TestFindInducedOnJoins:
         assert emb is not None and emb.image == frozenset(range(1, 6))
 
 
-KERNEL_PATTERNS = ("p3", "k3", "k4", "kite", "hammer", "c5", "p3_union_p2", "p2_union_k3", "k1_union_k3")
+KERNEL_PATTERNS = (
+    "p3", "k3", "k4", "kite", "hammer", "c5", "p3_union_p2", "p2_union_k3", "k1_union_k3", "2k3"
+)
 
 
 def _within(host: Graph):
