@@ -17,6 +17,9 @@ hard.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import zip_longest
+from operator import or_
 from typing import Callable
 
 from .exact import SolveBudget, require_chromatic, verify_coloring
@@ -78,40 +81,41 @@ class ClassMembershipError(ValueError):
 # as vertex masks.  Every set they audit or color, and every pattern search
 # and exact solve they run (through the kernels' ``within`` mask), stays in
 # the original vertex ids; no induced copy is built.
+#
+# A colored block is a list of color-class masks: class i is the set of
+# vertices given the block's i-th color, and the block's palette is its
+# length.  Blocks colored on disjoint palette slices are concatenated.
 
 
-def _cluster(g: Graph, m: int) -> tuple[dict[int, int], int]:
-    """Color each connected component of G[m] as a clique, ids ascending."""
-    colors: dict[int, int] = {}
-    palette = 0
+def _cluster(g: Graph, m: int) -> list[int]:
+    """Color each connected component of G[m] as a clique, ids ascending:
+    class i holds the i-th vertex of every component that has one."""
+    classes: list[int] = []
     for comp in components(g, m):
         for i, v in enumerate(bits(comp)):
-            colors[v] = i
-        palette = max(palette, comp.bit_count())
-    return colors, palette
+            if i == len(classes):
+                classes.append(0)
+            classes[i] |= 1 << v
+    return classes
 
 
-def _merge(*blocks: tuple[dict[int, int], int]) -> tuple[dict[int, int], int]:
-    out: dict[int, int] = {}
-    base = 0
-    for colors, palette in blocks:
-        for v, c in colors.items():
-            out[v] = base + c
-        base += palette
-    return out, base
+def _single_color_block(m: int) -> list[int]:
+    return [m] if m else []
 
 
-def _single_color_block(m: int) -> tuple[dict[int, int], int]:
-    return {v: 0 for v in bits(m)}, 1 if m else 0
+def _clique_block(m: int) -> list[int]:
+    return [1 << v for v in bits(m)]
 
 
-def _clique_block(m: int) -> tuple[dict[int, int], int]:
-    return {v: i for i, v in enumerate(bits(m))}, m.bit_count()
+def _exact_block(live: int, colors: tuple[int, ...], palette: int) -> list[int]:
+    """Classes of an exact coloring of G[live], colors listed in id order."""
+    classes = [0] * palette
+    for v, c in zip(bits(live), colors):
+        classes[c] |= 1 << v
+    return classes
 
 
-def _triangle_free_leaf(
-    trace: ProofTrace, live: int
-) -> tuple[dict[int, int], int] | None:
+def _triangle_free_leaf(trace: ProofTrace, live: int) -> list[int] | None:
     """Exact coloring of a triangle-free part, audited; None on a triangle."""
     g = trace.g
     if find_induced(g, PATTERNS["k3"], within=live) is not None:
@@ -124,7 +128,7 @@ def _triangle_free_leaf(
         sets={"X": live},
         numbers={"value": palette, "bound": 4},
     )
-    return dict(zip(bits(live), coloring.colors)), palette
+    return _exact_block(live, coloring.colors, palette)
 
 
 def _dominated_pair(g: Graph, m: int) -> tuple[int, int] | None:
@@ -140,39 +144,32 @@ def _dominated_pair(g: Graph, m: int) -> tuple[int, int] | None:
     return None
 
 
-def _fold_classes(g: Graph, colors: dict[int, int]) -> dict[int, int]:
+def _fold_classes(g: Graph, classes: list[int]) -> list[int]:
     """Merge each color class into the earliest class it has no edge to.
 
     The decomposition accounts block palettes additively, so disjoint blocks
     that never conflict can share colors; folding keeps the coloring proper
     and never increases the palette.
     """
-    by_color: dict[int, int] = {}
-    for v, c in colors.items():
-        by_color[c] = by_color.get(c, 0) | 1 << v
-    folded: dict[int, int] = {}
-    masks: list[int] = []
-    for c in sorted(by_color):
-        members = by_color[c]
+    folded: list[int] = []
+    for members in classes:
         closed = 0
         for v in bits(members):
             closed |= g.rows[v]
-        for i, taken in enumerate(masks):
+        for i, taken in enumerate(folded):
             if taken & closed == 0:
-                masks[i] |= members
-                folded[c] = i
+                folded[i] |= members
                 break
         else:
-            folded[c] = len(masks)
-            masks.append(members)
-    return {v: folded[c] for v, c in colors.items()}
+            folded.append(members)
+    return folded
 
 
 def _wrap(
     class_name: str,
     g: Graph,
     budget: SolveBudget | None,
-    rec: Callable[[ProofTrace, int], tuple[dict[int, int], int]],
+    rec: Callable[[ProofTrace, int], list[int]],
 ) -> tuple[Coloring, ProofTrace]:
     spec: ClassSpec = class_by_name(class_name)
     verdict = is_member(g, spec)
@@ -180,11 +177,14 @@ def _wrap(
         assert verdict.witness is not None
         raise ClassMembershipError(spec.name, verdict.witness)
     trace = ProofTrace(spec.name, g, budget)
-    colors, _ = rec(trace, g.full_mask)
-    if len(colors) != g.n:
-        raise RuntimeError("internal: decomposition did not cover every vertex")
-    colors = _fold_classes(g, colors)
-    coloring = Coloring(tuple(colors[v] for v in range(g.n))).compacted()
+    classes = rec(trace, g.full_mask)
+    if reduce(or_, classes, 0) != g.full_mask or sum(c.bit_count() for c in classes) != g.n:
+        raise RuntimeError("internal: color classes do not partition the vertices")
+    colors = [0] * g.n
+    for i, members in enumerate(_fold_classes(g, classes)):
+        for v in bits(members):
+            colors[v] = i
+    coloring = Coloring(tuple(colors)).compacted()
     omega = trace.clique(g.full_mask).lower
     bound = BINDINGS[spec.name](omega) if omega >= 1 else 0
     trace.audit(
@@ -209,7 +209,7 @@ def color_kite_free(
     return _wrap("KiteFree", g, budget, _kite)
 
 
-def _kite(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
+def _kite(trace: ProofTrace, live: int) -> list[int]:
     g = trace.g
     rules: list[tuple[int, int]] = []
     while True:
@@ -230,13 +230,14 @@ def _kite(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
         )
         rules.append((u, v))
         live &= ~(1 << u)
-    colors, palette = _kite_core(trace, live)
+    classes = _kite_core(trace, live)
     for u, v in reversed(rules):
-        colors[u] = colors[v]
-    return colors, palette
+        i = next(i for i, c in enumerate(classes) if c >> v & 1)
+        classes[i] |= 1 << u
+    return classes
 
 
-def _kite_core(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
+def _kite_core(trace: ProofTrace, live: int) -> list[int]:
     g = trace.g
     if is_independent(g, live):
         return _single_color_block(live)
@@ -265,12 +266,12 @@ def _kite_core(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
         "2*omega colors",
         numbers={"value": palette, "bound": 2 * omega},
     )
-    return dict(zip(bits(live), coloring.colors)), palette
+    return _exact_block(live, coloring.colors, palette)
 
 
 def _kite_split_p2k3(
     trace: ProofTrace, live: int, emb: Embedding, omega: int
-) -> tuple[dict[int, int], int]:
+) -> list[int]:
     g = trace.g
     u1, u2 = emb.vertices[0], emb.vertices[1]
     um = 1 << u1 | 1 << u2
@@ -357,29 +358,29 @@ def _kite_split_p2k3(
         "value-le",
         "cliques of the non-neighborhood plus the spare edge fit in "
         "omega minus omega1 colors",
-        numbers={"value": cluster_block[1], "bound": omega - omega1},
+        numbers={"value": len(cluster_block), "bound": omega - omega1},
     )
     rec_block = _kite(trace, c)
     trace.audit(
         "split-p2k3/recursion-palette",
         "value-le",
         "recursed common-neighborhood part stays within twice its clique number",
-        numbers={"value": rec_block[1], "bound": 2 * omega1},
+        numbers={"value": len(rec_block), "bound": 2 * omega1},
     )
-    merged, total = _merge(
-        cluster_block,
-        _clique_block(d),
-        _single_color_block(x1),
-        _single_color_block(x2),
-        rec_block,
+    merged = (
+        cluster_block
+        + _clique_block(d)
+        + _single_color_block(x1)
+        + _single_color_block(x2)
+        + rec_block
     )
     trace.audit(
         "split-p2k3/total",
         "value-le",
         "spare-edge split stays within twice the clique number",
-        numbers={"value": total, "bound": 2 * omega},
+        numbers={"value": len(merged), "bound": 2 * omega},
     )
-    return merged, total
+    return merged
 
 
 def _anchor_cells(
@@ -408,7 +409,7 @@ def _anchor_cells(
 
 def _kite_split_hammer(
     trace: ProofTrace, live: int, emb: Embedding, omega: int
-) -> tuple[dict[int, int], int]:
+) -> list[int]:
     g = trace.g
     v1, v2, v3, v4, v5 = emb.vertices
     km = 1 << v1 | 1 << v2 | 1 << v4 | 1 << v5
@@ -464,7 +465,7 @@ def _kite_split_hammer(
         "split-hammer/hammer-complete-full",
         "complete-between",
         "all five hammer vertices are complete to the full cell",
-        sets={"X": emb.vertices, "Y": full},
+        sets={"X": mask_of(emb.vertices), "Y": full},
     )
     trace.audit(
         "split-hammer/full-cell-omega",
@@ -478,10 +479,9 @@ def _kite_split_hammer(
         "split-hammer/recursion-palette",
         "value-le",
         "recursed full cell stays within twice its clique budget",
-        numbers={"value": full_block[1], "bound": 2 * (omega - 3)},
+        numbers={"value": len(full_block), "bound": 2 * (omega - 3)},
     )
-    j_colors: dict[int, int] = {}
-    shared_palette = 0
+    j_blocks = []
     for label, word, part in (("j2", "two", j2), ("j3", "three", j3)):
         palette, coloring = (
             require_chromatic(g, trace.budget, within=part)
@@ -496,13 +496,13 @@ def _kite_split_hammer(
             numbers={"value": palette, "bound": 2},
             soft=True,
         )
-        j_colors.update(zip(bits(part), coloring.colors))
-        shared_palette = max(shared_palette, palette)
+        j_blocks.append(_exact_block(part, coloring.colors, palette))
+    j_block = [a | b for a, b in zip_longest(*j_blocks, fillvalue=0)]
     trace.audit(
         "split-hammer/n-block-palette",
         "value-le",
         "mixed cells share one palette of at most 4 colors",
-        numbers={"value": shared_palette, "bound": 4},
+        numbers={"value": len(j_block), "bound": 4},
     )
     trace.audit(
         "split-hammer/rest-components",
@@ -515,16 +515,16 @@ def _kite_split_hammer(
         "split-hammer/rest-palette",
         "value-le",
         "remainder plus anchors take at most 2 colors",
-        numbers={"value": rest_block[1], "bound": 2},
+        numbers={"value": len(rest_block), "bound": 2},
     )
-    merged, total = _merge(full_block, (j_colors, shared_palette), rest_block)
+    merged = full_block + j_block + rest_block
     trace.audit(
         "split-hammer/total",
         "value-le",
         "hammer split stays within twice the clique number",
-        numbers={"value": total, "bound": 2 * omega},
+        numbers={"value": len(merged), "bound": 2 * omega},
     )
-    return merged, total
+    return merged
 
 
 # -- spare-edge-free (P2+K3-free) --------------------------------------------
@@ -537,7 +537,7 @@ def color_p2k3_free(
     return _wrap("P2K3Free", g, budget, _p2k3_main)
 
 
-def _p2k3_main(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
+def _p2k3_main(trace: ProofTrace, live: int) -> list[int]:
     g = trace.g
     if is_independent(g, live):
         return _single_color_block(live)
@@ -565,7 +565,7 @@ def _p2k3_main(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
         "greedy-split/b-complete",
         "complete-between",
         "leftover outside vertices see the whole clique except its root",
-        sets={"X": b, "Y": cliq[1:]},
+        sets={"X": b, "Y": mask_of(cliq[1:])},
     )
     trace.audit(
         "greedy-split/b-independent",
@@ -586,9 +586,9 @@ def _p2k3_main(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
         "greedy-split/recursion-palette",
         "value-le",
         "recursed neighborhood stays within its squared clique budget",
-        numbers={"value": rec_block[1], "bound": (omega - 1) * (omega - 1)},
+        numbers={"value": len(rec_block), "bound": (omega - 1) * (omega - 1)},
     )
-    blocks = [rec_block]
+    merged = rec_block
     for i, ai in a_sets:
         if ai:
             block = _cluster(g, ai)
@@ -596,18 +596,17 @@ def _p2k3_main(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
                 f"greedy-split/a{i}-palette",
                 "value-le",
                 "a vertices-and-edges part takes at most 2 colors",
-                numbers={"value": block[1], "bound": 2},
+                numbers={"value": len(block), "bound": 2},
             )
-            blocks.append(block)
-    blocks.append(_single_color_block(b | 1 << v1))
-    merged, total = _merge(*blocks)
+            merged += block
+    merged += _single_color_block(b | 1 << v1)
     trace.audit(
         "greedy-split/total",
         "value-le",
         "clique-rooted split stays within the squared clique number",
-        numbers={"value": total, "bound": omega * omega},
+        numbers={"value": len(merged), "bound": omega * omega},
     )
-    return merged, total
+    return merged
 
 
 # -- hammer-free --------------------------------------------------------------
@@ -620,7 +619,7 @@ def color_hammer_free(
     return _wrap("HammerFree", g, budget, _hammer_rec)
 
 
-def _hammer_rec(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
+def _hammer_rec(trace: ProofTrace, live: int) -> list[int]:
     g = trace.g
     if is_independent(g, live):
         return _single_color_block(live)
@@ -665,23 +664,23 @@ def _hammer_rec(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
         "twin-edge/recursion-palette",
         "value-le",
         "recursed shared neighborhood stays within its squared clique budget",
-        numbers={"value": rec_block[1], "bound": (omega - 2) * (omega - 2)},
+        numbers={"value": len(rec_block), "bound": (omega - 2) * (omega - 2)},
     )
     rest_block = _cluster(g, rest | um)
     trace.audit(
         "twin-edge/cluster-palette",
         "value-le",
         "remainder cliques fit in omega colors",
-        numbers={"value": rest_block[1], "bound": omega},
+        numbers={"value": len(rest_block), "bound": omega},
     )
-    merged, total = _merge(rec_block, rest_block)
+    merged = rec_block + rest_block
     trace.audit(
         "twin-edge/total",
         "value-le",
         "twin-edge split stays within the squared clique number",
-        numbers={"value": total, "bound": omega * omega},
+        numbers={"value": len(merged), "bound": omega * omega},
     )
-    return merged, total
+    return merged
 
 
 # -- C5-free -------------------------------------------------------------------
@@ -694,7 +693,7 @@ def color_c5_free(
     return _wrap("C5Free", g, budget, _c5_rec)
 
 
-def _c5_rec(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
+def _c5_rec(trace: ProofTrace, live: int) -> list[int]:
     g = trace.g
     if is_independent(g, live):
         return _single_color_block(live)
@@ -740,7 +739,7 @@ def _c5_rec(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
 
 def _c5_clique_neighborhood(
     trace: ProofTrace, live: int, v: int, n1: int, omega: int
-) -> tuple[dict[int, int], int]:
+) -> list[int]:
     g = trace.g
     vprime = next(bits(n1))
     r = live & ~(1 << v) & ~n1
@@ -764,23 +763,23 @@ def _c5_clique_neighborhood(
         "clique-nbhd/cluster-palette",
         "value-le",
         "remainder cliques fit in omega colors",
-        numbers={"value": clus_block[1], "bound": omega},
+        numbers={"value": len(clus_block), "bound": omega},
     )
     rec_block = _c5_rec(trace, rec_set)
     trace.audit(
         "clique-nbhd/recursion-palette",
         "value-le",
         "recursed remainder side stays within the binding at omega-1",
-        numbers={"value": rec_block[1], "bound": BINDINGS["C5Free"](omega - 1)},
+        numbers={"value": len(rec_block), "bound": BINDINGS["C5Free"](omega - 1)},
     )
-    merged, total = _merge(_clique_block(n1), clus_block, rec_block)
+    merged = _clique_block(n1) + clus_block + rec_block
     trace.audit(
         "clique-nbhd/total",
         "value-le",
         "clique-neighborhood split stays within the binding",
-        numbers={"value": total, "bound": BINDINGS["C5Free"](omega)},
+        numbers={"value": len(merged), "bound": BINDINGS["C5Free"](omega)},
     )
-    return merged, total
+    return merged
 
 
 def _c5_second_neighborhood(
@@ -793,7 +792,7 @@ def _c5_second_neighborhood(
     aprime: int,
     cats: dict[int, int],
     omega: int,
-) -> tuple[dict[int, int], int]:
+) -> list[int]:
     g = trace.g
     c = trace.clique(a012).vertices
     omega0 = len(c)
@@ -822,8 +821,7 @@ def _c5_second_neighborhood(
         "first missed clique vertex",
         sets={"X": taken, "Y": remaining},
     )
-    b_blocks: list[tuple[dict[int, int], int]] = []
-    b_total = 0
+    b_block: list[int] = []
     for idx, (t, bi) in enumerate(b_masks, start=1):
         cat = cats[t]
         if cat == 0:
@@ -848,16 +846,15 @@ def _c5_second_neighborhood(
             "value-le",
             "a second-sphere part takes one color at category <= 1 and two "
             "at category 2",
-            numbers={"value": block[1], "bound": 1 if cat <= 1 else 2},
+            numbers={"value": len(block), "bound": 1 if cat <= 1 else 2},
             soft=True,
         )
-        b_blocks.append(block)
-        b_total += block[1]
+        b_block += block
     trace.audit(
         "second-nbhd/b-block",
         "value-le",
         "all second-sphere parts fit in twice the low-category clique size",
-        numbers={"value": b_total, "bound": 2 * omega0},
+        numbers={"value": len(b_block), "bound": 2 * omega0},
     )
     trace.audit(
         "second-nbhd/d-omega",
@@ -873,7 +870,7 @@ def _c5_second_neighborhood(
         "value-le",
         "recursed low-category neighbors stay within the binding at their "
         "clique number",
-        numbers={"value": a_block[1], "bound": BINDINGS["C5Free"](omega0)},
+        numbers={"value": len(a_block), "bound": BINDINGS["C5Free"](omega0)},
     )
     d_block = _c5_rec(trace, d)
     trace.audit(
@@ -881,7 +878,7 @@ def _c5_second_neighborhood(
         "value-le",
         "recursed complete-side stays within the binding at the reduced "
         "clique number",
-        numbers={"value": d_block[1], "bound": BINDINGS["C5Free"](omega - omega0)},
+        numbers={"value": len(d_block), "bound": BINDINGS["C5Free"](omega - omega0)},
     )
     trace.audit(
         "second-nbhd/far-anticomplete",
@@ -895,52 +892,35 @@ def _c5_second_neighborhood(
         "distance three and beyond is a union of cliques",
         sets={"X": far},
     )
-    far_cluster = _cluster(g, far)
-    aprime_list = list(bits(aprime))
-    far_palette = max(len(aprime_list), far_cluster[1])
+    far_block = [
+        a | f for a, f in zip_longest(_clique_block(aprime), _cluster(g, far), fillvalue=0)
+    ]
     trace.audit(
         "second-nbhd/far-block",
         "value-le",
         "the high-category clique and the far cliques share omega colors",
-        numbers={"value": far_palette, "bound": omega},
+        numbers={"value": len(far_block), "bound": omega},
     )
-    colors: dict[int, int] = {}
-    base = 0
-    for block_colors, block_palette in [a_block, d_block] + b_blocks:
-        for w, cc in block_colors.items():
-            colors[w] = base + cc
-        base += block_palette
-    far_base = base
-    for i, w in enumerate(aprime_list):
-        colors[w] = far_base + i
-    for w, cc in far_cluster[0].items():
-        colors[w] = far_base + cc
-    base += far_palette
-    # The root reuses a color from a part it cannot touch; a fresh color is
-    # only possible when every such part is empty, which forces the
-    # low-category side to carry a reduced clique number.
-    a_palette = a_block[1]
-    d_palette = d_block[1]
-    if d_palette:
-        colors[v] = a_palette
-        fresh = 0
-    elif b_total:
-        colors[v] = a_palette + d_palette
-        fresh = 0
-    elif far_cluster[1] > len(aprime_list):
-        colors[v] = far_base + len(aprime_list)
-        fresh = 0
+    near = a_block + d_block + b_block
+    merged = near + far_block
+    # The root reuses a color from a part it cannot touch: the first class of
+    # the complete side or of the second-sphere parts, else a far class with
+    # no high-category vertex.  A fresh color is only possible when every
+    # such part is empty, which forces the low-category side to carry a
+    # reduced clique number.
+    if len(near) > len(a_block):
+        merged[len(a_block)] |= 1 << v
+    elif len(far_block) > aprime.bit_count():
+        merged[len(near) + aprime.bit_count()] |= 1 << v
     else:
-        colors[v] = base
-        fresh = 1
-    total = base + fresh
+        merged.append(1 << v)
     trace.audit(
         "second-nbhd/total",
         "value-le",
         "second-neighborhood split stays within the binding",
-        numbers={"value": total, "bound": BINDINGS["C5Free"](omega)},
+        numbers={"value": len(merged), "bound": BINDINGS["C5Free"](omega)},
     )
-    return colors, total
+    return merged
 
 
 # -- K4-free -------------------------------------------------------------------
@@ -953,7 +933,7 @@ def color_k4_free(
     return _wrap("K4Free", g, budget, _k4_rec)
 
 
-def _k4_rec(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
+def _k4_rec(trace: ProofTrace, live: int) -> list[int]:
     g = trace.g
     if is_independent(g, live):
         return _single_color_block(live)
@@ -976,21 +956,17 @@ def _k4_rec(trace: ProofTrace, live: int) -> tuple[dict[int, int], int]:
     return _p2k3_main(trace, live)
 
 
-def _triangle_shades(tri: tuple[int, ...], cell: Callable[..., int]) -> dict[int, int]:
-    """Three colors for a triangle and its two-vertex cells: each triangle
-    vertex shares its color with the cell that misses it."""
-    colors: dict[int, int] = {}
-    pairing = [((2, 3), tri[0]), ((1, 3), tri[1]), ((1, 2), tri[2])]
-    for shade, (pair, anchor) in enumerate(pairing):
-        for w in bits(cell(*pair)):
-            colors[w] = shade
-        colors[anchor] = shade
-    return colors
+def _triangle_shades(tri: tuple[int, ...], cell: Callable[..., int]) -> list[int]:
+    """Three classes for a triangle and its two-vertex cells: each triangle
+    vertex shares its class with the cell that misses it."""
+    return [
+        cell(2, 3) | 1 << tri[0],
+        cell(1, 3) | 1 << tri[1],
+        cell(1, 2) | 1 << tri[2],
+    ]
 
 
-def _k4_two_triangles(
-    trace: ProofTrace, live: int, emb: Embedding
-) -> tuple[dict[int, int], int]:
+def _k4_two_triangles(trace: ProofTrace, live: int, emb: Embedding) -> list[int]:
     g = trace.g
     tri = emb.vertices[:3]
     other = emb.vertices[3:]
@@ -1006,7 +982,7 @@ def _k4_two_triangles(
             f"two-triangles/cell-{i}-empty",
             "empty-set",
             "no vertex sees exactly one base triangle vertex",
-            sets={"X": cell(i), "other-triangle": other},
+            sets={"X": cell(i), "other-triangle": mask_of(other)},
         )
     for a, b in ((1, 2), (1, 3), (2, 3)):
         trace.audit(
@@ -1021,27 +997,24 @@ def _k4_two_triangles(
         "outside the base triangle's neighborhood is a union of cliques",
         sets={"X": rest},
     )
-    shades = _triangle_shades(tri, cell)
     rest_block = _cluster(g, rest)
     trace.audit(
         "two-triangles/rest-palette",
         "value-le",
         "outside cliques take at most 3 colors",
-        numbers={"value": rest_block[1], "bound": 3},
+        numbers={"value": len(rest_block), "bound": 3},
     )
-    merged, total = _merge((shades, 3), rest_block)
+    merged = _triangle_shades(tri, cell) + rest_block
     trace.audit(
         "two-triangles/total",
         "value-le",
         "two-triangle split takes at most 6 colors",
-        numbers={"value": total, "bound": 6},
+        numbers={"value": len(merged), "bound": 6},
     )
-    return merged, total
+    return merged
 
 
-def _k4_spare_edge(
-    trace: ProofTrace, live: int, emb: Embedding
-) -> tuple[dict[int, int], int]:
+def _k4_spare_edge(trace: ProofTrace, live: int, emb: Embedding) -> list[int]:
     g = trace.g
     u1, u2 = emb.vertices[:2]
     tri = emb.vertices[2:]
@@ -1057,7 +1030,7 @@ def _k4_spare_edge(
         "spare-edge/singles-complete-pair",
         "complete-between",
         "one-vertex cells are complete to the spare edge",
-        sets={"X": singles, "Y": [u1, u2]},
+        sets={"X": singles, "Y": 1 << u1 | 1 << u2},
     )
     trace.audit(
         "spare-edge/singles-independent",
@@ -1078,22 +1051,21 @@ def _k4_spare_edge(
         "without a second triangle the outside splits into vertices and edges",
         sets={"X": rest},
     )
-    shades = _triangle_shades(tri, cell)
     rest_block = _cluster(g, rest)
     trace.audit(
         "spare-edge/rest-palette",
         "value-le",
         "outside components take at most 2 colors",
-        numbers={"value": rest_block[1], "bound": 2},
+        numbers={"value": len(rest_block), "bound": 2},
     )
-    merged, total = _merge((shades, 3), _single_color_block(singles), rest_block)
+    merged = _triangle_shades(tri, cell) + _single_color_block(singles) + rest_block
     trace.audit(
         "spare-edge/total",
         "value-le",
         "spare-edge split takes at most 6 colors",
-        numbers={"value": total, "bound": 6},
+        numbers={"value": len(merged), "bound": 6},
     )
-    return merged, total
+    return merged
 
 
 COLORERS: dict[str, Callable[..., tuple[Coloring, ProofTrace]]] = {

@@ -54,10 +54,6 @@ class Embedding:
     pattern: str
     vertices: tuple[int, ...]
 
-    @property
-    def image(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
 
 @dataclass(frozen=True)
 class Membership:

@@ -3,9 +3,12 @@
 Every structural fact a colorer relies on is checked on the concrete vertex
 sets and recorded as a step.  Steps carry enough data (a predicate kind, the
 named sets, the named numbers) to re-evaluate them later against the graph,
-which is what replay() does.  A failed hard step raises immediately; steps
-marked soft record a "soft-gap" verdict and execution continues, since the
-surrounding procedure still guarantees the final palette bound.
+which is what replay() does.  Every named set is a vertex mask: in the
+audit call, in TraceStep.sets as (name, mask) pairs, and in evaluate_step; a
+serialized step lists each set's vertex ids ascending.  A failed hard step
+raises immediately; steps marked soft record a "soft-gap" verdict and
+execution continues, since the surrounding procedure still guarantees the
+final palette bound.
 
 A trace belongs to one coloring run: it holds the run's input graph, which
 every step is evaluated against, and the run's SolveBudget.  All vertex ids
@@ -21,11 +24,10 @@ induced-subgraph search of the patterns module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
+from . import patterns
 from .exact import CliqueResult, SolveBudget, require_clique_number
-from .graphs import Graph, bits, components, is_independent, mask_of
-from .patterns import PATTERNS, find_induced
+from .graphs import Graph, bits, components, is_independent
 
 HOLDS = "holds"
 SOFT_GAP = "soft-gap"
@@ -38,11 +40,11 @@ class TraceStep:
     kind: str
     assertion: str
     verdict: str
-    sets: tuple[tuple[str, tuple[int, ...]], ...] = ()
+    sets: tuple[tuple[str, int], ...] = ()
     numbers: tuple[tuple[str, int], ...] = ()
 
     def line(self) -> str:
-        sets = ";".join(f"{k}={','.join(map(str, v))}" for k, v in self.sets)
+        sets = ";".join(f"{k}={','.join(map(str, bits(v)))}" for k, v in self.sets)
         nums = ";".join(f"{k}={v}" for k, v in self.numbers)
         return "|".join((self.tag, self.kind, self.verdict, self.assertion, sets, nums))
 
@@ -56,41 +58,36 @@ class AuditViolation(RuntimeError):
         self.trace = trace
 
 
-def _mask(g: Graph, xs: Iterable[int]) -> int:
-    m = mask_of(xs)
-    if m >> g.n:
-        raise ValueError("vertex id out of range in audit set")
-    return m
-
-
 def _is_clique(g: Graph, m: int) -> bool:
     return all(g.rows[v] & m == m & ~(1 << v) for v in bits(m))
 
 
-def evaluate_step(run: ProofTrace, kind: str, sets: dict[str, tuple[int, ...]],
+def evaluate_step(run: ProofTrace, kind: str, sets: dict[str, int],
                   numbers: dict[str, int]) -> bool:
-    """Re-evaluate one audit predicate against the run's graph.  The omega-le
-    kind reads run.clique, which raises BudgetExhausted when the run's
-    budget runs out."""
+    """Re-evaluate one audit predicate, its sets given as vertex masks,
+    against the run's graph.  The omega-le kind reads run.clique, which
+    raises BudgetExhausted when the run's budget runs out."""
     g = run.g
+    if any(m >> g.n for m in sets.values()):
+        raise ValueError("vertex id out of range in audit set")
     if kind == "value-le":
         return numbers["value"] <= numbers["bound"]
+    x = sets.get("X", 0)
     if kind == "empty-set":
-        return len(sets["X"]) == 0
-    x = _mask(g, sets["X"]) if "X" in sets else 0
+        return x == 0
     if kind == "independent":
         return is_independent(g, x)
     if kind == "clique":
         return _is_clique(g, x)
     if kind == "p3-free":
-        return find_induced(g, PATTERNS["p3"], within=x) is None
+        return patterns.find_induced(g, patterns.PATTERNS["p3"], within=x) is None
     if kind == "components-le-2":
         return all(c.bit_count() <= 2 for c in components(g, x))
     if kind == "k1k3-absent":
-        return find_induced(g, PATTERNS["k1_union_k3"], within=x) is None
+        return patterns.find_induced(g, patterns.PATTERNS["k1_union_k3"], within=x) is None
     if kind == "omega-le":
         return run.clique(x).lower <= numbers["bound"]
-    y = _mask(g, sets["Y"]) if "Y" in sets else 0
+    y = sets.get("Y", 0)
     if kind == "anticomplete":
         return x & y == 0 and all(g.rows[v] & y == 0 for v in bits(x))
     if kind == "complete-between":
@@ -128,23 +125,19 @@ class ProofTrace:
         tag: str,
         kind: str,
         assertion: str,
-        sets: dict[str, int | Iterable[int]] | None = None,
+        sets: dict[str, int] | None = None,
         numbers: dict[str, int] | None = None,
         soft: bool = False,
     ) -> bool:
         """Evaluate a predicate on the run's graph, record the step, and
-        raise on hard failure.
-
-        Each named set is a vertex mask or an iterable of vertex ids.
-        """
-        frozen_sets = tuple(
-            (name, tuple(bits(vals)) if isinstance(vals, int) else tuple(sorted(vals)))
-            for name, vals in (sets or {}).items()
-        )
-        frozen_nums = tuple((numbers or {}).items())
-        ok = evaluate_step(self, kind, dict(frozen_sets), dict(frozen_nums))
+        raise on hard failure.  Each named set is a vertex mask."""
+        sets = sets or {}
+        numbers = numbers or {}
+        ok = evaluate_step(self, kind, sets, numbers)
         verdict = HOLDS if ok else (SOFT_GAP if soft else VIOLATED)
-        step = TraceStep(tag, kind, assertion, verdict, frozen_sets, frozen_nums)
+        step = TraceStep(
+            tag, kind, assertion, verdict, tuple(sets.items()), tuple(numbers.items())
+        )
         self.steps.append(step)
         if verdict == VIOLATED:
             raise AuditViolation(step, self)

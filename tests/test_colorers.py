@@ -1,6 +1,8 @@
 """Structural colorers: palette bounds, audits, branch coverage, reductions."""
 
 import re
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +42,9 @@ from chibound.colorers import (
     _cluster,
     _dominated_pair,
     _fold_classes,
+    _wrap,
 )
+from chibound.graphs import bits
 
 # The only audit locations allowed to record a soft-gap verdict.
 SOFT_ALLOWED = re.compile(r"^(split-hammer/j[23]-palette|second-nbhd/b\d+-palette)$")
@@ -53,6 +57,18 @@ def check_run(g, coloring, trace, bound):
     for step in trace.steps:
         if step.verdict == "soft-gap":
             assert SOFT_ALLOWED.match(step.tag), step.tag
+
+
+def classes_coloring(g, classes):
+    """The coloring giving class i color i; each vertex must be in exactly
+    one class."""
+    assert reduce(or_, classes, 0) == g.full_mask
+    assert sum(c.bit_count() for c in classes) == g.n
+    colors = [0] * g.n
+    for i, c in enumerate(classes):
+        for v in bits(c):
+            colors[v] = i
+    return Coloring(tuple(colors))
 
 
 class TestEvaluateBound:
@@ -85,23 +101,21 @@ class TestEvaluateBound:
 
 
 class TestClusterColor:
-    """_cluster colors each component of G[m] as a clique, ids ascending."""
+    """_cluster colors each component of G[m] as a clique, ids ascending:
+    class i holds the i-th vertex of every component."""
 
     def test_two_triangles(self):
         g = named_graph("2k3")
-        colors, palette = _cluster(g, g.full_mask)
-        assert palette == 3
-        assert colors == {0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2}
+        assert _cluster(g, g.full_mask) == [0b001001, 0b010010, 0b100100]
 
     def test_edgeless(self):
-        assert _cluster(empty(5), 0b11111) == ({v: 0 for v in range(5)}, 1)
+        assert _cluster(empty(5), 0b11111) == [0b11111]
 
     def test_palette_is_largest_component(self):
         g = disjoint_union(complete(2), complete(4))
-        colors, palette = _cluster(g, g.full_mask)
-        assert palette == 4
-        coloring = Coloring(tuple(colors[v] for v in g.vertices()))
-        assert verify_coloring(g, coloring) is None
+        classes = _cluster(g, g.full_mask)
+        assert len(classes) == 4
+        assert verify_coloring(g, classes_coloring(g, classes)) is None
 
 
 class TestDomination:
@@ -127,7 +141,7 @@ class TestDomination:
             for s in trace.steps
             if s.tag == "reduce/dominated-pair"
         ]
-        assert pairs == [((1,), (2,)), ((2,), (3,))]
+        assert pairs == [(1 << 1, 1 << 2), (1 << 2, 1 << 3)]
         assert verify_coloring(star, coloring) is None
         assert coloring.palette == 2
 
@@ -135,18 +149,33 @@ class TestDomination:
 class TestFoldClasses:
     def test_disjoint_blocks_share_colors(self):
         g = named_graph("2k3")
-        spread = {v: v for v in g.vertices()}
-        folded = _fold_classes(g, spread)
-        assert len(set(folded.values())) == 3
+        spread = [1 << v for v in g.vertices()]
+        assert len(_fold_classes(g, spread)) == 3
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=40, deadline=None)
     def test_fold_never_hurts(self, seed):
         g = gnp(9, 0.4, seed)
-        colors = dict(enumerate(greedy_coloring(g).colors))
-        folded = _fold_classes(g, colors)
-        assert len(set(folded.values())) <= len(set(colors.values()))
-        assert verify_coloring(g, Coloring(tuple(folded[v] for v in g.vertices()))) is None
+        greedy = greedy_coloring(g)
+        classes = [0] * greedy.palette
+        for v, c in enumerate(greedy.colors):
+            classes[c] |= 1 << v
+        folded = _fold_classes(g, classes)
+        assert len(folded) <= len(classes)
+        assert verify_coloring(g, classes_coloring(g, folded)) is None
+
+
+class TestWrap:
+    """_wrap rejects a decomposition whose classes do not partition the
+    vertices."""
+
+    def test_overlapping_classes_raise(self):
+        with pytest.raises(RuntimeError, match="partition"):
+            _wrap("KiteFree", empty(3), None, lambda trace, live: [live, 1])
+
+    def test_missed_vertex_raises(self):
+        with pytest.raises(RuntimeError, match="partition"):
+            _wrap("KiteFree", empty(3), None, lambda trace, live: [live & ~1])
 
 
 class TestKiteFree:
@@ -273,11 +302,9 @@ class TestC5Free:
         # precondition of the clique-neighborhood split.
         g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5)])
         trace = ProofTrace("C5Free", g)
-        colors, total = _c5_clique_neighborhood(trace, g.full_mask, 5, 1 << 4, 4)
-        assert sorted(colors) == list(g.vertices())
-        for u, v in g.edges():
-            assert colors[u] != colors[v]
-        assert total <= evaluate_bound("C5Free", 4)
+        classes = _c5_clique_neighborhood(trace, g.full_mask, 5, 1 << 4, 4)
+        assert verify_coloring(g, classes_coloring(g, classes)) is None
+        assert len(classes) <= evaluate_bound("C5Free", 4)
         assert any(s.tag == "clique-nbhd/total" for s in trace.steps)
         assert trace.violated_count == 0
 

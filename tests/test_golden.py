@@ -41,6 +41,7 @@ from chibound import (
 )
 from chibound.colorers import _c5_clique_neighborhood
 from chibound.generators import extremal_family
+from chibound.graphs import bits
 
 SAMPLES_PER_CLASS = 20
 
@@ -111,7 +112,8 @@ def clique_nbhd_step_digest() -> str:
     """The C5 clique-neighborhood split run directly, rooted at vertex 5."""
     g = CLIQUE_NBHD
     trace = ProofTrace("C5Free", g)
-    colors, _ = _c5_clique_neighborhood(trace, g.full_mask, 5, 1 << 4, 4)
+    classes = _c5_clique_neighborhood(trace, g.full_mask, 5, 1 << 4, 4)
+    colors = {v: i for i, c in enumerate(classes) for v in bits(c)}
     return _digest([colors[v] for v in g.vertices()], trace)
 
 

@@ -175,7 +175,7 @@ class TestFindInducedOnJoins:
         perm = [0, 6, 7, 8, 9, 10, 1, 2, 3, 4, 5]
         host = Graph(j.n, [(perm[u], perm[v]) for u, v in j.edges()])
         emb = find_induced(host, PATTERNS["p3_union_p2"])
-        assert emb is not None and emb.image == frozenset(range(1, 6))
+        assert emb is not None and frozenset(emb.vertices) == frozenset(range(1, 6))
 
 
 KERNEL_PATTERNS = (
@@ -252,7 +252,7 @@ class TestAbsenceKernels:
         pattern = PATTERNS["p3_union_p2"]
         assert not _ABSENT[pattern.graph](host.rows, host.full_mask)
         emb = find_induced(host, pattern)
-        assert emb is not None and emb.image == frozenset({0, 1, 2, 6, 7})
+        assert emb is not None and frozenset(emb.vertices) == frozenset({0, 1, 2, 6, 7})
         self._check(host, None)
         self._check(host.toggled(6, 7), None)
         assert find_induced(host.toggled(6, 7), pattern) is None
@@ -264,7 +264,7 @@ class TestAbsenceKernels:
         impostor = Pattern("p3_union_p2", cycle(4))
         assert impostor.graph not in _ABSENT
         emb = find_induced(cycle(4), impostor)
-        assert emb is not None and emb.image == frozenset(range(4))
+        assert emb is not None and frozenset(emb.vertices) == frozenset(range(4))
         renamed = Pattern("cherry", path(3))
         assert _ABSENT[renamed.graph] is _ABSENT[PATTERNS["p3"].graph]
         assert find_induced(path(3), renamed) == Embedding("cherry", (0, 1, 2))
@@ -392,7 +392,7 @@ class TestMembershipThrough:
                 g = cand
             else:
                 # g is a member, so every forbidden copy holds u and v.
-                assert {u, v} <= full.witness.image
+                assert {u, v} <= frozenset(full.witness.vertices)
 
 
 class TestMembership:
