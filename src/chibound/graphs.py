@@ -76,6 +76,11 @@ def is_independent(g: Graph, m: int) -> bool:
     return all(g.rows[v] & m == 0 for v in bits(m))
 
 
+def is_clique(g: Graph, m: int) -> bool:
+    """True when every two vertices of m are adjacent."""
+    return all(g.rows[v] & m == m & ~(1 << v) for v in bits(m))
+
+
 def restrict(g: Graph, within: int | None) -> tuple[Sequence[int], int]:
     """Adjacency rows and vertex mask of G[within], kept in g's own ids;
     the whole graph when within is None."""

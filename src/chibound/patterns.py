@@ -488,11 +488,14 @@ _ANCHORED = {
 }
 
 
-def _swept(anchored):
+def _swept(anchored, triangle: bool = False):
     """Absence kernel from an anchored one: each copy in G[m] holds its last
-    vertex w and lies in the part of m up to w."""
+    vertex w and lies in the part of m up to w.  A pattern that holds a
+    triangle (``triangle``) is absent at once from a triangle-free G[m]."""
 
     def absent(rows: Sequence[int], m: int) -> bool:
+        if triangle and _triangle_free(rows, m):
+            return True
         seen = 0
         rest = m
         while rest:
@@ -516,8 +519,8 @@ _ABSENT = {
     named_graph("p2_union_k3"): _edge_anchored(_triangle_free),
     named_graph("k1_union_k3"): _triangles_dominate,
     named_graph("2k3"): _no_2k3,
-    named_graph("kite"): _swept(_kite_through),
-    named_graph("hammer"): _swept(_hammer_through),
+    named_graph("kite"): _swept(_kite_through, triangle=True),
+    named_graph("hammer"): _swept(_hammer_through, triangle=True),
     cycle(5): _swept(_c5_through),
 }
 

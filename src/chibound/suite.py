@@ -4,6 +4,11 @@ Each record is one sampled instance run through its class colorer and the
 exact solvers.  Reports are line-oriented key=value text so golden files
 diff cleanly; the ms field is wall-clock and is the one field excluded from
 determinism guarantees.
+
+A record's chi is settled with no search when the verified palette equals
+the trace's proven omega (omega <= chi <= palette), else solved given the
+trace's clique.  Budget rule: a settled chi ticks no nodes; a solve's budget
+counts only its k-search nodes.
 """
 
 from __future__ import annotations
@@ -200,15 +205,20 @@ def _run_instance(
         trace = ProofTrace(class_name, g, budget)
         verdict = "unknown"
         note = "colorer-budget"
+    clique = None
     try:
-        omega = trace.clique(g.full_mask).lower
+        clique = trace.clique(g.full_mask).vertices
+        omega = len(clique)
         bound = BINDINGS[class_name](omega) if omega >= 1 else 0
     except BudgetExhausted:
         if verdict == "pass":
             verdict = "unknown"
             note = "omega-budget"
     try:
-        chi, _ = require_chromatic(g, budget)
+        if verdict == "pass" and palette == omega:
+            chi = palette  # omega <= chi <= palette, both proven
+        else:
+            chi, _ = require_chromatic(g, budget, clique=clique)
     except BudgetExhausted:
         if verdict == "pass":
             verdict = "unknown"

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import patterns
 from .exact import CliqueResult, SolveBudget, require_clique_number
-from .graphs import Graph, bits, components, is_independent
+from .graphs import Graph, bits, components, is_clique, is_independent
 
 HOLDS = "holds"
 SOFT_GAP = "soft-gap"
@@ -58,10 +58,6 @@ class AuditViolation(RuntimeError):
         self.trace = trace
 
 
-def _is_clique(g: Graph, m: int) -> bool:
-    return all(g.rows[v] & m == m & ~(1 << v) for v in bits(m))
-
-
 def evaluate_step(run: ProofTrace, kind: str, sets: dict[str, int],
                   numbers: dict[str, int]) -> bool:
     """Re-evaluate one audit predicate, its sets given as vertex masks,
@@ -78,7 +74,7 @@ def evaluate_step(run: ProofTrace, kind: str, sets: dict[str, int],
     if kind == "independent":
         return is_independent(g, x)
     if kind == "clique":
-        return _is_clique(g, x)
+        return is_clique(g, x)
     if kind == "p3-free":
         return patterns.find_induced(g, patterns.PATTERNS["p3"], within=x) is None
     if kind == "components-le-2":

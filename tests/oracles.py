@@ -9,7 +9,9 @@ reference sampler is sample_class's rejection loop over the full
 membership test, witness search included.  The reference k search is the
 chromatic solver's earlier per-vertex scan, which the mask-based search must
 match node for node.  The reference hunt solves every candidate's chromatic
-number in full, where hunt decides one k per toggle.
+number in full, where hunt decides one k per toggle.  The subset-cover
+chromatic number covers each vertex subset by independent sets outright, so
+it reaches order 9 and beyond, where direct assignment takes seconds.
 """
 
 from itertools import combinations, permutations, product
@@ -128,6 +130,24 @@ def brute_chromatic_number(g: Graph) -> int:
             if all(assignment[u] != assignment[v] for u, v in edges):
                 return k
     return g.n
+
+
+def subset_chromatic_number(g: Graph) -> int:
+    """Fewest independent sets covering V: for every vertex subset S, the
+    independent set holding S's lowest vertex is tried in every way."""
+    independent = [
+        all(not has_edge(g, u, v) for u, v in combinations(bits(s), 2))
+        for s in range(1 << g.n)
+    ]
+    chi = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        chi[s] = min(
+            chi[s ^ i] + 1
+            for i in range(low, s + 1)
+            if i & s == i and i & low and independent[i]
+        )
+    return chi[-1]
 
 
 def brute_find_induced(host: Graph, pattern: Graph) -> tuple[int, ...] | None:

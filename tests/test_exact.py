@@ -36,6 +36,7 @@ from oracles import (
     brute_clique_number,
     has_edge,
     reference_k_color_search,
+    subset_chromatic_number,
 )
 
 
@@ -120,6 +121,12 @@ class TestChromaticNumber:
     def test_matches_oracle(self, seed):
         g = gnp(6, 0.5, seed)
         assert chromatic_number(g).value == brute_chromatic_number(g)
+
+    @given(st.integers(min_value=0, max_value=2**32), st.sampled_from([0.2, 0.5, 0.8]))
+    @settings(max_examples=30, deadline=None)
+    def test_subset_oracle_matches_brute_force(self, seed, p):
+        g = gnp(7, p, seed)
+        assert subset_chromatic_number(g) == brute_chromatic_number(g)
 
     @given(st.integers(min_value=0, max_value=2**32))
     @settings(max_examples=30, deadline=None)
@@ -411,6 +418,48 @@ class TestJoinSplit:
         )
 
 
+class TestGivenClique:
+    """A solve given a clique runs no clique search of its own."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([0.3, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**10 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_own_clique_is_the_plain_solve_less_its_search(self, seed, p, mask):
+        g = gnp(10, p, seed)
+        for within in (None, mask):
+            omega = clique_number(g, within=within)
+            plain = chromatic_number(g, within=within)
+            mine = chromatic_number(g, within=within, clique=omega.vertices)
+            assert (mine.lower, mine.upper, mine.coloring, mine.complete) == (
+                plain.lower, plain.upper, plain.coloring, plain.complete,
+            )
+            assert mine.nodes_used == plain.nodes_used - omega.nodes_used
+            assert require_chromatic(g, within=within, clique=omega.vertices) == (
+                plain.value, plain.coloring,
+            )
+            # Any clique is a correct start, the empty one included.
+            for start in ([], omega.vertices[:1]):
+                assert chromatic_number(g, within=within, clique=start).value == plain.value
+
+    def test_rejects_a_non_clique(self):
+        g = cycle(5)
+        for bad in ([0, 2], [0, 1, 2], [0, 0], [5], [-1]):
+            with pytest.raises(ValueError):
+                chromatic_number(g, clique=bad)
+        with pytest.raises(ValueError):
+            chromatic_number(g, within=0b01110, clique=[0, 1])
+        with pytest.raises(ValueError):
+            require_chromatic(g, within=0b00110, clique=[1, 2, 3])
+
+
+def _first_bad_edge(g: Graph, colors) -> tuple[int, int] | None:
+    """Reference: scan the edges in lexicographic order."""
+    return next(((u, v) for u, v in g.edges() if colors[u] == colors[v]), None)
+
+
 class TestVerifyAndGreedy:
     def test_verify_examples(self):
         k3 = complete(3)
@@ -418,6 +467,22 @@ class TestVerifyAndGreedy:
         assert verify_coloring(k3, Coloring((0, 0, 1))) == (0, 1)
         with pytest.raises(ValueError):
             verify_coloring(k3, Coloring((0, 1)))
+
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([0.1, 0.5, 0.9]),
+        st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_verify_matches_an_edge_scan(self, seed, p, k):
+        g = gnp(12, p, seed)
+        rng = random.Random(seed)
+        for colors in (
+            greedy_coloring(g).colors,
+            tuple(rng.randrange(k) for _ in g.vertices()),
+            tuple(10**9 * rng.randrange(k) for _ in g.vertices()),
+        ):
+            assert verify_coloring(g, Coloring(colors)) == _first_bad_edge(g, colors)
 
     def test_greedy_examples(self):
         assert greedy_coloring(complete(5)).palette == 5

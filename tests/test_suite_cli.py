@@ -8,6 +8,8 @@ import pytest
 from chibound import (
     COLORERS,
     ProofTrace,
+    SolveBudget,
+    SplitMix64,
     SuiteRecord,
     cycle,
     color_k4_free,
@@ -22,6 +24,8 @@ from chibound import (
 )
 from chibound import exact, suite
 from chibound.cli import EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, EXIT_VERDICT, main
+
+from oracles import subset_chromatic_number
 
 
 def _fields(record):
@@ -56,6 +60,33 @@ class TestRunSuite:
                 assert r.palette <= r.bound
                 assert r.chi is not None and r.chi <= r.bound
                 assert r.violated == 0
+
+    def test_chi_is_exact_whether_settled_or_solved(self):
+        # chi is settled from omega when the palette meets it and solved
+        # given the trace's clique otherwise; both must be the true chi.
+        branches = Counter()
+        for class_name in sorted(COLORERS):
+            for seed in range(4):
+                rng = SplitMix64(seed)
+                for index in range(25):
+                    g = suite._sample_instance(class_name, 9, rng)
+                    r = suite._run_instance(index, class_name, g, None)
+                    assert r.verdict == "pass"
+                    assert r.chi == subset_chromatic_number(g), (class_name, seed, index)
+                    branches[r.palette == r.omega] += 1
+        assert branches[True] and branches[False]
+
+    def test_tight_budget_settles_chi_from_omega(self):
+        # Under a 3-node budget the plain solve of these two records ran out
+        # after its clique search; their palettes meet the proven omega.
+        report = run_suite("KiteFree", 12, 60, 0, SolveBudget(node_limit=3))
+        assert report.footer() == (
+            "total=60 pass=46 fail=0 unknown=14 sample-fail=0 soft-gap=0"
+        )
+        for index, n in ((13, 9), (15, 8)):
+            r = report.records[index]
+            assert (r.n, r.verdict, r.note) == (n, "pass", "")
+            assert r.chi == r.palette == r.omega
 
     def test_non_member_sample_is_an_internal_error(self, monkeypatch):
         # The check must hold under python -O too, so it is not an assert.
@@ -235,6 +266,12 @@ class TestCliColorVerify:
         code = main(["color", "--class", "kitefree", grotzsch_file, "--budget-nodes", "1"])
         assert code == EXIT_UNKNOWN
 
+    def test_color_budget_runs_out_in_the_clique_search(self, grotzsch_file, capsys):
+        # The triangle-free leaf reads the trace's clique before its solve.
+        code = main(["color", "--class", "kitefree", grotzsch_file, "--budget-nodes", "1"])
+        assert code == EXIT_UNKNOWN
+        assert "clique number unresolved" in capsys.readouterr().err
+
     def test_color_outside_class_fails(self, c5_file):
         assert main(["color", "--class", "c5free", c5_file]) == EXIT_VERDICT
 
@@ -269,6 +306,31 @@ class TestOneCliqueSolvePerMask:
 
         monkeypatch.setattr(exact, "clique_number", counted)
         return counts
+
+    @pytest.fixture()
+    def searches(self, monkeypatch):
+        # Top-level clique searches by mask: the ones given the graph, as
+        # clique_number's and chromatic_number's are; a join's parts are not.
+        counts = Counter()
+        real = exact._max_clique_search
+
+        def counted(rows, full, ticker, best=None, g=None):
+            if g is not None:
+                counts[full] += 1
+            return real(rows, full, ticker, best, g)
+
+        monkeypatch.setattr(exact, "_max_clique_search", counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "g",
+        [named_graph("grotzsch"), named_graph("schlafli_complement"),
+         extremal_family("kite-odd", 2)],
+        ids=["grotzsch", "schlafli_complement", "kite-odd-2"],
+    )
+    def test_kite_free_leaves_take_the_trace_clique(self, searches, g):
+        color_kite_free(g)
+        assert searches and max(searches.values()) == 1
 
     def test_k4_free_colorer(self, solves):
         color_k4_free(named_graph("schlafli_complement"))
