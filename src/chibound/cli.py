@@ -140,8 +140,8 @@ def _cmd_member(args) -> int:
 def _cmd_omega(args) -> int:
     g = _load_graph(args.graph, args.fmt)
     res = clique_number(g, _budget_from(args))
-    if res.complete:
-        print(res.lower)
+    if res.value is not None:
+        print(res.value)
         return EXIT_OK
     print(f"omega lower={res.lower} upper={res.upper}")
     _say(f"budget exhausted after {res.nodes_used} nodes")
@@ -221,9 +221,10 @@ def _cmd_hunt(args) -> int:
         budget=_budget_from(args),
     )
     flag = "true" if result.noteworthy else "false"
+    omega = "-" if result.omega is None else result.omega
     print(
         f"class={result.class_name} n={result.graph.n} m={result.graph.edge_count} "
-        f"chi={result.chi} omega={result.omega} evaluations={result.evaluations} "
+        f"chi={result.chi} omega={omega} evaluations={result.evaluations} "
         f"steps={result.steps} seed={result.seed} noteworthy={flag}"
     )
     print(dumps(result.graph, "graph6"), end="")

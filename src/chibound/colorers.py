@@ -732,67 +732,9 @@ def _c5_rec(trace: ProofTrace, live: int) -> list[int]:
         numbers={"value": aprime.bit_count(), "bound": omega - 1},
     )
     if a012 == 0:
-        return _c5_clique_neighborhood(trace, live, v, n1, omega)
-    return _c5_second_neighborhood(trace, v, n1, n2, far, a012, aprime, cats, omega)
-
-
-def _c5_clique_neighborhood(
-    trace: ProofTrace, live: int, v: int, n1: int, omega: int
-) -> list[int]:
-    g = trace.g
-    vprime = next(bits(n1))
-    r = live & ~(1 << v) & ~n1
-    rec_set = r & g.rows[vprime]
-    clus_set = (r & ~g.rows[vprime]) | 1 << v
-    trace.audit(
-        "clique-nbhd/rec-omega",
-        "omega-le",
-        "the picked neighbor's side of the remainder drops the clique number",
-        sets={"X": rec_set, "picked": 1 << vprime},
-        numbers={"bound": omega - 1},
-    )
-    trace.audit(
-        "clique-nbhd/cluster-p3free",
-        "p3-free",
-        "the rest of the remainder plus the root is a union of cliques",
-        sets={"X": clus_set},
-    )
-    clus_block = _cluster(g, clus_set)
-    trace.audit(
-        "clique-nbhd/cluster-palette",
-        "value-le",
-        "remainder cliques fit in omega colors",
-        numbers={"value": len(clus_block), "bound": omega},
-    )
-    rec_block = _c5_rec(trace, rec_set)
-    trace.audit(
-        "clique-nbhd/recursion-palette",
-        "value-le",
-        "recursed remainder side stays within the binding at omega-1",
-        numbers={"value": len(rec_block), "bound": BINDINGS["C5Free"](omega - 1)},
-    )
-    merged = _clique_block(n1) + clus_block + rec_block
-    trace.audit(
-        "clique-nbhd/total",
-        "value-le",
-        "clique-neighborhood split stays within the binding",
-        numbers={"value": len(merged), "bound": BINDINGS["C5Free"](omega)},
-    )
-    return merged
-
-
-def _c5_second_neighborhood(
-    trace: ProofTrace,
-    v: int,
-    n1: int,
-    n2: int,
-    far: int,
-    a012: int,
-    aprime: int,
-    cats: dict[int, int],
-    omega: int,
-) -> list[int]:
-    g = trace.g
+        # Unreachable: N(v) = aprime is a non-empty clique and v has largest
+        # degree, so N[u] = N[v] for u in N(v); then cats[u] = 0, u in a012.
+        raise RuntimeError("internal: C5 root has no low-category neighbor")
     c = trace.clique(a012).vertices
     omega0 = len(c)
     trace.audit(

@@ -99,7 +99,9 @@ class CliqueResult:
 
     @property
     def value(self) -> int | None:
-        return self.lower if self.complete else None
+        """The clique number once proven: the search completed, or a search
+        cut short found a clique as large as its upper bound."""
+        return self.lower if self.complete or self.lower == self.upper else None
 
 
 @dataclass(frozen=True)
@@ -534,9 +536,9 @@ def require_chromatic(
 def require_clique_number(
     g: Graph, budget: SolveBudget | None = None, *, within: int | None = None
 ) -> CliqueResult:
-    """Clique number or BudgetExhausted."""
+    """Clique number, proven when the bounds meet, or BudgetExhausted."""
     res = clique_number(g, budget, within=within)
-    if not res.complete:
+    if res.value is None:
         raise BudgetExhausted(
             f"clique number unresolved within budget: bounds [{res.lower}, {res.upper}]"
         )

@@ -219,7 +219,7 @@ class HuntResult:
     class_name: str
     graph: Graph
     chi: int
-    omega: int
+    omega: int | None
     evaluations: int
     steps: int
     seed: int
@@ -282,7 +282,9 @@ def hunt(
     that runs out skips its candidate.  Where nothing runs out, the walk is
     the one a full solve of each candidate's chi would take; under a tight
     budget a decision can finish where a full solve would not, so more
-    candidates complete.  Never claims optimality.
+    candidates complete.  The final clique number counts as proven when its
+    bounds meet; a final clique solve that still runs out leaves omega None.
+    Never claims optimality.
     """
     spec = class_by_name(class_name)
     if steps < 0:
@@ -315,7 +317,10 @@ def hunt(
         evaluations += 1
         if keep:
             cur, cur_chi = cand, cur_chi + added
-    omega = require_clique_number(cur, budget).lower
+    try:
+        omega: int | None = require_clique_number(cur, budget).lower
+    except BudgetExhausted:
+        omega = None
     if not in_class(cur, spec):
         raise RuntimeError("internal: hunt left the class")
     return HuntResult(

@@ -14,7 +14,6 @@ from chibound import (
     ClassMembershipError,
     Coloring,
     Graph,
-    ProofTrace,
     SampleConfig,
     SampleExhausted,
     SolveBudget,
@@ -38,7 +37,6 @@ from chibound import (
     verify_coloring,
 )
 from chibound.colorers import (
-    _c5_clique_neighborhood,
     _cluster,
     _dominated_pair,
     _fold_classes,
@@ -296,17 +294,22 @@ class TestC5Free:
             color_c5_free(named_graph("grotzsch"))
         assert exc.value.witness.pattern == "c5"
 
-    def test_clique_neighborhood_step_directly(self):
-        # K4 on 0..3, a tail 0-4-5, rooted at the tail end: the root's
-        # neighborhood is the single vertex 4, a clique, which is the
-        # precondition of the clique-neighborhood split.
-        g = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5)])
-        trace = ProofTrace("C5Free", g)
-        classes = _c5_clique_neighborhood(trace, g.full_mask, 5, 1 << 4, 4)
-        assert verify_coloring(g, classes_coloring(g, classes)) is None
-        assert len(classes) <= evaluate_bound("C5Free", 4)
-        assert any(s.tag == "clique-nbhd/total" for s in trace.steps)
-        assert trace.violated_count == 0
+    @given(
+        st.integers(6, 16),
+        st.sampled_from([0.5, 0.7, 0.9]),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_sampled_members_never_lack_a_low_category_neighbor(self, n, p, seed):
+        # A root of largest degree always has a neighbor in a012, so the
+        # RuntimeError in _c5_rec is never raised on a member.
+        try:
+            g = sample_class(SampleConfig(n=n, p=p, seed=seed, class_name="C5Free"))
+        except SampleExhausted:
+            return
+        col, trace = color_c5_free(g)
+        omega = clique_number(g).value
+        check_run(g, col, trace, evaluate_bound("C5Free", omega))
 
 
 class TestK4Free:

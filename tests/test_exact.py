@@ -60,6 +60,20 @@ class TestCliqueNumber:
         g = gnp(6, 0.5, seed)
         assert clique_number(g).value == brute_clique_number(g)
 
+    def test_bounds_that_meet_are_a_proof(self):
+        # A KiteFree hunt result whose search runs out holding a clique as
+        # large as its first-fit bound.
+        g = read_graph6("K|Nz^~}~}}fn")
+        budget = SolveBudget(node_limit=5)
+        res = clique_number(g, budget)
+        assert not res.complete and (res.lower, res.upper) == (7, 7)
+        assert res.value == 7 == clique_number(g).value
+        assert require_clique_number(g, budget) == res
+        cut = clique_number(g, SolveBudget(node_limit=1))
+        assert cut.lower < cut.upper and cut.value is None
+        with pytest.raises(BudgetExhausted, match="clique number unresolved"):
+            require_clique_number(g, SolveBudget(node_limit=1))
+
 
 class TestChromaticNumber:
     def test_named_values(self):

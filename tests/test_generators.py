@@ -341,12 +341,34 @@ class TestHunt:
         start_done = chromatic_number(start, budget).complete
         try:
             res = hunt(cls, n=n, steps=60, seed=seed, budget=budget)
-        except BudgetExhausted as exc:
-            assert not start_done or str(exc).startswith("clique number")
+        except BudgetExhausted:
+            # Only the start solve may raise: an unresolved final clique
+            # number is returned as None.
+            assert not start_done
             return
         assert start_done
         assert is_member(res.graph, class_by_name(cls))
         assert res.chi == chromatic_number(res.graph).value
+        assert res.omega in (None, clique_number(res.graph).value)
+
+    @pytest.mark.parametrize(
+        "n, seed, node_limit, omega", [(12, 0, 5, 7), (14, 1, 5, 10), (14, 2, 10, 10)]
+    )
+    def test_final_clique_bounds_that_meet_are_a_proof(self, n, seed, node_limit, omega):
+        # Each final clique search runs out with lower = upper.
+        budget = SolveBudget(node_limit=node_limit)
+        res = hunt("KiteFree", n=n, steps=60, seed=seed, budget=budget)
+        cut = clique_number(res.graph, budget)
+        assert not cut.complete and cut.lower == cut.upper
+        assert res.omega == cut.value == clique_number(res.graph).value == omega
+
+    def test_unresolved_final_clique_number_is_none(self):
+        budget = SolveBudget(node_limit=4)
+        res = hunt("K1K3Free", n=10, steps=100, seed=344, budget=budget)
+        cut = clique_number(res.graph, budget)
+        assert (cut.lower, cut.upper, cut.value) == (6, 7, None)
+        assert res.omega is None
+        assert res.chi == chromatic_number(res.graph).value == 7
 
     def test_tight_budget_completes_more_decisions(self):
         # A decision at one k can finish where a full solve of chi, clique

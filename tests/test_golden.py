@@ -39,13 +39,11 @@ from chibound import (
     sample_class,
     write_graph6,
 )
-from chibound.colorers import _c5_clique_neighborhood
 from chibound.generators import extremal_family
-from chibound.graphs import bits
 
 SAMPLES_PER_CLASS = 20
 
-# K4 on 0..3 with a tail 0-4-5, as in test_colorers.py.
+# K4 on 0..3 with a tail 0-4-5.
 CLIQUE_NBHD = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (4, 5)])
 
 
@@ -108,15 +106,6 @@ def case_digest(key: str) -> str:
     return _digest(coloring.colors, trace)
 
 
-def clique_nbhd_step_digest() -> str:
-    """The C5 clique-neighborhood split run directly, rooted at vertex 5."""
-    g = CLIQUE_NBHD
-    trace = ProofTrace("C5Free", g)
-    classes = _c5_clique_neighborhood(trace, g.full_mask, 5, 1 << 4, 4)
-    colors = {v: i for i, c in enumerate(classes) for v in bits(c)}
-    return _digest([colors[v] for v in g.vertices()], trace)
-
-
 def hunt_walks_digest() -> str:
     """hunt(C, 16, 200, s) for every colorer class C and s in {1, 2}."""
     h = hashlib.sha256()
@@ -143,22 +132,16 @@ def mutate_walks_digest() -> str:
 GOLDEN: dict[str, str] = json.loads(
     (Path(__file__).parent / "golden_digests.json").read_text()
 )
-STEP_KEY = "clique-nbhd-step"
 WALK_DIGESTS = {"hunt-walks": hunt_walks_digest, "mutate-walks": mutate_walks_digest}
 
 
 def test_corpus_matches_golden_keys():
-    extra = {STEP_KEY, *WALK_DIGESTS}
-    assert sorted(CASES) == sorted(k for k in GOLDEN if k not in extra)
+    assert sorted(CASES) == sorted(k for k in GOLDEN if k not in WALK_DIGESTS)
 
 
 @pytest.mark.parametrize("key", sorted(CASES))
 def test_golden_digest(key):
     assert case_digest(key) == GOLDEN[key]
-
-
-def test_clique_nbhd_step_digest():
-    assert clique_nbhd_step_digest() == GOLDEN[STEP_KEY]
 
 
 @pytest.mark.parametrize("key", sorted(WALK_DIGESTS))

@@ -20,6 +20,7 @@ from chibound import (
     write_graph,
     write_graph6,
 )
+from chibound.cli import EXIT_USAGE, main
 
 from oracles import decode_graph6_reference
 
@@ -114,6 +115,57 @@ class TestGraph6:
     def test_out_of_range_byte_rejected(self):
         with pytest.raises(GraphParseError):
             read_graph6("D?\x1f")
+
+
+# Every parse-error site: (reader, input, exception type, message fragment).
+PARSE_ERRORS = [
+    (read_dimacs, "p edge 1 0\np edge 1 0\n", GraphParseError, "line 2: second problem line"),
+    (read_dimacs, "p edge 3\n", GraphParseError, "line 1: expected 'p edge <n> <m>'"),
+    (read_dimacs, "p col 3 0\n", GraphParseError, "line 1: expected 'p edge <n> <m>'"),
+    (read_dimacs, "p edge x 0\n", GraphParseError, "line 1: non-integer counts"),
+    (read_dimacs, "p edge -1 0\n", GraphParseError, "line 1: negative order"),
+    (read_dimacs, "e 1 2\n", GraphParseError, "line 1: edge before problem line"),
+    (read_dimacs, "p edge 2 1\ne 1\n", GraphParseError, "line 2: expected 'e <u> <v>'"),
+    (read_dimacs, "p edge 2 1\ne 1 x\n", GraphParseError, "line 2: non-integer endpoints"),
+    (read_dimacs, "p edge 2 1\ne 1 5\n", GraphParseError, "line 2: endpoint out of range 1..2"),
+    (read_dimacs, "p edge 2 1\ne 2 2\n", GraphParseError, "line 2: loop at vertex 2"),
+    (read_dimacs, "q edge 1 0\n", GraphParseError, "line 1: unknown record 'q'"),
+    (read_dimacs, "c comments only\n", GraphParseError, "missing 'p edge' problem line"),
+    (read_graph6, "D?{\nD?{\n", GraphParseError, "expected a single graph6 line"),
+    (read_graph6, " \n", GraphParseError, "empty graph6 string"),
+    (read_graph6, "~??", GraphParseError, "char 1: truncated extended size"),
+    (read_graph6, "~~" + "?" * 10, GraphParseError, "char 2: 8-byte size form not supported"),
+    (read_graph6, "~?\x7f?", GraphParseError, "char 3: byte out of graph6 range"),
+    (read_graph6, "\x7f", GraphParseError, "char 1: byte out of graph6 range"),
+    (read_graph6, "D?", GraphParseError, "body has 1 chars, order 5 needs 2"),
+    (read_graph6, "D?\x7f", GraphParseError, "body char 2: byte out of graph6 range"),
+    (read_graph6, "B@", GraphParseError, "non-zero padding bits"),
+    (write_graph6, Graph(258048, []), ValueError, "graph6 here covers order <= 258047"),
+    (lambda text: loads(text, "xyz"), "B?", ValueError, "unknown format 'xyz'"),
+    (lambda g: dumps(g, "xyz"), Graph(2, []), ValueError, "unknown format 'xyz'"),
+    (lambda path: read_graph(path, "xyz"), "g.g6", ValueError, "unknown format 'xyz'"),
+]
+
+
+@pytest.mark.parametrize(
+    "reader, arg, exc, fragment", PARSE_ERRORS, ids=[e[3] for e in PARSE_ERRORS]
+)
+def test_parse_error_sites(reader, arg, exc, fragment):
+    with pytest.raises(exc) as info:
+        reader(arg)
+    assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize("name, text", [
+    ("bad.col", "p edge 2 1\ne 2 2\n"),
+    ("bad.g6", "~??\n"),
+], ids=["dimacs", "graph6"])
+def test_cli_parse_error_is_one_line(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["omega", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestFileLevel:

@@ -7,6 +7,7 @@ import pytest
 
 from chibound import (
     COLORERS,
+    Coloring,
     ProofTrace,
     SolveBudget,
     SplitMix64,
@@ -16,9 +17,11 @@ from chibound import (
     color_kite_free,
     complete,
     dumps,
+    empty,
     extremal_family,
     loads,
     named_graph,
+    read_graph6,
     run_suite,
     write_graph,
 )
@@ -43,6 +46,19 @@ def _fields(record):
         record.violated,
         record.note,
     )
+
+
+def _improper_colorer(g, budget):
+    return Coloring((0,) * g.n), ProofTrace("KiteFree", g, budget)
+
+
+def _false_audit_colorer(g, budget):
+    trace = ProofTrace("KiteFree", g, budget)
+    trace.audit("stub/claim", "value-le", "two is at most one", numbers={"value": 2, "bound": 1})
+
+
+def _rainbow_colorer(g, budget):
+    return Coloring(tuple(range(g.n))), ProofTrace("KiteFree", g, budget)
 
 
 class TestRunSuite:
@@ -77,16 +93,46 @@ class TestRunSuite:
         assert branches[True] and branches[False]
 
     def test_tight_budget_settles_chi_from_omega(self):
-        # Under a 3-node budget the plain solve of these two records ran out
+        # Under a 3-node budget the plain solve of records 13 and 15 ran out
         # after its clique search; their palettes meet the proven omega.
+        # Record 8's clique searches run out with bounds that meet, which
+        # proves omega, so its colorer finishes.
         report = run_suite("KiteFree", 12, 60, 0, SolveBudget(node_limit=3))
         assert report.footer() == (
-            "total=60 pass=46 fail=0 unknown=14 sample-fail=0 soft-gap=0"
+            "total=60 pass=47 fail=0 unknown=13 sample-fail=0 soft-gap=0"
         )
-        for index, n in ((13, 9), (15, 8)):
+        for index, n in ((8, 10), (13, 9), (15, 8)):
             r = report.records[index]
             assert (r.n, r.verdict, r.note) == (n, "pass", "")
             assert r.chi == r.palette == r.omega
+
+    @pytest.mark.parametrize("stub, g, note", [
+        (_improper_colorer, complete(3), "improper"),
+        (_false_audit_colorer, complete(3), "audit:stub/claim"),
+        (_rainbow_colorer, empty(3), "bound-exceeded"),
+    ])
+    def test_fail_verdicts(self, monkeypatch, stub, g, note):
+        # The real colorers cannot fail on a member; stubs reach each arm.
+        monkeypatch.setitem(suite.COLORERS, "KiteFree", stub)
+        r = suite._run_instance(0, "KiteFree", g, None)
+        assert (r.verdict, r.note) == ("fail", note)
+        assert r.violated == (note == "audit:stub/claim")
+        assert r.chi == r.omega == exact.clique_number(g).value
+
+    def test_unknown_verdicts(self):
+        report = run_suite("C5Free", 12, 40, 1, SolveBudget(node_limit=2))
+        notes = {r.index: r.note for r in report.records if r.verdict != "pass"}
+        assert notes[21] == "chi-budget"
+        assert notes[11] == "colorer-budget"
+        r = report.records[21]
+        assert (r.n, r.omega, r.chi, r.palette) == (8, 4, None, 5)
+
+    def test_sampler_exhaustion_is_a_verdict(self, monkeypatch):
+        monkeypatch.setattr(suite, "_sample_instance", lambda *_: None)
+        report = run_suite("KiteFree", n=6, count=2, seed=0)
+        assert [(r.verdict, r.note) for r in report.records] == [
+            ("sample-fail", "sampler-exhausted")
+        ] * 2
 
     def test_non_member_sample_is_an_internal_error(self, monkeypatch):
         # The check must hold under python -O too, so it is not an assert.
@@ -228,6 +274,18 @@ class TestCliQueries:
         assert code == EXIT_UNKNOWN
         assert re.match(r"^chi lower=\d+ upper=\d+$", capsys.readouterr().out.strip())
 
+    def test_omega_bounds_that_meet_are_an_answer(self, tmp_path, capsys):
+        # The clique search runs out at 5 nodes holding a clique as large as
+        # its first-fit bound; at 1 node the bounds do not meet.
+        path = tmp_path / "kite-hunt.g6"
+        write_graph(read_graph6("K|Nz^~}~}}fn"), str(path))
+        assert main(["omega", str(path), "--budget-nodes", "5"]) == EXIT_OK
+        assert capsys.readouterr().out.strip() == "7"
+        assert main(["omega", str(path), "--budget-nodes", "1"]) == EXIT_UNKNOWN
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "omega lower=6 upper=7"
+        assert captured.err.strip() == "budget exhausted after 2 nodes"
+
     def test_stdin_graph(self, capsys, monkeypatch):
         import io
 
@@ -367,6 +425,31 @@ class TestCliSuiteHuntBench:
         assert code == EXIT_OK
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0].split()[0] == "i"
+
+    def test_suite_exit_codes(self, monkeypatch, capsys):
+        code = main([
+            "suite", "--class", "c5free", "--n", "12", "--count", "40",
+            "--seed", "1", "--budget-nodes", "2",
+        ])
+        assert code == EXIT_UNKNOWN
+        footer = capsys.readouterr().out.strip().splitlines()[-1]
+        assert footer == "total=40 pass=32 fail=0 unknown=8 sample-fail=0 soft-gap=0"
+        monkeypatch.setattr(suite, "_sample_instance", lambda *_: None)
+        assert main(["suite", "--class", "c5free", "--count", "2"]) == EXIT_VERDICT
+        footer = capsys.readouterr().out.strip().splitlines()[-1]
+        assert footer == "total=2 pass=0 fail=0 unknown=0 sample-fail=2 soft-gap=0"
+
+    def test_hunt_prints_an_unresolved_omega_as_dash(self, capsys):
+        code = main([
+            "hunt", "--class", "k1k3free", "--n", "10", "--steps", "100",
+            "--seed", "344", "--budget-nodes", "4",
+        ])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            "class=K1K3Free n=10 m=38 chi=7 omega=- evaluations=3 steps=100 "
+            "seed=344 noteworthy=false",
+            "I~j^~~yvg",
+        ]
 
     def test_hunt_output_parses(self, tmp_path, capsys):
         out = tmp_path / "best.g6"
