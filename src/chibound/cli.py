@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .catalog import catalog_names, named_graph
-from .colorers import COLORERS, ClassMembershipError, evaluate_bound
+from .colorers import COLORERS, ClassMembershipError, _bound_at
 from .exact import (
     BudgetExhausted,
     SolveBudget,
@@ -30,7 +30,7 @@ from .generators import (
     sample_class,
 )
 from .graphs import Coloring, Graph
-from .io import FORMATS, GraphParseError, dumps, loads, read_graph, write_graph
+from .io import FORMATS, dumps, loads, read_graph, write_graph
 from .patterns import class_by_name, find_induced, is_member, pattern_by_name
 from .suite import run_suite
 from .trace import AuditViolation
@@ -137,26 +137,25 @@ def _cmd_member(args) -> int:
     return EXIT_VERDICT
 
 
-def _cmd_omega(args) -> int:
-    g = _load_graph(args.graph, args.fmt)
-    res = clique_number(g, _budget_from(args))
+def _solved(name: str, res) -> int:
+    """Print an exact solver's proven value, or its bounds when the budget
+    ran out first."""
     if res.value is not None:
         print(res.value)
         return EXIT_OK
-    print(f"omega lower={res.lower} upper={res.upper}")
+    print(f"{name} lower={res.lower} upper={res.upper}")
     _say(f"budget exhausted after {res.nodes_used} nodes")
     return EXIT_UNKNOWN
+
+
+def _cmd_omega(args) -> int:
+    g = _load_graph(args.graph, args.fmt)
+    return _solved("omega", clique_number(g, _budget_from(args)))
 
 
 def _cmd_chi(args) -> int:
     g = _load_graph(args.graph, args.fmt)
-    res = chromatic_number(g, _budget_from(args))
-    if res.complete:
-        print(res.upper)
-        return EXIT_OK
-    print(f"chi lower={res.lower} upper={res.upper}")
-    _say(f"budget exhausted after {res.nodes_used} nodes")
-    return EXIT_UNKNOWN
+    return _solved("chi", chromatic_number(g, _budget_from(args)))
 
 
 def _cmd_color(args) -> int:
@@ -170,7 +169,7 @@ def _cmd_color(args) -> int:
     omega = trace.clique(g.full_mask).lower
     _say(
         f"class={spec.name} n={g.n} palette={coloring.palette} "
-        f"bound={evaluate_bound(spec.name, omega) if omega else 0} omega={omega} "
+        f"bound={_bound_at(spec.name, omega)} omega={omega} "
         f"steps={len(trace.steps)} holds={trace.holds_count} "
         f"soft={trace.soft_gap_count} violated={trace.violated_count}"
     )
@@ -330,15 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExhausted as exc:
         _say(str(exc))
         return EXIT_UNKNOWN
-    except AuditViolation as exc:
+    except (AuditViolation, ClassMembershipError) as exc:
         _say(str(exc))
         return EXIT_VERDICT
-    except ClassMembershipError as exc:
-        _say(str(exc))
-        return EXIT_VERDICT
-    except GraphParseError as exc:
-        _say(str(exc))
-        return EXIT_USAGE
     except (OSError, ValueError) as exc:
         _say(str(exc))
         return EXIT_USAGE

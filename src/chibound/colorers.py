@@ -62,6 +62,12 @@ def evaluate_bound(class_name: str, omega: int) -> int:
     return BINDINGS[spec.name](omega)
 
 
+def _bound_at(class_name: str, omega: int) -> int:
+    """The binding of a canonical class name at omega, or 0 for the empty
+    graph (omega 0): the palette bound every colorer run is checked against."""
+    return BINDINGS[class_name](omega) if omega else 0
+
+
 class ClassMembershipError(ValueError):
     """The input graph is outside the colorer's class; carries a witness."""
 
@@ -136,14 +142,18 @@ def _triangle_free_leaf(trace: ProofTrace, live: int) -> list[int] | None:
 
 def _dominated_pair(g: Graph, m: int) -> tuple[int, int] | None:
     """First ordered pair (u, v) in the mask with u, v nonadjacent and
-    N(u) within N(v), neighborhoods taken inside the mask."""
+    N(u) within N(v), neighborhoods taken inside the mask.  The donors of u
+    are its non-neighbors that see every neighbor of u; the pair is the
+    lowest u with a donor and its lowest donor."""
+    rows = g.rows
     for u in bits(m):
-        nu = g.rows[u] & m
-        for v in bits(m):
-            if v == u or g.rows[u] >> v & 1:
-                continue
-            if nu & ~(g.rows[v] & m) == 0:
-                return u, v
+        donors = m & ~rows[u] & ~(1 << u)
+        for w in bits(rows[u] & m):
+            donors &= rows[w]
+            if not donors:
+                break
+        if donors:
+            return u, (donors & -donors).bit_length() - 1
     return None
 
 
@@ -189,7 +199,7 @@ def _wrap(
             colors[v] = i
     coloring = Coloring(tuple(colors)).compacted()
     omega = trace.clique(g.full_mask).lower
-    bound = BINDINGS[spec.name](omega) if omega >= 1 else 0
+    bound = _bound_at(spec.name, omega)
     trace.audit(
         "bound/final-palette",
         "value-le",

@@ -16,9 +16,7 @@ edge: clique number and chromatic number add over a join, so each part is
 searched on its own under the one shared budget.  A prime graph, or a join
 of one part with edgeless parts, is searched whole as before.  A split
 clique search still returns the clique the whole search would have
-returned; a split coloring colors the parts with disjoint palettes.  A
-chromatic solve walks the complement at most once: it reuses the parts its
-clique search walked.
+returned; a split coloring colors the parts with disjoint palettes.
 
 The chromatic solver tries k = omega, omega + 1, ... in turn.  Its k search
 picks as DSATUR does (most neighbor colors, then highest degree, then lowest
@@ -210,12 +208,11 @@ def _max_clique_search(
     ticker: _Ticker,
     best: list[int] | None = None,
     g: Graph | None = None,
-) -> tuple[list[int], bool, int, list[int] | None]:
+) -> tuple[list[int], bool, int]:
     """Branch-and-bound maximum clique of G[full], starting from the maximal
     clique best (greedy by default); returns the best clique, whether the
-    search completed, a proven upper bound on the clique number (first-fit
-    when the search did not complete), and the co-components of G[full]
-    when the search computed them (else None).
+    search completed, and a proven upper bound on the clique number
+    (first-fit when the search did not complete).
 
     Only a search given its graph g may split, and only when its root bound
     does not close it.  The parts are co-connected, so their own searches
@@ -223,7 +220,6 @@ def _max_clique_search(
     if best is None:
         best = _greedy_maximal_clique(rows, full)
     cur: list[int] = []
-    parts = None
     # Branches that cannot beat floor are pruned.  floor is len(best) until
     # best reaches target; then it is the order, which ends the search.
     floor = len(best)
@@ -254,7 +250,7 @@ def _max_clique_search(
                 if _worth_splitting(rows, parts):
                     clique, complete, upper = _clique_over_parts(rows, parts, ticker, best)
                     if not complete or len(clique) == len(best):
-                        return clique, complete, upper, parts
+                        return clique, complete, upper
                     # The parts proved the clique number.  The whole search
                     # runs only until its first clique of that size, which
                     # is the witness it would have returned unsplit; pruning
@@ -263,12 +259,12 @@ def _max_clique_search(
                     try:
                         expand(full, order)
                     except _OutOfBudget:
-                        return clique, False, upper, parts
-                    return best, True, upper, parts
+                        return clique, False, upper
+                    return best, True, upper
             expand(full, order)
     except _OutOfBudget:
-        return best, False, _first_fit_cap(rows, full, best), parts
-    return best, True, len(best), parts
+        return best, False, _first_fit_cap(rows, full, best)
+    return best, True, len(best)
 
 
 def _clique_over_parts(
@@ -285,7 +281,7 @@ def _clique_over_parts(
     for part in parts:
         best = [v for v in start if part >> v & 1]
         if complete:
-            best, complete, cap, _ = _max_clique_search(rows, part, ticker, best)
+            best, complete, cap = _max_clique_search(rows, part, ticker, best)
         else:
             cap = _first_fit_cap(rows, part, best)
         clique += best
@@ -304,7 +300,7 @@ def clique_number(
     """
     rows, full = restrict(g, within)
     ticker = _Ticker(budget or SolveBudget())
-    best, complete, upper, _ = _max_clique_search(rows, full, ticker, g=g)
+    best, complete, upper = _max_clique_search(rows, full, ticker, g=g)
     return CliqueResult(tuple(best), len(best), upper, complete, ticker.nodes)
 
 
@@ -460,9 +456,9 @@ def chromatic_number(
     verts = list(bits(full))
     ticker = _Ticker(budget or SolveBudget())
     if clique is None:
-        clique, complete_omega, _, parts = _max_clique_search(rows, full, ticker, g=g)
+        clique, complete_omega, _ = _max_clique_search(rows, full, ticker, g=g)
     else:
-        clique, complete_omega, parts = sorted(clique), True, None
+        clique, complete_omega = sorted(clique), True
     greedy = _first_fit_coloring(rows, verts)
     lower = len(clique)
     upper = greedy.palette
@@ -470,8 +466,7 @@ def chromatic_number(
         return ChromaticResult(lower, upper, greedy, True, ticker.nodes)
     if not complete_omega:
         return ChromaticResult(lower, upper, greedy, False, ticker.nodes)
-    if parts is None:
-        parts = co_components(g, full)
+    parts = co_components(g, full)
     if not _worth_splitting(rows, parts):
         lower, upper, witness, complete = _ascend(rows, verts, clique, greedy, ticker)
         return ChromaticResult(lower, upper, witness, complete, ticker.nodes)
@@ -507,7 +502,7 @@ def k_colorable(g: Graph, k: int, budget: SolveBudget | None = None) -> bool:
     it runs out before the answer is proven."""
     ticker = _Ticker(budget or SolveBudget())
     try:
-        clique, complete, _, _ = _max_clique_search(g.rows, g.full_mask, ticker)
+        clique, complete, _ = _max_clique_search(g.rows, g.full_mask, ticker)
         if len(clique) > k:
             return False
         if not complete:

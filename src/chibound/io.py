@@ -101,10 +101,12 @@ def write_graph6(g: Graph) -> str:
 
 
 def read_graph6(text: str) -> Graph:
-    line = text.strip()
+    # Only ASCII whitespace is stripped: str.strip() would also drop the
+    # control bytes 0x1c-0x1f, which are out of graph6 range.
+    line = text.strip(" \t\r\n")
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
-    if "\n" in text.strip():
+    if "\n" in line:
         raise GraphParseError("expected a single graph6 line")
     if not line:
         raise GraphParseError("empty graph6 string")

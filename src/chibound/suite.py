@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .catalog import named_graph
-from .colorers import COLORERS, BINDINGS, ClassMembershipError
+from .colorers import COLORERS, ClassMembershipError, _bound_at
 from .exact import BudgetExhausted, SolveBudget, require_chromatic, verify_coloring
 from .generators import SampleConfig, SampleExhausted, SplitMix64, mutate_within_class, sample_class
 from .graphs import Graph, complete
@@ -45,8 +45,6 @@ def _fallback_witness(class_name: str, order: int, rng: SplitMix64) -> Graph | N
     member), diversified by membership-preserving toggles."""
     if class_name == "K4Free" and order > 3:
         host = named_graph("schlafli_complement")
-    elif class_name != "C5Free" and order <= 11 and rng.below(2) == 0:
-        host = named_graph("grotzsch")
     else:
         host = complete(order)
     if host.n < order:
@@ -80,34 +78,35 @@ def _sample_instance(class_name: str, n_max: int, rng: SplitMix64) -> Graph | No
         return _fallback_witness(class_name, order, rng)
 
 
+def _fmt(x) -> str:
+    return "-" if x is None else str(x)
+
+
 @dataclass(frozen=True)
 class SuiteRecord:
     index: int
     n: int
     m: int
-    omega: int | None
-    chi: int | None
-    palette: int | None
-    bound: int | None
-    verdict: str
-    holds: int
-    soft: int
-    violated: int
-    ms: float
+    omega: int | None = None
+    chi: int | None = None
+    palette: int | None = None
+    bound: int | None = None
+    verdict: str = "pass"
+    holds: int = 0
+    soft: int = 0
+    violated: int = 0
+    ms: float = 0.0
     note: str = ""
 
     def line(self) -> str:
-        def fmt(x) -> str:
-            return "-" if x is None else str(x)
-
         parts = [
             f"i={self.index}",
             f"n={self.n}",
             f"m={self.m}",
-            f"omega={fmt(self.omega)}",
-            f"chi={fmt(self.chi)}",
-            f"palette={fmt(self.palette)}",
-            f"bound={fmt(self.bound)}",
+            f"omega={_fmt(self.omega)}",
+            f"chi={_fmt(self.chi)}",
+            f"palette={_fmt(self.palette)}",
+            f"bound={_fmt(self.bound)}",
             f"verdict={self.verdict}",
             f"holds={self.holds}",
             f"soft={self.soft}",
@@ -156,59 +155,44 @@ class SuiteReport:
             f"{'i':>4} {'n':>3} {'m':>4} {'omega':>5} {'chi':>4} "
             f"{'palette':>7} {'bound':>5} {'verdict':>11}"
         )
-        rows = [head]
-        for r in self.records:
-            def fmt(x) -> str:
-                return "-" if x is None else str(x)
-
-            rows.append(
-                f"{r.index:>4} {r.n:>3} {r.m:>4} {fmt(r.omega):>5} "
-                f"{fmt(r.chi):>4} {fmt(r.palette):>7} {fmt(r.bound):>5} "
-                f"{r.verdict:>11}"
-            )
-        rows.append(self.footer())
-        return rows
+        rows = [
+            f"{r.index:>4} {r.n:>3} {r.m:>4} {_fmt(r.omega):>5} "
+            f"{_fmt(r.chi):>4} {_fmt(r.palette):>7} {_fmt(r.bound):>5} "
+            f"{r.verdict:>11}"
+            for r in self.records
+        ]
+        return [head, *rows, self.footer()]
 
 
 def _run_instance(
     index: int, class_name: str, g: Graph, budget: SolveBudget | None
 ) -> SuiteRecord:
     start = time.perf_counter()
-    colorer = COLORERS[class_name]
-    palette = None
+    palette = chi = omega = bound = clique = None
     holds = soft = violated = 0
-    note = ""
-    verdict = "pass"
-    chi: int | None = None
-    omega: int | None = None
-    bound: int | None = None
+    verdict, note = "pass", ""
     try:
-        coloring, trace = colorer(g, budget)
+        coloring, trace = COLORERS[class_name](g, budget)
         palette = coloring.palette
         holds, soft = trace.holds_count, trace.soft_gap_count
-        violated = trace.violated_count
         if verify_coloring(g, coloring) is not None:
-            verdict = "fail"
-            note = "improper"
+            verdict, note = "fail", "improper"
     except ClassMembershipError as exc:
         raise RuntimeError(f"internal: sampled a graph outside {class_name}") from exc
     except AuditViolation as exc:
+        # A hard step that fails raises, so only this arm sees a violation.
         trace = exc.trace
-        verdict = "fail"
-        note = f"audit:{exc.step.tag}"
-        violated = 1
+        verdict, note, violated = "fail", f"audit:{exc.step.tag}", 1
     except BudgetExhausted:
         trace = ProofTrace(class_name, g, budget)
-        verdict = "unknown"
-        note = "colorer-budget"
-    clique = None
+        verdict, note = "unknown", "colorer-budget"
     try:
+        # A returned run hits the cache (_wrap read this clique for its
+        # final audit); the others may run out, and omega stays None.
         clique = trace.clique(g.full_mask).vertices
         omega = len(clique)
-        bound = BINDINGS[class_name](omega) if omega >= 1 else 0
+        bound = _bound_at(class_name, omega)
     except BudgetExhausted:
-        # Any record whose colorer returned hits the cache (_wrap read this
-        # clique for its final audit); others may run out, omega stays None.
         pass
     try:
         if verdict == "pass" and palette == omega:
@@ -217,29 +201,13 @@ def _run_instance(
             chi, _ = require_chromatic(g, budget, clique=clique)
     except BudgetExhausted:
         if verdict == "pass":
-            verdict = "unknown"
-            note = "chi-budget"
-    if verdict == "pass":
-        if bound is None or palette is None:
-            verdict = "unknown"
-        elif palette > bound or (chi is not None and chi > bound):
-            verdict = "fail"
-            note = "bound-exceeded"
+            verdict, note = "unknown", "chi-budget"
+    if verdict == "pass" and (palette > bound or chi > bound):
+        verdict, note = "fail", "bound-exceeded"
     ms = (time.perf_counter() - start) * 1000.0
     return SuiteRecord(
-        index=index,
-        n=g.n,
-        m=g.edge_count,
-        omega=omega,
-        chi=chi,
-        palette=palette,
-        bound=bound,
-        verdict=verdict,
-        holds=holds,
-        soft=soft,
-        violated=violated,
-        ms=ms,
-        note=note,
+        index, g.n, g.edge_count, omega=omega, chi=chi, palette=palette, bound=bound,
+        verdict=verdict, holds=holds, soft=soft, violated=violated, ms=ms, note=note,
     )
 
 
@@ -263,24 +231,9 @@ def run_suite(
     rng = SplitMix64(seed)
     for index in range(count):
         inst = _sample_instance(spec.name, n, rng)
-        if inst is None:
-            report.records.append(
-                SuiteRecord(
-                    index=index,
-                    n=0,
-                    m=0,
-                    omega=None,
-                    chi=None,
-                    palette=None,
-                    bound=None,
-                    verdict="sample-fail",
-                    holds=0,
-                    soft=0,
-                    violated=0,
-                    ms=0.0,
-                    note="sampler-exhausted",
-                )
-            )
-            continue
-        report.records.append(_run_instance(index, spec.name, inst, budget))
+        report.records.append(
+            SuiteRecord(index, 0, 0, verdict="sample-fail", note="sampler-exhausted")
+            if inst is None
+            else _run_instance(index, spec.name, inst, budget)
+        )
     return report

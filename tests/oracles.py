@@ -11,7 +11,9 @@ chromatic solver's earlier per-vertex scan, which the mask-based search must
 match node for node.  The reference hunt solves every candidate's chromatic
 number in full, where hunt decides one k per toggle.  The subset-cover
 chromatic number covers each vertex subset by independent sets outright, so
-it reaches order 9 and beyond, where direct assignment takes seconds.
+it reaches order 9 and beyond, where direct assignment takes seconds.  The
+reference dominated pair is the kite reduction's earlier pair scan, which
+the donor-mask scan must match pair for pair.
 """
 
 from itertools import combinations, permutations, product
@@ -273,6 +275,21 @@ def decode_graph6_reference(line: str) -> tuple[int, set[tuple[int, int]]]:
                 edges.add((u, v))
             idx += 1
     return n, edges
+
+
+def reference_dominated_pair(g: Graph, m: int) -> tuple[int, int] | None:
+    """The kite reduction's pair scan as it was before donors became one
+    mask per vertex, kept verbatim: the first ordered pair (u, v) in the
+    mask with u, v nonadjacent and N(u) within N(v), neighborhoods taken
+    inside the mask."""
+    for u in bits(m):
+        nu = g.rows[u] & m
+        for v in bits(m):
+            if v == u or g.rows[u] >> v & 1:
+                continue
+            if nu & ~(g.rows[v] & m) == 0:
+                return u, v
+    return None
 
 
 def reference_k_color_search(

@@ -33,6 +33,7 @@ from chibound import (
     join,
     named_graph,
     path,
+    replay,
     sample_class,
     verify_coloring,
 )
@@ -43,6 +44,8 @@ from chibound.colorers import (
     _wrap,
 )
 from chibound.graphs import bits
+
+from oracles import reference_dominated_pair
 
 # The only audit locations allowed to record a soft-gap verdict.
 SOFT_ALLOWED = re.compile(r"^(split-hammer/j[23]-palette|second-nbhd/b\d+-palette)$")
@@ -130,6 +133,18 @@ class TestDomination:
         # Neighborhoods are taken inside the mask: C5 minus vertex 2 is the
         # path 3-4-0-1, where N(1) = {0} lies in N(4) = {0, 3}.
         assert _dominated_pair(cycle(5), 0b11011) == (1, 4)
+
+    @given(
+        st.integers(min_value=1, max_value=14),
+        st.sampled_from([0.2, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**14 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_scan(self, n, p, seed, picked):
+        g = gnp(n, p, seed)
+        for m in (g.full_mask, picked & g.full_mask):
+            assert _dominated_pair(g, m) == reference_dominated_pair(g, m)
 
     def test_star_fixpoint(self):
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
@@ -222,6 +237,17 @@ class TestKiteFree:
         g = join(named_graph("grotzsch"), named_graph("grotzsch"))
         with pytest.raises(BudgetExhausted):
             color_kite_free(g, SolveBudget(node_limit=20, time_limit=60))
+
+    def test_cocktail_party_reduces_to_a_clique(self):
+        # K_{2x150}: each vertex is dominated by its nonadjacent twin, so
+        # 150 reductions leave a clique, without a cubic rescan per step.
+        g = Graph(300, [
+            (u, v) for u in range(300) for v in range(u + 1, 300) if u // 2 != v // 2
+        ])
+        col, trace = color_kite_free(g)
+        check_run(g, col, trace, 300)
+        assert col.palette == 150
+        assert replay(g, trace) == []
 
     def test_rejects_kite(self):
         with pytest.raises(ClassMembershipError) as exc:

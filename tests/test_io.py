@@ -113,7 +113,7 @@ class TestGraph6:
                 read_graph6(corrupted)
 
     def test_out_of_range_byte_rejected(self):
-        with pytest.raises(GraphParseError):
+        with pytest.raises(GraphParseError, match="out of graph6 range"):
             read_graph6("D?\x1f")
 
 
@@ -139,6 +139,7 @@ PARSE_ERRORS = [
     (read_graph6, "\x7f", GraphParseError, "char 1: byte out of graph6 range"),
     (read_graph6, "D?", GraphParseError, "body has 1 chars, order 5 needs 2"),
     (read_graph6, "D?\x7f", GraphParseError, "body char 2: byte out of graph6 range"),
+    (read_graph6, "D?{\x1f", GraphParseError, "body has 3 chars, order 5 needs 2"),
     (read_graph6, "B@", GraphParseError, "non-zero padding bits"),
     (write_graph6, Graph(258048, []), ValueError, "graph6 here covers order <= 258047"),
     (lambda text: loads(text, "xyz"), "B?", ValueError, "unknown format 'xyz'"),

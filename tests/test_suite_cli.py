@@ -9,9 +9,11 @@ from chibound import (
     COLORERS,
     Coloring,
     ProofTrace,
+    SampleExhausted,
     SolveBudget,
     SplitMix64,
     SuiteRecord,
+    class_by_name,
     cycle,
     color_k4_free,
     color_kite_free,
@@ -19,6 +21,7 @@ from chibound import (
     dumps,
     empty,
     extremal_family,
+    is_member,
     loads,
     named_graph,
     read_graph6,
@@ -134,6 +137,24 @@ class TestRunSuite:
             ("sample-fail", "sampler-exhausted")
         ] * 2
 
+    @pytest.mark.parametrize("class_name", sorted(COLORERS))
+    def test_fallback_witness_is_an_in_class_member(self, monkeypatch, class_name):
+        # Rejection sampling at these orders succeeds in tier-1 runs, so the
+        # fallback is reached only with the sampler made to give up.
+        def exhausted(cfg):
+            raise SampleExhausted(cfg)
+
+        monkeypatch.setattr(suite, "sample_class", exhausted)
+        spec = class_by_name(class_name)
+        orders = set()
+        for seed in range(200):
+            order = 1 + SplitMix64(seed).below(12)
+            g = suite._sample_instance(class_name, 12, SplitMix64(seed))
+            assert g is not None and g.n == order
+            assert is_member(g, spec)
+            orders.add(order)
+        assert orders == set(range(1, 13))
+
     def test_non_member_sample_is_an_internal_error(self, monkeypatch):
         # The check must hold under python -O too, so it is not an assert.
         monkeypatch.setattr(suite, "_sample_instance", lambda *_: complete(4))
@@ -178,11 +199,7 @@ class TestRunSuite:
             run_suite("Chordal", n=6, count=1, seed=0)
 
     def test_record_line_renders_missing_values_as_dash(self):
-        r = SuiteRecord(
-            index=3, n=0, m=0, omega=None, chi=None, palette=None, bound=None,
-            verdict="sample-fail", holds=0, soft=0, violated=0, ms=0.0,
-            note="sampler-exhausted",
-        )
+        r = SuiteRecord(3, 0, 0, verdict="sample-fail", note="sampler-exhausted")
         line = r.line()
         assert "omega=- chi=- palette=- bound=-" in line
         assert line.endswith("note=sampler-exhausted")
