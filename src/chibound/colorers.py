@@ -125,9 +125,8 @@ def _exact_block(trace: ProofTrace, m: int) -> list[int]:
 
 
 def _triangle_free_leaf(trace: ProofTrace, live: int) -> list[int] | None:
-    """Exact coloring of a triangle-free part, audited; None on a triangle."""
-    g = trace.g
-    if find_induced(g, PATTERNS["k3"], within=live) is not None:
+    """Exact coloring of a triangle-free part, audited; None when omega > 2."""
+    if trace.clique(live).lower > 2:
         return None
     block = _exact_block(trace, live)
     trace.audit(
@@ -547,74 +546,79 @@ def color_p2k3_free(
 
 
 def _p2k3_main(trace: ProofTrace, live: int) -> list[int]:
+    """One level per pass: split at a maximum clique's root and go on into
+    its neighborhood; the levels are colored back up, deepest first."""
     g = trace.g
-    if is_independent(g, live):
-        return _single_color_block(live)
-    cliq = trace.clique(live).vertices
-    omega = len(cliq)
-    v1 = cliq[0]
-    outside = live & ~g.rows[v1] & ~(1 << v1)
-    taken = 0
-    a_sets: list[tuple[int, int]] = []  # (clique index i, mask)
-    for i in range(2, omega + 1):
-        vi = cliq[i - 1]
-        ai = outside & ~taken & ~g.rows[vi]
-        taken |= ai
-        a_sets.append((i, ai))
-    b = outside & ~taken
-    for i, ai in a_sets:
-        if ai:
-            trace.audit(
-                f"greedy-split/a{i}-components",
-                "components-le-2",
-                "a part missing one clique vertex splits into vertices and edges",
-                sets={"X": ai, "missed": 1 << cliq[i - 1], "root": 1 << v1},
-            )
-    trace.audit(
-        "greedy-split/b-complete",
-        "complete-between",
-        "leftover outside vertices see the whole clique except its root",
-        sets={"X": b, "Y": mask_of(cliq[1:])},
-    )
-    trace.audit(
-        "greedy-split/b-independent",
-        "independent",
-        "leftover outside vertices are independent",
-        sets={"X": b},
-    )
-    nbhd = g.rows[v1] & live
-    trace.audit(
-        "greedy-split/recursion-omega",
-        "omega-le",
-        "the root neighborhood drops the clique number by one",
-        sets={"X": nbhd},
-        numbers={"bound": omega - 1},
-    )
-    rec_block = _p2k3_main(trace, nbhd)
-    trace.audit(
-        "greedy-split/recursion-palette",
-        "value-le",
-        "recursed neighborhood stays within its squared clique budget",
-        numbers={"value": len(rec_block), "bound": (omega - 1) * (omega - 1)},
-    )
-    merged = rec_block
-    for i, ai in a_sets:
-        if ai:
-            block = _cluster(g, ai)
-            trace.audit(
-                f"greedy-split/a{i}-palette",
-                "value-le",
-                "a vertices-and-edges part takes at most 2 colors",
-                numbers={"value": len(block), "bound": 2},
-            )
-            merged += block
-    merged += _single_color_block(b | 1 << v1)
-    trace.audit(
-        "greedy-split/total",
-        "value-le",
-        "clique-rooted split stays within the squared clique number",
-        numbers={"value": len(merged), "bound": omega * omega},
-    )
+    # (omega, a_sets, b | root) per level, outermost first.
+    levels: list[tuple[int, list[tuple[int, int]], int]] = []
+    while not is_independent(g, live):
+        cliq = trace.clique(live).vertices
+        omega = len(cliq)
+        v1 = cliq[0]
+        outside = live & ~g.rows[v1] & ~(1 << v1)
+        taken = 0
+        a_sets: list[tuple[int, int]] = []  # (clique index i, mask)
+        for i in range(2, omega + 1):
+            vi = cliq[i - 1]
+            ai = outside & ~taken & ~g.rows[vi]
+            taken |= ai
+            a_sets.append((i, ai))
+        b = outside & ~taken
+        for i, ai in a_sets:
+            if ai:
+                trace.audit(
+                    f"greedy-split/a{i}-components",
+                    "components-le-2",
+                    "a part missing one clique vertex splits into vertices and edges",
+                    sets={"X": ai, "missed": 1 << cliq[i - 1], "root": 1 << v1},
+                )
+        trace.audit(
+            "greedy-split/b-complete",
+            "complete-between",
+            "leftover outside vertices see the whole clique except its root",
+            sets={"X": b, "Y": mask_of(cliq[1:])},
+        )
+        trace.audit(
+            "greedy-split/b-independent",
+            "independent",
+            "leftover outside vertices are independent",
+            sets={"X": b},
+        )
+        nbhd = g.rows[v1] & live
+        trace.audit(
+            "greedy-split/recursion-omega",
+            "omega-le",
+            "the root neighborhood drops the clique number by one",
+            sets={"X": nbhd},
+            numbers={"bound": omega - 1},
+        )
+        levels.append((omega, a_sets, b | 1 << v1))
+        live = nbhd
+    merged = _single_color_block(live)
+    for omega, a_sets, base in reversed(levels):
+        trace.audit(
+            "greedy-split/recursion-palette",
+            "value-le",
+            "recursed neighborhood stays within its squared clique budget",
+            numbers={"value": len(merged), "bound": (omega - 1) * (omega - 1)},
+        )
+        for i, ai in a_sets:
+            if ai:
+                block = _cluster(g, ai)
+                trace.audit(
+                    f"greedy-split/a{i}-palette",
+                    "value-le",
+                    "a vertices-and-edges part takes at most 2 colors",
+                    numbers={"value": len(block), "bound": 2},
+                )
+                merged += block
+        merged += _single_color_block(base)
+        trace.audit(
+            "greedy-split/total",
+            "value-le",
+            "clique-rooted split stays within the squared clique number",
+            numbers={"value": len(merged), "bound": omega * omega},
+        )
     return merged
 
 
@@ -629,66 +633,73 @@ def color_hammer_free(
 
 
 def _hammer_rec(trace: ProofTrace, live: int) -> list[int]:
+    """One level per pass: split at a twin edge and go on into its
+    neighborhood; the last part, independent or free of P2+K3, goes to the
+    P2+K3-free procedure, and the levels are colored back up, deepest first."""
     g = trace.g
-    if is_independent(g, live):
-        return _single_color_block(live)
-    emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
-    if emb is None:
-        return _p2k3_main(trace, live)
-    omega = trace.clique(live).lower
-    u1, u2 = emb.vertices[0], emb.vertices[1]
-    trace.audit(
-        "twin-edge/eq5-closed-equal",
-        "sets-equal",
-        "the spare edge endpoints have identical closed neighborhoods",
-        sets={
-            "X": (g.rows[u1] | 1 << u1) & live,
-            "Y": (g.rows[u2] | 1 << u2) & live,
-        },
-    )
-    um = 1 << u1 | 1 << u2
-    nbhd = g.rows[u1] & live & ~um
-    rest = live & ~um & ~nbhd
-    trace.audit(
-        "twin-edge/pair-complete",
-        "complete-between",
-        "the twin edge is complete to its shared neighborhood",
-        sets={"X": um, "Y": nbhd},
-    )
-    trace.audit(
-        "twin-edge/n-omega",
-        "omega-le",
-        "the shared neighborhood drops the clique number by two",
-        sets={"X": nbhd},
-        numbers={"bound": omega - 2},
-    )
-    trace.audit(
-        "twin-edge/rest-p3free",
-        "p3-free",
-        "the remainder plus the twin edge is a union of cliques",
-        sets={"X": rest | um},
-    )
-    rec_block = _hammer_rec(trace, nbhd)
-    trace.audit(
-        "twin-edge/recursion-palette",
-        "value-le",
-        "recursed shared neighborhood stays within its squared clique budget",
-        numbers={"value": len(rec_block), "bound": (omega - 2) * (omega - 2)},
-    )
-    rest_block = _cluster(g, rest | um)
-    trace.audit(
-        "twin-edge/cluster-palette",
-        "value-le",
-        "remainder cliques fit in omega colors",
-        numbers={"value": len(rest_block), "bound": omega},
-    )
-    merged = rec_block + rest_block
-    trace.audit(
-        "twin-edge/total",
-        "value-le",
-        "twin-edge split stays within the squared clique number",
-        numbers={"value": len(merged), "bound": omega * omega},
-    )
+    # (omega, the rest plus the twin edge) per level, outermost first.
+    levels: list[tuple[int, int]] = []
+    while not is_independent(g, live):
+        emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
+        if emb is None:
+            break
+        omega = trace.clique(live).lower
+        u1, u2 = emb.vertices[0], emb.vertices[1]
+        trace.audit(
+            "twin-edge/eq5-closed-equal",
+            "sets-equal",
+            "the spare edge endpoints have identical closed neighborhoods",
+            sets={
+                "X": (g.rows[u1] | 1 << u1) & live,
+                "Y": (g.rows[u2] | 1 << u2) & live,
+            },
+        )
+        um = 1 << u1 | 1 << u2
+        nbhd = g.rows[u1] & live & ~um
+        rest = live & ~um & ~nbhd
+        trace.audit(
+            "twin-edge/pair-complete",
+            "complete-between",
+            "the twin edge is complete to its shared neighborhood",
+            sets={"X": um, "Y": nbhd},
+        )
+        trace.audit(
+            "twin-edge/n-omega",
+            "omega-le",
+            "the shared neighborhood drops the clique number by two",
+            sets={"X": nbhd},
+            numbers={"bound": omega - 2},
+        )
+        trace.audit(
+            "twin-edge/rest-p3free",
+            "p3-free",
+            "the remainder plus the twin edge is a union of cliques",
+            sets={"X": rest | um},
+        )
+        levels.append((omega, rest | um))
+        live = nbhd
+    merged = _p2k3_main(trace, live)
+    for omega, rest in reversed(levels):
+        trace.audit(
+            "twin-edge/recursion-palette",
+            "value-le",
+            "recursed shared neighborhood stays within its squared clique budget",
+            numbers={"value": len(merged), "bound": (omega - 2) * (omega - 2)},
+        )
+        rest_block = _cluster(g, rest)
+        trace.audit(
+            "twin-edge/cluster-palette",
+            "value-le",
+            "remainder cliques fit in omega colors",
+            numbers={"value": len(rest_block), "bound": omega},
+        )
+        merged += rest_block
+        trace.audit(
+            "twin-edge/total",
+            "value-le",
+            "twin-edge split stays within the squared clique number",
+            numbers={"value": len(merged), "bound": omega * omega},
+        )
     return merged
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import Coloring, Graph, bits, co_components, is_clique, mask_of, restrict
 
@@ -119,27 +119,7 @@ class ChromaticResult:
 
 def greedy_coloring(g: Graph) -> Coloring:
     """First-fit coloring along the vertex order 0..n-1."""
-    return Coloring(tuple(_first_fit(g.rows, g.vertices())))
-
-
-def _first_fit(rows: Sequence[int], order: Iterable[int]) -> list[int]:
-    """First-fit colors by vertex id along the order; -1 off the order.
-    Each color class is kept as a vertex mask, so v gets the first class
-    that misses its row."""
-    colors = [-1] * len(rows)
-    classes: list[int] = []
-    for v in order:
-        row = rows[v]
-        c = 0
-        for members in classes:
-            if not members & row:
-                break
-            c += 1
-        else:
-            classes.append(0)
-        classes[c] |= 1 << v
-        colors[v] = c
-    return colors
+    return _greedy(g.rows, g.full_mask)
 
 
 def verify_coloring(g: Graph, coloring: Coloring) -> tuple[int, int] | None:
@@ -175,7 +155,11 @@ def _greedy_maximal_clique(rows: Sequence[int], full: int) -> list[int]:
 
 def _color_sort(rows: Sequence[int], p_mask: int) -> list[tuple[int, int]]:
     """Greedy color classes over the candidate set; returns (vertex, bound)
-    pairs in class order, bound being the class index + 1."""
+    pairs in class order, bound being the class index + 1.  Each class takes
+    the lowest free vertex, then each later free vertex with no neighbor in
+    the class so far, so the classes are the first-fit coloring along
+    ascending ids: a vertex joins the first class that holds no earlier
+    neighbor."""
     out = []
     rest = p_mask
     bound = 0
@@ -190,16 +174,18 @@ def _color_sort(rows: Sequence[int], p_mask: int) -> list[tuple[int, int]]:
     return out
 
 
+def _greedy(rows: Sequence[int], mask: int) -> Coloring:
+    """First-fit coloring of G[mask] along ascending ids, listing the colors
+    of the masked vertices in that order."""
+    colors = dict(_color_sort(rows, mask))
+    return Coloring(tuple(colors[v] - 1 for v in bits(mask)))
+
+
 def _worth_splitting(rows: Sequence[int], parts: list[int]) -> bool:
     """Whether a join over these co-components is split: at least two of
     them must have an edge.  A join whose other parts are edgeless (mostly
     universal vertices) costs more to split than to search whole."""
     return sum(1 for p in parts if any(rows[v] & p for v in bits(p))) >= 2
-
-
-def _first_fit_cap(rows: Sequence[int], full: int, clique: list[int]) -> int:
-    """Upper bound on the clique number of G[full] from a first-fit coloring."""
-    return max(len(clique), max(_first_fit(rows, bits(full))) + 1)
 
 
 def _max_clique_search(
@@ -211,8 +197,8 @@ def _max_clique_search(
 ) -> tuple[list[int], bool, int]:
     """Branch-and-bound maximum clique of G[full], starting from the maximal
     clique best (greedy by default); returns the best clique, whether the
-    search completed, and a proven upper bound on the clique number
-    (first-fit when the search did not complete).
+    search completed, and a proven upper bound on the clique number (the
+    root's greedy class count when the search did not complete).
 
     Only a search given its graph g may split, and only when its root bound
     does not close it.  The parts are co-connected, so their own searches
@@ -241,10 +227,10 @@ def _max_clique_search(
             cur.pop()
             p_mask &= ~(1 << v)
 
+    order = _color_sort(rows, full)
     try:
         if full:
             ticker.tick()
-            order = _color_sort(rows, full)
             if g is not None and order[-1][1] > len(best):
                 parts = co_components(g, full)
                 if _worth_splitting(rows, parts):
@@ -263,7 +249,8 @@ def _max_clique_search(
                     return best, True, upper
             expand(full, order)
     except _OutOfBudget:
-        return best, False, _first_fit_cap(rows, full, best)
+        # Each greedy class holds one clique vertex at most.
+        return best, False, order[-1][1]
     return best, True, len(best)
 
 
@@ -273,8 +260,8 @@ def _clique_over_parts(
     """Maximum clique of a join as the union of its parts' maximum cliques.
     The maximal clique start meets each part in a maximal clique of that
     part, and each part's search starts from it.  Once the ticker has run
-    out, the remaining parts keep it and take a first-fit bound without
-    ticking again."""
+    out, the remaining parts keep it and take their greedy class count as
+    the bound without ticking again."""
     clique: list[int] = []
     complete = True
     upper = 0
@@ -283,7 +270,7 @@ def _clique_over_parts(
         if complete:
             best, complete, cap = _max_clique_search(rows, part, ticker, best)
         else:
-            cap = _first_fit_cap(rows, part, best)
+            cap = _color_sort(rows, part)[-1][1]
         clique += best
         upper += cap
     return sorted(clique), complete, upper
@@ -401,12 +388,6 @@ def _k_color_search(
             break
 
 
-def _first_fit_coloring(rows: Sequence[int], verts: list[int]) -> Coloring:
-    """Compacted first-fit coloring of the given vertices, listed in order."""
-    first_fit = _first_fit(rows, verts)
-    return Coloring(tuple(first_fit[v] for v in verts)).compacted()
-
-
 def _ascend(
     rows: Sequence[int], verts: list[int], clique: list[int], greedy: Coloring,
     ticker: _Ticker,
@@ -459,7 +440,7 @@ def chromatic_number(
         clique, complete_omega, _ = _max_clique_search(rows, full, ticker, g=g)
     else:
         clique, complete_omega = sorted(clique), True
-    greedy = _first_fit_coloring(rows, verts)
+    greedy = _greedy(rows, full)
     lower = len(clique)
     upper = greedy.palette
     if lower == upper:
@@ -479,7 +460,7 @@ def chromatic_number(
     for part in parts:
         part_verts = list(bits(part))
         part_clique = [v for v in clique if part >> v & 1]
-        witness = _first_fit_coloring(rows, part_verts)
+        witness = _greedy(rows, part)
         lo, hi = len(part_clique), witness.palette
         if complete and lo < hi:
             # The k search's forward check must not see the other parts.

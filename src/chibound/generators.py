@@ -18,7 +18,7 @@ from .catalog import named_graph
 from .exact import (
     BudgetExhausted,
     SolveBudget,
-    _first_fit,
+    _color_sort,
     greedy_coloring,
     k_colorable,
     require_chromatic,
@@ -308,7 +308,7 @@ def hunt(
             continue
         added = cand.rows[u] >> v & 1
         k = cur_chi if added else cur_chi - 1
-        if max(_first_fit(cand.rows, range(n))) + 1 <= k:
+        if _color_sort(cand.rows, cand.full_mask)[-1][1] <= k:
             continue
         try:
             keep = not k_colorable(cand, k, budget)

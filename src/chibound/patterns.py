@@ -25,7 +25,7 @@ from functools import cache
 from typing import Sequence
 
 from .catalog import named_graph
-from .graphs import Graph, complete, cycle, mask_of, path, restrict
+from .graphs import Graph, complete, cycle, path, restrict
 
 MAX_PATTERN_ORDER = 8
 
@@ -533,20 +533,13 @@ def _search(rows: Sequence[int], full: int, pattern: Pattern) -> tuple[int, ...]
     if k > full.bit_count():
         return None
     plan = _match_plan(p)
-    # Host vertices usable for pattern vertex i must have at least its degree.
-    host_deg = [r.bit_count() for r in rows]
-    need = [r.bit_count() for r in p.rows]
-    at_least = {
-        d: mask_of(v for v, hd in enumerate(host_deg) if hd >= d) for d in set(need)
-    }
-    degree_ok = [at_least[d] for d in need]
     assign = [0] * k
 
     def extend(pos: int, used: int):
         if pos == k:
             return tuple(assign)
         pv, adjacent, apart = plan[pos]
-        cand = full & ~used & degree_ok[pv]
+        cand = full & ~used
         for q in adjacent:
             cand &= rows[assign[q]]
         for q in apart:

@@ -27,16 +27,17 @@ from .trace import AuditViolation, ProofTrace
 
 _PROFILE_DENSE = ((6, 0.5), (9, 0.75), (12, 0.9))
 _PROFILES: dict[str, tuple[tuple[int, float], ...]] = {
-    "K4Free": ((6, 0.4), (8, 0.3), (12, 0.2)),
+    "K4Free": ((6, 0.4), (8, 0.3), (12, 0.2), (14, 0.1), (20, 0.05)),
 }
 _REJECTION_TRIES = 300
 
 
 def _profile_p(class_name: str, order: int) -> float:
-    for cap, p in _PROFILES.get(class_name, _PROFILE_DENSE):
+    profile = _PROFILES.get(class_name, _PROFILE_DENSE)
+    for cap, p in profile:
         if order <= cap:
             return p
-    return _PROFILE_DENSE[-1][1]
+    return profile[-1][1]
 
 
 def _fallback_witness(class_name: str, order: int, rng: SplitMix64) -> Graph | None:

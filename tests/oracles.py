@@ -13,7 +13,9 @@ number in full, where hunt decides one k per toggle.  The subset-cover
 chromatic number covers each vertex subset by independent sets outright, so
 it reaches order 9 and beyond, where direct assignment takes seconds.  The
 reference dominated pair is the kite reduction's earlier pair scan, which
-the donor-mask scan must match pair for pair.
+the donor-mask scan must match pair for pair.  The reference first fit is
+the exact layer's earlier greedy coloring, which the classes of the clique
+search's color sort must match color for color.
 """
 
 from itertools import combinations, permutations, product
@@ -275,6 +277,28 @@ def decode_graph6_reference(line: str) -> tuple[int, set[tuple[int, int]]]:
                 edges.add((u, v))
             idx += 1
     return n, edges
+
+
+def reference_first_fit(rows: Sequence[int], order) -> list[int]:
+    """The exact layer's first-fit coloring as it was before the greedy
+    classes came from the clique search's color sort, kept verbatim:
+    first-fit colors by vertex id along the order, -1 off the order.  Each
+    color class is kept as a vertex mask, so v gets the first class that
+    misses its row."""
+    colors = [-1] * len(rows)
+    classes: list[int] = []
+    for v in order:
+        row = rows[v]
+        c = 0
+        for members in classes:
+            if not members & row:
+                break
+            c += 1
+        else:
+            classes.append(0)
+        classes[c] |= 1 << v
+        colors[v] = c
+    return colors
 
 
 def reference_dominated_pair(g: Graph, m: int) -> tuple[int, int] | None:

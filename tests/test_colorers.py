@@ -1,6 +1,8 @@
 """Structural colorers: palette bounds, audits, branch coverage, reductions."""
 
+import inspect
 import re
+import sys
 from functools import reduce
 from operator import or_
 
@@ -372,6 +374,33 @@ class TestK4Free:
 
 
 class TestAcrossClasses:
+    @pytest.mark.parametrize("colorer, host, palette", [
+        (color_hammer_free, "cocktail-party", 200),
+        (color_p2k3_free, "cocktail-party", 200),
+        (color_hammer_free, "twin-edge-tower", 210),
+    ])
+    def test_long_chains_run_without_deep_recursion(self, colorer, host, palette):
+        # The clique-rooted chain goes one level per vertex pair of the
+        # cocktail party graph K_{2x200}, and the twin-edge chain one level
+        # per K3+K2 of a join of 70 of them.  The greedy classes close every
+        # clique search at its root, so the exact layer adds no depth; a
+        # call per level would pass a limit of 60 frames above the caller's.
+        if host == "cocktail-party":
+            g = Graph(400, [
+                (u, v) for u in range(400) for v in range(u + 1, 400) if u // 2 != v // 2
+            ])
+        else:
+            g = reduce(join, [disjoint_union(complete(3), complete(2))] * 70)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            col, trace = colorer(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        check_run(g, col, trace, palette * palette)
+        assert col.palette == palette
+        assert replay(g, trace) == []
+
     def test_rejects_p3_union_p2(self):
         bad = disjoint_union(path(3), complete(2))
         for colorer in COLORERS.values():

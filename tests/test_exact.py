@@ -30,11 +30,13 @@ from chibound import (
     verify_coloring,
 )
 from chibound import exact
+from chibound.graphs import bits
 
 from oracles import (
     brute_chromatic_number,
     brute_clique_number,
     has_edge,
+    reference_first_fit,
     reference_k_color_search,
     subset_chromatic_number,
 )
@@ -520,11 +522,32 @@ class TestVerifyAndGreedy:
         # The least color no neighbor earlier in the order has; -1 off it.
         g = gnp(10, 0.5, seed)
         order = data.draw(st.permutations(range(g.n)))[: data.draw(st.integers(0, g.n))]
-        colors = exact._first_fit(g.rows, order)
+        colors = reference_first_fit(g.rows, order)
         for i, v in enumerate(order):
             earlier = {colors[w] for w in order[:i] if g.rows[v] >> w & 1}
             assert colors[v] == min(set(range(i + 1)) - earlier)
         assert all(colors[v] == -1 for v in g.vertices() if v not in order)
+
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([0.2, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**16 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_classes_are_first_fit(self, seed, p, mask):
+        # greedy_coloring, the chromatic solver's greedy on a mask, and the
+        # class count of a clique search cut short at its root all read the
+        # first fit along ascending ids.
+        g = gnp(16, p, seed)
+        assert list(greedy_coloring(g).colors) == reference_first_fit(g.rows, range(16))
+        rows = [r & mask for r in g.rows]
+        first_fit = reference_first_fit(rows, bits(mask))
+        assert exact._greedy(rows, mask).colors == tuple(first_fit[v] for v in bits(mask))
+        spent = exact._Ticker(SolveBudget(node_limit=1))
+        spent.nodes = 1
+        clique, complete, upper = exact._max_clique_search(rows, mask, spent)
+        assert complete == (mask == 0)
+        assert upper == max(first_fit) + 1
 
 
 class TestBudgetValidation:

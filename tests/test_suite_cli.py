@@ -9,6 +9,7 @@ from chibound import (
     COLORERS,
     Coloring,
     ProofTrace,
+    SampleConfig,
     SampleExhausted,
     SolveBudget,
     SplitMix64,
@@ -26,6 +27,7 @@ from chibound import (
     named_graph,
     read_graph6,
     run_suite,
+    sample_class,
     write_graph,
 )
 from chibound import exact, suite
@@ -154,6 +156,17 @@ class TestRunSuite:
             assert is_member(g, spec)
             orders.add(order)
         assert orders == set(range(1, 13))
+
+    @pytest.mark.parametrize("order", [13, 14, 15, 16])
+    def test_k4free_profile_samples_above_order_12(self, order):
+        # Above order 12 the K4Free profile thins out, so rejection sampling
+        # finds members without the Schlafli-complement fallback.
+        for seed in range(4):
+            g = sample_class(SampleConfig(
+                n=order, p=suite._profile_p("K4Free", order), seed=seed,
+                class_name="K4Free", max_tries=suite._REJECTION_TRIES,
+            ))
+            assert g.n == order and is_member(g, class_by_name("K4Free"))
 
     def test_non_member_sample_is_an_internal_error(self, monkeypatch):
         # The check must hold under python -O too, so it is not an assert.
