@@ -21,7 +21,9 @@ returned; a split coloring colors the parts with disjoint palettes.
 The chromatic solver tries k = omega, omega + 1, ... in turn.  Its k search
 picks as DSATUR does (most neighbor colors, then highest degree, then lowest
 id) and keeps saturation in level masks, one per count of neighbor colors,
-so a search node costs O(k) mask operations and walks no vertex list.
+so a search node costs O(k) mask operations and walks no vertex list.  A
+color moves only the uncolored vertices it reaches, each up one level, and
+undoing it restores a copy of the levels taken when the vertex was picked.
 ``k_colorable`` answers at one known k: a maximum clique, then at most one
 such k search.
 A chromatic solve given a proven clique (``clique=``; a ``ProofTrace`` holds
@@ -212,20 +214,34 @@ def _max_clique_search(
     target = None
 
     def expand(p_mask: int, order: list[tuple[int, int]]):
+        # The branches run on a list, not the call stack, so a deep clique
+        # needs no deep recursion.  One frame per open branch: [candidates
+        # left, their color order, how many of its entries are untried];
+        # cur holds the vertex each frame after the first branched on.
         nonlocal best, floor
-        for v, bound in reversed(order):
-            if len(cur) + bound <= floor:
-                return
+        frames = [[p_mask, order, len(order)]]
+        while frames:
+            frame = frames[-1]
+            p_mask, order, i = frame
+            if not i or len(cur) + order[i - 1][1] <= floor:
+                frames.pop()
+                if frames:
+                    cur.pop()
+                continue
+            v = order[i - 1][0]
+            frame[0] = p_mask & ~(1 << v)
+            frame[2] = i - 1
             cur.append(v)
             rest = p_mask & rows[v]
             if rest:
                 ticker.tick()
-                expand(rest, _color_sort(rows, rest))
-            elif len(cur) > floor:
+                order = _color_sort(rows, rest)
+                frames.append([rest, order, len(order)])
+                continue
+            if len(cur) > floor:
                 best = sorted(cur)
                 floor = len(rows) if len(best) == target else len(best)
             cur.pop()
-            p_mask &= ~(1 << v)
 
     order = _color_sort(rows, full)
     try:
@@ -291,16 +307,6 @@ def clique_number(
     return CliqueResult(tuple(best), len(best), upper, complete, ticker.nodes)
 
 
-def _shift(level: list[int], moved: int, order: range) -> None:
-    """Move the vertices of moved one level along order (ascending is up).
-    A vertex sits in one level at most, so each level's share is a carry."""
-    carry = 0
-    for s in order:
-        here = level[s] & moved
-        level[s] ^= here ^ carry
-        carry = here
-
-
 def _k_color_search(
     rows: Sequence[int], verts: list[int], k: int, ticker: _Ticker, clique: list[int]
 ) -> Coloring | None:
@@ -311,35 +317,42 @@ def _k_color_search(
 
     Each node colors the uncolored vertex with the most neighbor colors,
     then the highest degree, then the lowest id (DSATUR, Brelaz 1979).
-    Saturation lives in masks, as in San Segundo's PASS (2012): near[c]
-    holds the vertices with a neighbor colored c, and level[s] the
-    uncolored vertices with exactly s neighbor colors, s = 0..k.  Coloring
-    v with c reaches rows[v] & ~near[c] and moves those vertices up one
-    level; the forward check fails when one would reach level k."""
+    Saturation lives in masks, as in San Segundo's PASS (2012): unc holds
+    the uncolored vertices, near[c] (exact on unc) those with a neighbor
+    colored c, and level[s] the uncolored vertices with exactly s neighbor
+    colors, s = 0..k.  Coloring v with c reaches rows[v] & ~near[c] & unc
+    and moves those vertices up one level; the forward check fails when one
+    would reach level k.  Undo restores the levels from the snapshot taken
+    when v was picked and takes v's reach back out of near[c]."""
     colors = [-1] * len(rows)
     near = [0] * k
     for i, v in enumerate(clique):
         colors[v] = i
         near[i] = rows[v]
+    held = mask_of(clique)
+    level = [0] * (k + 1)
     by_degree: dict[int, int] = {}
     for v in verts:
         if colors[v] < 0:
             d = rows[v].bit_count()
             by_degree[d] = by_degree.get(d, 0) | 1 << v
+            level[(rows[v] & held).bit_count()] |= 1 << v
     degree_classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
-    level = [sum(degree_classes)] + [0] * k
-    n_free = level[0].bit_count()
-    up, down = range(k + 1), range(k, -1, -1)
-    for reached in near:
-        _shift(level, reached, up)
+    unc = sum(level)
 
-    # One frame per vertex colored so far: [vertex, its level, colors left
-    # to try, neighbors its current color reached, colors in use before it].
-    stack: list[list] = []
+    # near[c] is exact on unc alone: a vertex colored when v takes c misses
+    # v's reach, but undo is last in, first out, so it is colored until v
+    # is uncolored again, and only uncolored vertices read near.
+    # One frame per vertex colored so far: (vertex, colors left to try,
+    # neighbors its color reached, its color, colors in use before it, the
+    # levels when it was picked).
+    stack: list[tuple] = []
     used = len(clique)
     while True:
         ticker.tick()
-        if len(stack) == n_free:
+        if not unc:
+            for v, _, _, c, _, _ in stack:
+                colors[v] = c
             return Coloring(tuple(colors[v] for v in verts))
         s = k
         while not level[s]:
@@ -352,39 +365,47 @@ def _k_color_search(
         bit = top & -top
         v = bit.bit_length() - 1
         level[s] ^= bit
+        unc ^= bit
+        saved = level.copy()
         # New color indices are tried only in ascending order: allowing one
         # fresh color per step breaks the color-permutation symmetry.
         avail = 0
         for c in range(min(k, used + 1)):
             if not near[c] & bit:
                 avail |= 1 << c
-        stack.append([v, s, avail, 0, used])
-        # Move the deepest vertex to its next color that passes the forward
-        # check, backtracking out of vertices that have none left.
+        # Give v its next color that passes the forward check; when it has
+        # none left, put it back and move to the vertex colored before it.
         while True:
-            if not stack:
-                return None
-            frame = stack[-1]
-            v, s, avail, reached, used = frame
-            c = colors[v]
-            if c >= 0:
+            while avail:
+                c = (avail & -avail).bit_length() - 1
+                avail &= avail - 1
+                reached = rows[v] & ~near[c] & unc
+                if not reached & level[k - 1]:  # none would reach level k
+                    break
+            else:
+                if not stack:
+                    return None
+                unc |= bit
+                v, avail, reached, c, used, saved = stack.pop()
+                bit = 1 << v
                 near[c] ^= reached
-                _shift(level, reached, down)
-                colors[v] = -1
-            if not avail:
-                level[s] |= 1 << v
-                stack.pop()
-                continue
-            c = (avail & -avail).bit_length() - 1
-            frame[2] = avail & (avail - 1)
-            reached = rows[v] & ~near[c]
-            if reached & level[k - 1]:  # one would reach level k
+                level[:] = saved
                 continue
             near[c] |= reached
-            _shift(level, reached, up)
-            colors[v] = c
-            frame[3] = reached
-            used = max(used, c + 1)
+            # Lift each reached vertex one level, lowest level first, and
+            # stop once every one of them has moved.
+            t = carry = 0
+            rest = reached
+            while rest:
+                here = level[t] & rest
+                level[t] ^= here ^ carry
+                carry = here
+                rest ^= here
+                t += 1
+            level[t] |= carry
+            stack.append((v, avail, reached, c, used, saved))
+            if c == used:
+                used += 1
             break
 
 

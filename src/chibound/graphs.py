@@ -81,14 +81,21 @@ def is_clique(g: Graph, m: int) -> bool:
     return all(g.rows[v] & m == m & ~(1 << v) for v in bits(m))
 
 
+def vertex_mask(g: Graph, within: int | None) -> int:
+    """The vertex mask within, checked against g's order; the whole vertex
+    set when within is None."""
+    if within is None:
+        return g.full_mask
+    if within < 0 or within >> g.n:
+        raise ValueError(f"vertex mask out of range for order {g.n}")
+    return within
+
+
 def restrict(g: Graph, within: int | None) -> tuple[Sequence[int], int]:
     """Adjacency rows and vertex mask of G[within], kept in g's own ids;
     the whole graph when within is None."""
-    if within is None:
-        return g.rows, g.full_mask
-    if within < 0 or within >> g.n:
-        raise ValueError(f"vertex mask out of range for order {g.n}")
-    return [r & within for r in g.rows], within
+    full = vertex_mask(g, within)
+    return (g.rows if within is None else [r & full for r in g.rows]), full
 
 
 class Graph:

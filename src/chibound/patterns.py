@@ -25,7 +25,7 @@ from functools import cache
 from typing import Sequence
 
 from .catalog import named_graph
-from .graphs import Graph, complete, cycle, path, restrict
+from .graphs import Graph, complete, cycle, path, vertex_mask
 
 MAX_PATTERN_ORDER = 8
 
@@ -526,8 +526,9 @@ _ABSENT = {
 
 
 def _search(rows: Sequence[int], full: int, pattern: Pattern) -> tuple[int, ...] | None:
-    """Backtracking core on G[full], given G's rows restricted to full: the
-    host vertices of the first embedding, or None."""
+    """Backtracking core on G[full]: the host vertices of the first
+    embedding, or None.  Every candidate set is cut by full, so the rows may
+    be G's own or restricted to full."""
     p = pattern.graph
     k = p.n
     if k > full.bit_count():
@@ -569,11 +570,13 @@ def find_induced(
     the module docstring).  A copy that is found comes from the search, as
     without the kernel.
     """
-    rows, full = restrict(host, within)
+    # The search and every kernel confine themselves to full, so the rows
+    # need no copy restricted to it.
+    full = vertex_mask(host, within)
     absent = _ABSENT.get(pattern.graph)
-    if absent is not None and absent(rows, full):
+    if absent is not None and absent(host.rows, full):
         return None
-    got = _search(rows, full, pattern)
+    got = _search(host.rows, full, pattern)
     return None if got is None else Embedding(pattern.name, got)
 
 

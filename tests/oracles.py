@@ -8,7 +8,11 @@ p3-free and k1k3-absent audit kinds without the pattern search, and the
 reference sampler is sample_class's rejection loop over the full
 membership test, witness search included.  The reference k search is the
 chromatic solver's earlier per-vertex scan, which the mask-based search must
-match node for node.  The reference hunt solves every candidate's chromatic
+match node for node, and the reference level search is the mask-based
+search before undo restored a snapshot, which the search must match node
+for node too.  The reference clique search is the branch and bound with
+one recursive call per branch, which the search on a list of frames must
+match branch for branch.  The reference hunt solves every candidate's chromatic
 number in full, where hunt decides one k per toggle.  The subset-cover
 chromatic number covers each vertex subset by independent sets outright, so
 it reaches order 9 and beyond, where direct assignment takes seconds.  The
@@ -32,7 +36,7 @@ from chibound import (
     greedy_coloring,
     is_member,
 )
-from chibound.exact import _Ticker
+from chibound.exact import _OutOfBudget, _Ticker, _color_sort, _greedy_maximal_clique
 from chibound.generators import _hunt_start, _unrank_pair
 from chibound.graphs import bits, components
 
@@ -388,3 +392,141 @@ def reference_k_color_search(
             if ok:
                 used = max(used, c + 1)
                 break
+
+
+def reference_shift(level: list[int], moved: int, order: range) -> None:
+    """The level shift of reference_level_k_color_search, kept verbatim.
+    Move the vertices of moved one level along order (ascending is up).
+    A vertex sits in one level at most, so each level's share is a carry."""
+    carry = 0
+    for s in order:
+        here = level[s] & moved
+        level[s] ^= here ^ carry
+        carry = here
+
+
+def reference_level_k_color_search(
+    rows: Sequence[int], verts: list[int], k: int, ticker: _Ticker, clique: list[int]
+) -> Coloring | None:
+    """The mask-based k search as it was before undo restored a snapshot of
+    the levels, kept verbatim: every lift and drop walks all k + 1 levels
+    through reference_shift, and near[c] tracks colored vertices too.
+
+    k-coloring search on the given vertices, with the clique precolored
+    0, 1, ...; needs k >= len(clique).  A found coloring lists the vertices
+    in the order of verts; None proves that no k-coloring exists.  Raises
+    _OutOfBudget when the ticker runs out.
+
+    Each node colors the uncolored vertex with the most neighbor colors,
+    then the highest degree, then the lowest id (DSATUR, Brelaz 1979).
+    Saturation lives in masks, as in San Segundo's PASS (2012): near[c]
+    holds the vertices with a neighbor colored c, and level[s] the
+    uncolored vertices with exactly s neighbor colors, s = 0..k.  Coloring
+    v with c reaches rows[v] & ~near[c] and moves those vertices up one
+    level; the forward check fails when one would reach level k."""
+    colors = [-1] * len(rows)
+    near = [0] * k
+    for i, v in enumerate(clique):
+        colors[v] = i
+        near[i] = rows[v]
+    by_degree: dict[int, int] = {}
+    for v in verts:
+        if colors[v] < 0:
+            d = rows[v].bit_count()
+            by_degree[d] = by_degree.get(d, 0) | 1 << v
+    degree_classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+    level = [sum(degree_classes)] + [0] * k
+    n_free = level[0].bit_count()
+    up, down = range(k + 1), range(k, -1, -1)
+    for reached in near:
+        reference_shift(level, reached, up)
+
+    # One frame per vertex colored so far: [vertex, its level, colors left
+    # to try, neighbors its current color reached, colors in use before it].
+    stack: list[list] = []
+    used = len(clique)
+    while True:
+        ticker.tick()
+        if len(stack) == n_free:
+            return Coloring(tuple(colors[v] for v in verts))
+        s = k
+        while not level[s]:
+            s -= 1
+        top = level[s]
+        for mask in degree_classes:
+            if top & mask:
+                top &= mask
+                break
+        bit = top & -top
+        v = bit.bit_length() - 1
+        level[s] ^= bit
+        # New color indices are tried only in ascending order: allowing one
+        # fresh color per step breaks the color-permutation symmetry.
+        avail = 0
+        for c in range(min(k, used + 1)):
+            if not near[c] & bit:
+                avail |= 1 << c
+        stack.append([v, s, avail, 0, used])
+        # Move the deepest vertex to its next color that passes the forward
+        # check, backtracking out of vertices that have none left.
+        while True:
+            if not stack:
+                return None
+            frame = stack[-1]
+            v, s, avail, reached, used = frame
+            c = colors[v]
+            if c >= 0:
+                near[c] ^= reached
+                reference_shift(level, reached, down)
+                colors[v] = -1
+            if not avail:
+                level[s] |= 1 << v
+                stack.pop()
+                continue
+            c = (avail & -avail).bit_length() - 1
+            frame[2] = avail & (avail - 1)
+            reached = rows[v] & ~near[c]
+            if reached & level[k - 1]:  # one would reach level k
+                continue
+            near[c] |= reached
+            reference_shift(level, reached, up)
+            colors[v] = c
+            frame[3] = reached
+            used = max(used, c + 1)
+            break
+
+
+def reference_max_clique_search(
+    rows: Sequence[int], full: int, ticker: _Ticker
+) -> tuple[list[int], bool, int]:
+    """The clique search as it was before its branches moved onto a list of
+    frames, kept verbatim but for the join split, which a search given no
+    graph never takes: expand calls itself once per branch."""
+    best = _greedy_maximal_clique(rows, full)
+    cur: list[int] = []
+    floor = len(best)
+
+    def expand(p_mask: int, order: list[tuple[int, int]]):
+        nonlocal best, floor
+        for v, bound in reversed(order):
+            if len(cur) + bound <= floor:
+                return
+            cur.append(v)
+            rest = p_mask & rows[v]
+            if rest:
+                ticker.tick()
+                expand(rest, _color_sort(rows, rest))
+            elif len(cur) > floor:
+                best = sorted(cur)
+                floor = len(best)
+            cur.pop()
+            p_mask &= ~(1 << v)
+
+    order = _color_sort(rows, full)
+    try:
+        if full:
+            ticker.tick()
+            expand(full, order)
+    except _OutOfBudget:
+        return best, False, order[-1][1]
+    return best, True, len(best)

@@ -375,16 +375,18 @@ class TestK4Free:
 
 class TestAcrossClasses:
     @pytest.mark.parametrize("colorer, host, palette", [
+        (color_kite_free, "cocktail-party", 200),
         (color_hammer_free, "cocktail-party", 200),
         (color_p2k3_free, "cocktail-party", 200),
         (color_hammer_free, "twin-edge-tower", 210),
     ])
     def test_long_chains_run_without_deep_recursion(self, colorer, host, palette):
-        # The clique-rooted chain goes one level per vertex pair of the
-        # cocktail party graph K_{2x200}, and the twin-edge chain one level
-        # per K3+K2 of a join of 70 of them.  The greedy classes close every
-        # clique search at its root, so the exact layer adds no depth; a
-        # call per level would pass a limit of 60 frames above the caller's.
+        # On the cocktail party graph K_{2x200} the kite reduction removes
+        # one dominated vertex per pair and the clique-rooted chain goes one
+        # level per pair; the twin-edge chain goes one level per K3+K2 of a
+        # join of 70 of them.  The clique search runs on a list of frames,
+        # so the exact layer adds no depth; a call per level would pass a
+        # limit of 60 frames above the caller's.
         if host == "cocktail-party":
             g = Graph(400, [
                 (u, v) for u in range(400) for v in range(u + 1, 400) if u // 2 != v // 2

@@ -1,6 +1,8 @@
 """Exact clique and chromatic solvers against brute-force oracles."""
 
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,8 @@ from oracles import (
     has_edge,
     reference_first_fit,
     reference_k_color_search,
+    reference_level_k_color_search,
+    reference_max_clique_search,
     subset_chromatic_number,
 )
 
@@ -75,6 +79,45 @@ class TestCliqueNumber:
         assert cut.lower < cut.upper and cut.value is None
         with pytest.raises(BudgetExhausted, match="clique number unresolved"):
             require_clique_number(g, SolveBudget(node_limit=1))
+
+    def test_deep_clique_runs_without_deep_recursion(self):
+        # The join of 100 copies of K2 + K3, copy i on ids 5i..5i+4 with its
+        # K2 first: the greedy classes do not close the search at its root,
+        # so it grows a clique of 300 vertices one branch per vertex.  A
+        # call per branch would pass a limit of 60 frames above the caller's.
+        n = 500
+        g = Graph(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if u // 5 != v // 5 or (u % 5 < 2) == (v % 5 < 2)
+        ])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 60)
+        try:
+            res = clique_number(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (res.value, res.complete, res.nodes_used) == (300, True, 598)
+        assert _is_clique(g, res.vertices)
+
+
+class TestCliqueSearchReference:
+    """The clique search on a list of frames against the recursive search it
+    replaced: the same clique, bound and completeness at the same node."""
+
+    @given(
+        st.integers(min_value=0, max_value=16),
+        st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([1, 3, 40, 10_000]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_graphs(self, n, p, seed, nodes):
+        g = gnp(n, p, seed)
+        runs = []
+        for search in (exact._max_clique_search, reference_max_clique_search):
+            ticker = exact._Ticker(SolveBudget(node_limit=nodes))
+            runs.append((search(g.rows, g.full_mask, ticker), ticker.nodes))
+        assert runs[0] == runs[1]
 
 
 class TestChromaticNumber:
@@ -286,6 +329,48 @@ class TestKColorSearchReference:
         g = named_graph("schlafli_complement")
         for nodes in range(1, 7021, 97):
             _same_as_reference(g, SolveBudget(node_limit=nodes))
+
+
+class TestKColorSearchLevels:
+    """The k search against the level search it replaced, which walked all
+    k + 1 levels on every lift and undo: the same coloring or None, at the
+    same node, for every k from a precolored maximum clique up to the
+    greedy palette."""
+
+    @staticmethod
+    def _run(search, g: Graph, k: int, clique: list[int], budget: SolveBudget):
+        ticker = exact._Ticker(budget)
+        try:
+            found = search(g.rows, list(g.vertices()), k, ticker, clique)
+        except exact._OutOfBudget:
+            return "out of budget", ticker.nodes
+        return found, ticker.nodes
+
+    @given(
+        st.integers(min_value=0, max_value=16),
+        st.sampled_from([0.2, 0.4, 0.5, 0.6, 0.8]),
+        st.integers(min_value=0, max_value=2**32),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs(self, n, p, seed, data):
+        g = gnp(n, p, seed)
+        clique, complete, _ = exact._max_clique_search(
+            g.rows, g.full_mask, exact._Ticker(SolveBudget())
+        )
+        assert complete
+        for k in range(len(clique), greedy_coloring(g).palette + 1):
+            runs = [
+                self._run(search, g, k, clique, SolveBudget())
+                for search in (exact._k_color_search, reference_level_k_color_search)
+            ]
+            assert runs[0] == runs[1], k
+            nodes = runs[0][1]
+            if nodes > 1:
+                cut = SolveBudget(node_limit=data.draw(st.integers(1, nodes - 1)))
+                mine = self._run(exact._k_color_search, g, k, clique, cut)
+                assert mine == self._run(reference_level_k_color_search, g, k, clique, cut)
+                assert mine == ("out of budget", cut.node_limit + 1), k
 
 
 # The path 0-2-3-1: first-fit by id uses 3 colors where 2 suffice.

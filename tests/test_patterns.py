@@ -113,6 +113,28 @@ class TestFindInducedWithin:
     def test_mask_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             find_induced(path(3), PATTERNS["p3"], within=1 << 5)
+        with pytest.raises(ValueError, match="out of range"):
+            find_induced(path(3), PATTERNS["p3"], within=-1)
+
+    @given(
+        st.integers(min_value=0, max_value=16),
+        st.sampled_from([0.2, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**16 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_unrestricted_rows_give_the_same_result(self, n, p, seed, mask):
+        # find_induced hands the search and the kernels the host's own rows:
+        # each must confine itself to the mask, as on rows restricted to it.
+        host = gnp(n, p, seed)
+        within = mask & host.full_mask
+        rows, full = restrict(host, within)
+        for name, pattern in PATTERNS.items():
+            got = _search(rows, full, pattern)
+            assert _search(host.rows, within, pattern) == got, name
+            absent = _ABSENT.get(pattern.graph)
+            if absent is not None:
+                assert absent(host.rows, within) == absent(rows, full), name
 
 
 class TestWitnessOrder:
