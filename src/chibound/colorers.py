@@ -2,9 +2,10 @@
 
 Each colorer mirrors one decomposition argument for its class: split the
 graph into blocks, color the blocks on disjoint palette slices (recursing
-where the argument recurses, calling the exact solver at leaf cases), audit
-every structural fact on the concrete vertex sets, and finally assert the
-concrete palette against the class binding function.
+where the argument recurses, and coloring leaf cases by an exact search that
+stops once the palette is within the leaf's audited bound), audit every
+structural fact on the concrete vertex sets, and finally assert the concrete
+palette against the class binding function.
 
 Two audit locations are allowed to record soft-gap verdicts: the per-side
 palette claims for the J2/J3 split of the hammer case inside the kite
@@ -22,7 +23,7 @@ from itertools import zip_longest
 from operator import or_
 from typing import Callable
 
-from .exact import SolveBudget, require_chromatic, verify_coloring
+from .exact import SolveBudget, require_coloring, verify_coloring
 from .graphs import (
     Coloring,
     Graph,
@@ -113,22 +114,26 @@ def _clique_block(m: int) -> list[int]:
     return [1 << v for v in bits(m)]
 
 
-def _exact_block(trace: ProofTrace, m: int) -> list[int]:
-    """Classes of an exact coloring of G[m], solved given the trace's clique."""
-    palette, coloring = require_chromatic(
-        trace.g, trace.budget, within=m, clique=trace.clique(m).vertices
+def _exact_block(trace: ProofTrace, m: int, cap: Callable[[int], int]) -> list[int]:
+    """Classes of a coloring of G[m], given the trace's clique, that stops
+    within the audit's bound cap(w), w read per join part (see
+    ``exact.require_coloring``): exact unless omega < chi < cap on a part,
+    so a site past its bound records the true palette."""
+    res = require_coloring(
+        trace.g, cap, trace.budget, within=m, clique=trace.clique(m).vertices
     )
-    classes = [0] * palette
-    for v, c in zip(bits(m), coloring.colors):
+    classes = [0] * res.coloring.palette
+    for v, c in zip(bits(m), res.coloring.colors):
         classes[c] |= 1 << v
     return classes
 
 
 def _triangle_free_leaf(trace: ProofTrace, live: int) -> list[int] | None:
-    """Exact coloring of a triangle-free part, audited; None when omega > 2."""
+    """Coloring of a triangle-free part that stops within 4 colors, audited;
+    None when omega > 2."""
     if trace.clique(live).lower > 2:
         return None
-    block = _exact_block(trace, live)
+    block = _exact_block(trace, live, lambda w: 4)
     trace.audit(
         "leaf/triangle-free",
         "value-le",
@@ -270,7 +275,7 @@ def _kite_core(trace: ProofTrace, live: int) -> list[int]:
         "no isolated-vertex-plus-triangle",
         sets={"X": live},
     )
-    block = _exact_block(trace, live)
+    block = _exact_block(trace, live, lambda w: 2 * w)
     trace.audit(
         "leaf/k1k3-free",
         "value-le",
@@ -495,7 +500,7 @@ def _kite_split_hammer(
     )
     j_blocks = []
     for label, word, part in (("j2", "two", j2), ("j3", "three", j3)):
-        block = _exact_block(trace, part)
+        block = _exact_block(trace, part, lambda w: 2)
         trace.audit(
             f"split-hammer/{label}-palette",
             "value-le",

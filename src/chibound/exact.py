@@ -18,12 +18,17 @@ of one part with edgeless parts, is searched whole as before.  A split
 clique search still returns the clique the whole search would have
 returned; a split coloring colors the parts with disjoint palettes.
 
-The chromatic solver tries k = omega, omega + 1, ... in turn.  Its k search
-picks as DSATUR does (most neighbor colors, then highest degree, then lowest
-id) and keeps saturation in level masks, one per count of neighbor colors,
-so a search node costs O(k) mask operations and walks no vertex list.  A
-color moves only the uncolored vertices it reaches, each up one level, and
-undoing it restores a copy of the levels taken when the vertex was picked.
+The chromatic solver tries k = omega, omega + 1, ... in turn, on the whole
+graph or on each part of a split join.  ``require_coloring``, for callers
+that need only a coloring within a bound cap(omega), runs the same solve
+over another sequence of k: on each part, k = omega, then cap(omega),
+cap(omega) + 1, ...  It refutes no k strictly between omega and the cap, and
+its result claims only the bounds it proved.  The k search picks as DSATUR
+does (most neighbor colors, then highest degree, then lowest id) and keeps
+saturation in level masks, one per count of neighbor colors, so a search
+node costs O(k) mask operations and walks no vertex list.  A color moves
+only the uncolored vertices it reaches, each up one level, and undoing it
+restores a copy of the levels taken when the vertex was picked.
 ``k_colorable`` answers at one known k: a maximum clique, then at most one
 such k search.
 A chromatic solve given a proven clique (``clique=``; a ``ProofTrace`` holds
@@ -34,8 +39,8 @@ nodes alone: the clique was paid for under the budget that proved it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Sequence
 
 from .graphs import Coloring, Graph, bits, co_components, is_clique, mask_of, restrict
 
@@ -411,20 +416,23 @@ def _k_color_search(
 
 def _ascend(
     rows: Sequence[int], verts: list[int], clique: list[int], greedy: Coloring,
-    ticker: _Ticker,
+    ticker: _Ticker, ks: Iterable[int],
 ) -> tuple[int, int, Coloring, bool]:
-    """Try k = len(clique), len(clique) + 1, ... below greedy's palette;
-    returns (lower, upper, witness coloring, complete)."""
-    upper = greedy.palette
-    for k in range(len(clique), upper):
+    """Try each k of ks, ascending from len(clique) and below greedy's
+    palette, until one colors; returns (lower, upper, witness coloring,
+    finished).  Each k refuted proves chi > k.  The witness is greedy when
+    no k colors, and finished is False when the ticker ran out."""
+    lower = len(clique)
+    for k in ks:
         try:
             found = _k_color_search(rows, verts, k, ticker, clique)
         except _OutOfBudget:
-            # Every k' < k was shown uncolorable, so k is a proven lower bound.
-            return k, upper, greedy, False
+            return lower, greedy.palette, greedy, False
         if found is not None:
-            return k, k, found.compacted(), True
-    return upper, upper, greedy, True
+            found = found.compacted()
+            return lower, found.palette, found, True
+        lower = k + 1
+    return lower, greedy.palette, greedy, True
 
 
 def chromatic_number(
@@ -448,6 +456,41 @@ def chromatic_number(
     same mask gives the plain solve's result.  Budget rule: the budget then
     bounds the k search alone, so nodes_used drops the clique search's.
     """
+    return _solve(g, budget, within, clique, range)
+
+
+def require_coloring(
+    g: Graph, cap: Callable[[int], int], budget: SolveBudget | None = None, *,
+    within: int | None = None, clique: Sequence[int] | None = None,
+) -> ChromaticResult:
+    """A coloring of G[within] that stops once it is within cap, or
+    BudgetExhausted.
+
+    As ``chromatic_number`` (greedy shortcut, join split, ``clique`` and its
+    budget rule), but each part, of clique number w, tries k = w, then
+    k = cap(w), cap(w) + 1, ... below its greedy palette.  So a part's
+    coloring is the exact solve's when chi = w or chi >= cap(w), and has at
+    most cap(w) colors otherwise.  The bounds are what was proven, and
+    ``complete`` (hence ``value``) is set only when they meet.
+    """
+    res = _solve(
+        g, budget, within, clique, lambda w, top: [w, *range(max(cap(w), w + 1), top)]
+    )
+    if not res.complete:
+        raise BudgetExhausted(
+            f"bounded coloring unresolved within budget: bounds [{res.lower}, {res.upper}]"
+        )
+    return replace(res, complete=res.lower == res.upper)
+
+
+def _solve(
+    g: Graph, budget: SolveBudget | None, within: int | None,
+    clique: Sequence[int] | None, ks: Callable[[int, int], Iterable[int]],
+) -> ChromaticResult:
+    """Color G[within]: the whole graph, or each part of a split join, tries
+    the k of ks(its clique size, its greedy palette) in turn (``_ascend``).
+    ``complete`` is False only when the budget ran out; with ks = range, every
+    k from the clique size up, a finished solve has proven chi."""
     rows, full = restrict(g, within)
     if clique is not None:
         given = mask_of(clique)
@@ -470,31 +513,33 @@ def chromatic_number(
         return ChromaticResult(lower, upper, greedy, False, ticker.nodes)
     parts = co_components(g, full)
     if not _worth_splitting(rows, parts):
-        lower, upper, witness, complete = _ascend(rows, verts, clique, greedy, ticker)
-        return ChromaticResult(lower, upper, witness, complete, ticker.nodes)
+        lower, upper, witness, finished = _ascend(
+            rows, verts, clique, greedy, ticker, ks(lower, upper)
+        )
+        return ChromaticResult(lower, upper, witness, finished, ticker.nodes)
     # A maximum clique of a join meets each part in a maximum clique of that
     # part, so the parts need no clique search of their own.  Each part's
     # colors are shifted past the palettes of the parts before it.
     colors = [0] * len(rows)
     lower = upper = 0
-    complete = True
+    finished = True
     for part in parts:
         part_verts = list(bits(part))
         part_clique = [v for v in clique if part >> v & 1]
         witness = _greedy(rows, part)
         lo, hi = len(part_clique), witness.palette
-        if complete and lo < hi:
+        if finished and lo < hi:
             # The k search's forward check must not see the other parts.
             part_rows = [r & part for r in rows]
-            lo, hi, witness, complete = _ascend(
-                part_rows, part_verts, part_clique, witness, ticker
+            lo, hi, witness, finished = _ascend(
+                part_rows, part_verts, part_clique, witness, ticker, ks(lo, hi)
             )
         for v, c in zip(part_verts, witness.colors):
             colors[v] = upper + c
         lower += lo
         upper += hi
     witness = Coloring(tuple(colors[v] for v in verts)).compacted()
-    return ChromaticResult(lower, upper, witness, complete, ticker.nodes)
+    return ChromaticResult(lower, upper, witness, finished, ticker.nodes)
 
 
 def k_colorable(g: Graph, k: int, budget: SolveBudget | None = None) -> bool:

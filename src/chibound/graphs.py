@@ -168,7 +168,7 @@ class Graph:
         return Graph(len(keep), edges, name=name)
 
     def with_name(self, name: str) -> Graph:
-        return Graph(self.n, list(self.edges()), name=name)
+        return _from_rows(self.rows, name)
 
     def toggled(self, u: int, v: int) -> Graph:
         """This graph with the pair uv flipped: the edge is added when
@@ -180,9 +180,7 @@ class Graph:
         rows = list(self.rows)
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-        g = Graph(self.n, name=self.name)
-        object.__setattr__(g, "rows", tuple(rows))
-        return g
+        return _from_rows(rows, self.name)
 
     # -- dunder ------------------------------------------------------------
 
@@ -233,6 +231,15 @@ class Coloring:
 # -- constructors ----------------------------------------------------------
 
 
+def _from_rows(rows: Iterable[int], name: str = "") -> Graph:
+    """The graph with these adjacency rows, which must be symmetric and
+    loop-free; no edge list is built."""
+    rows = tuple(rows)
+    g = Graph(len(rows), name=name)
+    object.__setattr__(g, "rows", rows)
+    return g
+
+
 def empty(k: int) -> Graph:
     """Edgeless graph on k vertices."""
     if k < 0:
@@ -266,15 +273,14 @@ def cycle(k: int) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    edges = list(g.edges()) + [(u + g.n, v + g.n) for u, v in h.edges()]
-    return Graph(g.n + h.n, edges)
+    return _from_rows([*g.rows, *(r << g.n for r in h.rows)])
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Disjoint union plus all edges between the two sides."""
-    edges = list(disjoint_union(g, h).edges())
-    edges += [(u, v + g.n) for u in range(g.n) for v in range(h.n)]
-    return Graph(g.n + h.n, edges)
+    right = h.full_mask << g.n
+    left = g.full_mask
+    return _from_rows([*(r | right for r in g.rows), *(r << g.n | left for r in h.rows)])
 
 
 def complement(g: Graph) -> Graph:

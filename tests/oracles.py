@@ -19,7 +19,9 @@ it reaches order 9 and beyond, where direct assignment takes seconds.  The
 reference dominated pair is the kite reduction's earlier pair scan, which
 the donor-mask scan must match pair for pair.  The reference first fit is
 the exact layer's earlier greedy coloring, which the classes of the clique
-search's color sort must match color for color.
+search's color sort must match color for color.  The reference union and
+join are the combinators' earlier edge-list constructions, which the
+shifted-row constructions must match row for row.
 """
 
 from itertools import combinations, permutations, product
@@ -303,6 +305,21 @@ def reference_first_fit(rows: Sequence[int], order) -> list[int]:
         classes[c] |= 1 << v
         colors[v] = c
     return colors
+
+
+def reference_disjoint_union(g: Graph, h: Graph) -> Graph:
+    """The disjoint union as it was built from an edge list, kept verbatim:
+    h's ids are shifted past g's."""
+    edges = list(g.edges()) + [(u + g.n, v + g.n) for u, v in h.edges()]
+    return Graph(g.n + h.n, edges)
+
+
+def reference_join(g: Graph, h: Graph) -> Graph:
+    """The join as it was built from an edge list, kept verbatim: the
+    disjoint union's edges plus every pair across the two sides."""
+    edges = list(reference_disjoint_union(g, h).edges())
+    edges += [(u, v + g.n) for u in range(g.n) for v in range(h.n)]
+    return Graph(g.n + h.n, edges)
 
 
 def reference_dominated_pair(g: Graph, m: int) -> tuple[int, int] | None:

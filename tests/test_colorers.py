@@ -236,9 +236,23 @@ class TestKiteFree:
         assert col.palette == 8
 
     def test_budget_propagates(self):
+        # Numbered v -> 4v mod 27, the Schlafli complement (omega 3, chi 6)
+        # is one k1k3 leaf whose first fit takes 7 colors, past 2 * omega:
+        # the leaf refutes k = 3 and then searches k = 6, 30 nodes in all,
+        # more than any clique search of the run (at most 13).
+        base = named_graph("schlafli_complement")
+        g = Graph(27, [(4 * u % 27, 4 * v % 27) for u, v in base.edges()])
+        assert greedy_coloring(g).palette == 7
+        with pytest.raises(BudgetExhausted, match=r"bounded coloring .* bounds \[4, 7\]"):
+            color_kite_free(g, SolveBudget(node_limit=29, time_limit=60))
+        col, trace = color_kite_free(g, SolveBudget(node_limit=30, time_limit=60))
+        check_run(g, col, trace, 6)
+        assert col.palette == 6
+        # On two joined Grotzsch graphs the leaves need 9 nodes and the
+        # budget runs out in a clique search below that.
         g = join(named_graph("grotzsch"), named_graph("grotzsch"))
-        with pytest.raises(BudgetExhausted):
-            color_kite_free(g, SolveBudget(node_limit=20, time_limit=60))
+        with pytest.raises(BudgetExhausted, match="clique number"):
+            color_kite_free(g, SolveBudget(node_limit=8, time_limit=60))
 
     def test_cocktail_party_reduces_to_a_clique(self):
         # K_{2x150}: each vertex is dominated by its nonadjacent twin, so

@@ -19,6 +19,7 @@ from chibound import (
     clique_number,
     complete,
     cycle,
+    disjoint_union,
     empty,
     extremal_family,
     gnp,
@@ -32,7 +33,7 @@ from chibound import (
     verify_coloring,
 )
 from chibound import exact
-from chibound.graphs import bits
+from chibound.graphs import bits, co_components
 
 from oracles import (
     brute_chromatic_number,
@@ -163,6 +164,16 @@ class TestChromaticNumber:
             require_chromatic(g, SolveBudget(node_limit=10, time_limit=60))
         with pytest.raises(BudgetExhausted):
             require_clique_number(g, SolveBudget(node_limit=2, time_limit=60))
+
+    def test_time_limit_ends_the_search(self):
+        # The k = 5 refutation takes about 7,000 nodes; the clock is read
+        # every _CLOCK_STRIDE nodes, and the first reading is past the
+        # deadline.  k = 3 and k = 4 are refuted by then.
+        g = named_graph("schlafli_complement")
+        res = chromatic_number(g, SolveBudget(time_limit=1e-9))
+        assert (res.lower, res.upper, res.complete) == (5, 6, False)
+        assert res.nodes_used == exact._CLOCK_STRIDE
+        assert verify_coloring(g, res.coloring) is None
 
     def test_exhaustion_inside_the_k_coloring_search(self):
         # A prime graph (order 23, chi 5): the clique search finishes
@@ -554,6 +565,99 @@ class TestGivenClique:
             chromatic_number(g, within=0b01110, clique=[0, 1])
         with pytest.raises(ValueError):
             require_chromatic(g, within=0b00110, clique=[1, 2, 3])
+
+
+def _first_fit_tree(k: int) -> Graph:
+    """The binomial tree on 2**(k-1) vertices, numbered so that first fit
+    along ascending ids takes k colors: the root of each subtree comes after
+    the subtrees below it, whose roots first fit colors 0, 1, ..."""
+    edges = []
+
+    def build(k: int, start: int) -> tuple[int, int]:
+        nxt, roots = start, []
+        for j in range(1, k):
+            root, nxt = build(j, nxt)
+            roots.append(root)
+        edges.extend((root, nxt) for root in roots)
+        return nxt, nxt + 1
+
+    return Graph(build(k, 0)[1], edges)
+
+
+CAPS = {"2w": lambda w: 2 * w, "4": lambda w: 4, "2": lambda w: 2}
+
+
+def _check_bounded_coloring(g: Graph, mask: int, cap) -> None:
+    """require_coloring against require_chromatic on G[mask], part by part:
+    a proper coloring, the exact one on a part whose chi is its omega or at
+    least its cap, and at most cap colors on any other part."""
+    clique = clique_number(g, within=mask).vertices
+    res = exact.require_coloring(g, cap, within=mask, clique=clique)
+    chi, ref = require_chromatic(g, within=mask, clique=clique)
+    keep = list(bits(mask))
+    assert verify_coloring(g.induced(keep), res.coloring) is None
+    assert res.lower <= chi <= res.upper == res.coloring.palette
+    assert res.complete == (res.lower == res.upper)
+    assert res.value in (None, chi)
+    rows = [r & mask for r in g.rows]
+    parts = co_components(g, mask)
+    if not exact._worth_splitting(rows, parts):
+        parts = [mask]
+    for part in parts:
+        w = sum(1 for v in clique if part >> v & 1)
+        part_chi, _ = require_chromatic(g, within=part)
+        mine, exact_part = (
+            Coloring(tuple(c for v, c in zip(keep, col.colors) if part >> v & 1)).compacted()
+            for col in (res.coloring, ref)
+        )
+        if part_chi == w or part_chi >= cap(w):
+            assert mine == exact_part
+        else:
+            assert mine.palette <= cap(w)
+
+
+class TestBoundedColoring:
+    """require_coloring probes k = omega, then the cap, per part."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from([0.3, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**10 - 1),
+        st.sampled_from(sorted(CAPS)),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_exact_solve_within_the_cap(self, seed, p, mask, cap, joined):
+        g = join(gnp(5, p, seed), gnp(5, p, seed + 1)) if joined else gnp(10, p, seed)
+        _check_bounded_coloring(g, mask, CAPS[cap])
+        _check_bounded_coloring(g, g.full_mask, CAPS[cap])
+
+    @pytest.mark.parametrize("cap", sorted(CAPS))
+    def test_fixed_hosts(self, cap):
+        # First fit takes 5 colors on the tree, whose union with C5 has
+        # omega 2 and chi 3, so the probe runs at k = 4 under the caps 2w
+        # and 4.  The joins probe each part at its own clique number.
+        tree_c5 = disjoint_union(cycle(5), _first_fit_tree(5))
+        grotzsch = named_graph("grotzsch")
+        for g in (tree_c5, join(tree_c5, tree_c5), join(grotzsch, grotzsch),
+                  named_graph("schlafli_complement"), extremal_family("kite-odd", 2)):
+            _check_bounded_coloring(g, g.full_mask, CAPS[cap])
+
+    def test_cap_above_greedy_returns_greedy_after_one_refutation(self):
+        # Omega 3, chi 6, first fit 6: k = 3 is refuted in 5 nodes, and
+        # 2 * omega meets the greedy palette, so no k = 4 or 5 search runs.
+        # chi = 6 is not proven, so the result does not claim it.
+        g = named_graph("schlafli_complement")
+        clique = clique_number(g).vertices
+        res = exact.require_coloring(g, lambda w: 2 * w, clique=clique)
+        assert (res.lower, res.upper, res.complete, res.nodes_used) == (4, 6, False, 5)
+        assert res.value is None and res.coloring == greedy_coloring(g)
+
+    def test_budget_runs_out_inside_the_probe(self):
+        g = named_graph("schlafli_complement")
+        clique = clique_number(g).vertices
+        with pytest.raises(BudgetExhausted, match=r"bounded coloring .* bounds \[3, 6\]"):
+            exact.require_coloring(g, lambda w: 2 * w, SolveBudget(node_limit=4), clique=clique)
 
 
 def _first_bad_edge(g: Graph, colors) -> tuple[int, int] | None:

@@ -20,7 +20,7 @@ from chibound import (
 )
 from chibound.graphs import co_components, components
 
-from oracles import is_isomorphic
+from oracles import is_isomorphic, reference_disjoint_union, reference_join
 
 
 def small_graphs(max_n=8):
@@ -128,6 +128,14 @@ class TestCombinators:
         assert is_isomorphic(mycielskian(path(2)), cycle(5))
         degenerate = mycielskian(empty(1))
         assert (degenerate.n, degenerate.edge_count) == (3, 1)
+
+    @given(small_graphs(7), small_graphs(7))
+    @settings(max_examples=100, deadline=None)
+    def test_shifted_rows_match_the_edge_list_construction(self, g, h):
+        for mine, ref in ((disjoint_union(g, h), reference_disjoint_union(g, h)),
+                          (join(g, h), reference_join(g, h))):
+            assert (mine.n, mine.rows, mine.name) == (ref.n, ref.rows, ref.name)
+            assert isinstance(mine.rows, tuple)
 
     @given(small_graphs(6))
     @settings(max_examples=60, deadline=None)
