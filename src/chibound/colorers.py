@@ -128,9 +128,12 @@ def _exact_block(trace: ProofTrace, m: int, cap: Callable[[int], int]) -> list[i
     return classes
 
 
-def _triangle_free_leaf(trace: ProofTrace, live: int) -> list[int] | None:
-    """Coloring of a triangle-free part that stops within 4 colors, audited;
-    None when omega > 2."""
+def _leaf(trace: ProofTrace, live: int) -> list[int] | None:
+    """One color for an independent part, with no step recorded; a coloring
+    of a triangle-free part that stops within 4 colors, audited; None when
+    omega > 2."""
+    if is_independent(trace.g, live):
+        return _single_color_block(live)
     if trace.clique(live).lower > 2:
         return None
     block = _exact_block(trace, live, lambda w: 4)
@@ -255,12 +258,10 @@ def _kite(trace: ProofTrace, live: int) -> list[int]:
 
 
 def _kite_core(trace: ProofTrace, live: int) -> list[int]:
-    g = trace.g
-    if is_independent(g, live):
-        return _single_color_block(live)
-    leaf = _triangle_free_leaf(trace, live)
+    leaf = _leaf(trace, live)
     if leaf is not None:
         return leaf
+    g = trace.g
     omega = trace.clique(live).lower
     emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
     if emb is not None:
@@ -719,12 +720,10 @@ def color_c5_free(
 
 
 def _c5_rec(trace: ProofTrace, live: int) -> list[int]:
-    g = trace.g
-    if is_independent(g, live):
-        return _single_color_block(live)
-    leaf = _triangle_free_leaf(trace, live)
+    leaf = _leaf(trace, live)
     if leaf is not None:
         return leaf
+    g = trace.g
     omega = trace.clique(live).lower
     # Layers around a root of largest degree in G[live]: its neighbors, the
     # second sphere, and everything further or unreachable.
@@ -901,12 +900,10 @@ def color_k4_free(
 
 
 def _k4_rec(trace: ProofTrace, live: int) -> list[int]:
-    g = trace.g
-    if is_independent(g, live):
-        return _single_color_block(live)
-    leaf = _triangle_free_leaf(trace, live)
+    leaf = _leaf(trace, live)
     if leaf is not None:
         return leaf
+    g = trace.g
     trace.audit(
         "triangle-cap/omega",
         "omega-le",

@@ -6,9 +6,10 @@ so "unknown" stays distinct from any definite answer.  Tie-breaking is always
 toward the lowest vertex id, which makes every witness deterministic.
 
 The clique and chromatic solvers take an optional vertex mask ``within`` and
-then solve G[within] in place: the adjacency rows are restricted to the mask
-once, results keep the graph's own vertex ids, and the search runs exactly as
-it would on the induced copy renumbered by ascending id.
+then solve G[within] in place: every search reads the graph's own rows under
+the mask of the vertex set it solves, results keep the graph's own vertex
+ids, and the search runs exactly as it would on the induced copy renumbered
+by ascending id.
 
 Both solvers split a join over its co-components (the components of the
 complement, from ``graphs.co_components``) when at least two of them have an
@@ -18,17 +19,18 @@ of one part with edgeless parts, is searched whole as before.  A split
 clique search still returns the clique the whole search would have
 returned; a split coloring colors the parts with disjoint palettes.
 
-The chromatic solver tries k = omega, omega + 1, ... in turn, on the whole
-graph or on each part of a split join.  ``require_coloring``, for callers
-that need only a coloring within a bound cap(omega), runs the same solve
-over another sequence of k: on each part, k = omega, then cap(omega),
-cap(omega) + 1, ...  It refutes no k strictly between omega and the cap, and
-its result claims only the bounds it proved.  The k search picks as DSATUR
-does (most neighbor colors, then highest degree, then lowest id) and keeps
-saturation in level masks, one per count of neighbor colors, so a search
-node costs O(k) mask operations and walks no vertex list.  A color moves
-only the uncolored vertices it reaches, each up one level, and undoing it
-restores a copy of the levels taken when the vertex was picked.
+The chromatic solver tries k = omega, omega + 1, ... in turn on each part:
+the parts of a split join, or the whole graph as one part.
+``require_coloring``, for callers that need only a coloring within a bound
+cap(omega), runs the same solve over another sequence of k: on each part,
+k = omega, then cap(omega), cap(omega) + 1, ...  It refutes no k strictly
+between omega and the cap, and its result claims only the bounds it proved.
+The k search picks as DSATUR does (most neighbor colors, then highest
+degree, then lowest id) and keeps saturation in level masks, one per count
+of neighbor colors, so a search node costs O(k) mask operations and walks no
+vertex list.  A color moves only the uncolored vertices it reaches, each up
+one level, and undoing it restores a copy of the levels taken when the
+vertex was picked.
 ``k_colorable`` answers at one known k: a maximum clique, then at most one
 such k search.
 A chromatic solve given a proven clique (``clique=``; a ``ProofTrace`` holds
@@ -40,9 +42,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
-from .graphs import Coloring, Graph, bits, co_components, is_clique, mask_of, restrict
+from .graphs import Coloring, Graph, bits, co_components, is_clique, mask_of, vertex_mask
 
 DEFAULT_NODE_LIMIT = 10_000_000
 DEFAULT_TIME_LIMIT = 60.0
@@ -150,9 +152,9 @@ def _greedy_maximal_clique(rows: Sequence[int], full: int) -> list[int]:
     """Grow a maximal clique greedily: best seed degree, then lowest ids."""
     if not full:
         return []
-    seed = max(bits(full), key=lambda v: (rows[v].bit_count(), -v))
+    seed = max(bits(full), key=lambda v: ((rows[v] & full).bit_count(), -v))
     clique = [seed]
-    cand = rows[seed]
+    cand = rows[seed] & full
     while cand:
         v = next(bits(cand))
         clique.append(v)
@@ -306,18 +308,17 @@ def clique_number(
     With a vertex mask ``within`` this is the clique number of G[within];
     the clique's vertices are ids of g.
     """
-    rows, full = restrict(g, within)
     ticker = _Ticker(budget or SolveBudget())
-    best, complete, upper = _max_clique_search(rows, full, ticker, g=g)
+    best, complete, upper = _max_clique_search(g.rows, vertex_mask(g, within), ticker, g=g)
     return CliqueResult(tuple(best), len(best), upper, complete, ticker.nodes)
 
 
 def _k_color_search(
-    rows: Sequence[int], verts: list[int], k: int, ticker: _Ticker, clique: list[int]
+    rows: Sequence[int], full: int, k: int, ticker: _Ticker, clique: list[int]
 ) -> Coloring | None:
-    """k-coloring search on the given vertices, with the clique precolored
-    0, 1, ...; needs k >= len(clique).  A found coloring lists the vertices
-    in the order of verts; None proves that no k-coloring exists.  Raises
+    """k-coloring search on G[full], with the clique precolored 0, 1, ...;
+    needs k >= len(clique).  A found coloring lists the vertices of full in
+    ascending id order; None proves that no k-coloring exists.  Raises
     _OutOfBudget when the ticker runs out.
 
     Each node colors the uncolored vertex with the most neighbor colors,
@@ -337,9 +338,9 @@ def _k_color_search(
     held = mask_of(clique)
     level = [0] * (k + 1)
     by_degree: dict[int, int] = {}
-    for v in verts:
+    for v in bits(full):
         if colors[v] < 0:
-            d = rows[v].bit_count()
+            d = (rows[v] & full).bit_count()
             by_degree[d] = by_degree.get(d, 0) | 1 << v
             level[(rows[v] & held).bit_count()] |= 1 << v
     degree_classes = [by_degree[d] for d in sorted(by_degree, reverse=True)]
@@ -358,7 +359,7 @@ def _k_color_search(
         if not unc:
             for v, _, _, c, _, _ in stack:
                 colors[v] = c
-            return Coloring(tuple(colors[v] for v in verts))
+            return Coloring(tuple(colors[v] for v in bits(full)))
         s = k
         while not level[s]:
             s -= 1
@@ -414,27 +415,6 @@ def _k_color_search(
             break
 
 
-def _ascend(
-    rows: Sequence[int], verts: list[int], clique: list[int], greedy: Coloring,
-    ticker: _Ticker, ks: Iterable[int],
-) -> tuple[int, int, Coloring, bool]:
-    """Try each k of ks, ascending from len(clique) and below greedy's
-    palette, until one colors; returns (lower, upper, witness coloring,
-    finished).  Each k refuted proves chi > k.  The witness is greedy when
-    no k colors, and finished is False when the ticker ran out."""
-    lower = len(clique)
-    for k in ks:
-        try:
-            found = _k_color_search(rows, verts, k, ticker, clique)
-        except _OutOfBudget:
-            return lower, greedy.palette, greedy, False
-        if found is not None:
-            found = found.compacted()
-            return lower, found.palette, found, True
-        lower = k + 1
-    return lower, greedy.palette, greedy, True
-
-
 def chromatic_number(
     g: Graph, budget: SolveBudget | None = None, *, within: int | None = None,
     clique: Sequence[int] | None = None,
@@ -456,7 +436,7 @@ def chromatic_number(
     same mask gives the plain solve's result.  Budget rule: the budget then
     bounds the k search alone, so nodes_used drops the clique search's.
     """
-    return _solve(g, budget, within, clique, range)
+    return _solve(g, budget, within, clique, lambda w: w + 1)
 
 
 def require_coloring(
@@ -473,9 +453,7 @@ def require_coloring(
     most cap(w) colors otherwise.  The bounds are what was proven, and
     ``complete`` (hence ``value``) is set only when they meet.
     """
-    res = _solve(
-        g, budget, within, clique, lambda w, top: [w, *range(max(cap(w), w + 1), top)]
-    )
+    res = _solve(g, budget, within, clique, cap)
     if not res.complete:
         raise BudgetExhausted(
             f"bounded coloring unresolved within budget: bounds [{res.lower}, {res.upper}]"
@@ -485,20 +463,22 @@ def require_coloring(
 
 def _solve(
     g: Graph, budget: SolveBudget | None, within: int | None,
-    clique: Sequence[int] | None, ks: Callable[[int, int], Iterable[int]],
+    clique: Sequence[int] | None, cap: Callable[[int], int],
 ) -> ChromaticResult:
-    """Color G[within]: the whole graph, or each part of a split join, tries
-    the k of ks(its clique size, its greedy palette) in turn (``_ascend``).
-    ``complete`` is False only when the budget ran out; with ks = range, every
-    k from the clique size up, a finished solve has proven chi."""
-    rows, full = restrict(g, within)
+    """Color G[within] one part at a time: the parts of a split join, or the
+    whole graph as one part.  A part of clique size w and greedy palette top
+    tries k = w, then k = cap(w), cap(w) + 1, ... below top, until one
+    colors; each k refuted proves chi > k.  ``complete`` is False only when
+    the budget ran out; with cap(w) = w + 1, every k from the clique size
+    up, a finished solve has proven chi."""
+    full = vertex_mask(g, within)
+    rows = g.rows
     if clique is not None:
         given = mask_of(clique)
         if given & ~full or len(clique) != given.bit_count() or not is_clique(g, given):
             raise ValueError(f"not a clique of the solved graph: {list(clique)}")
     if not full:
         return ChromaticResult(0, 0, Coloring(()), True, 0)
-    verts = list(bits(full))
     ticker = _Ticker(budget or SolveBudget())
     if clique is None:
         clique, complete_omega, _ = _max_clique_search(rows, full, ticker, g=g)
@@ -507,38 +487,39 @@ def _solve(
     greedy = _greedy(rows, full)
     lower = len(clique)
     upper = greedy.palette
-    if lower == upper:
-        return ChromaticResult(lower, upper, greedy, True, ticker.nodes)
-    if not complete_omega:
-        return ChromaticResult(lower, upper, greedy, False, ticker.nodes)
+    if lower == upper or not complete_omega:
+        return ChromaticResult(lower, upper, greedy, lower == upper, ticker.nodes)
     parts = co_components(g, full)
     if not _worth_splitting(rows, parts):
-        lower, upper, witness, finished = _ascend(
-            rows, verts, clique, greedy, ticker, ks(lower, upper)
-        )
-        return ChromaticResult(lower, upper, witness, finished, ticker.nodes)
+        parts = [full]
     # A maximum clique of a join meets each part in a maximum clique of that
     # part, so the parts need no clique search of their own.  Each part's
-    # colors are shifted past the palettes of the parts before it.
+    # colors are shifted past the palettes of the parts before it; the
+    # witness is the part's greedy coloring until a k search colors it.
     colors = [0] * len(rows)
     lower = upper = 0
     finished = True
     for part in parts:
-        part_verts = list(bits(part))
         part_clique = [v for v in clique if part >> v & 1]
         witness = _greedy(rows, part)
         lo, hi = len(part_clique), witness.palette
         if finished and lo < hi:
-            # The k search's forward check must not see the other parts.
-            part_rows = [r & part for r in rows]
-            lo, hi, witness, finished = _ascend(
-                part_rows, part_verts, part_clique, witness, ticker, ks(lo, hi)
-            )
-        for v, c in zip(part_verts, witness.colors):
+            for k in [lo, *range(max(cap(lo), lo + 1), hi)]:
+                try:
+                    found = _k_color_search(rows, part, k, ticker, part_clique)
+                except _OutOfBudget:
+                    finished = False
+                    break
+                if found is not None:
+                    witness = found.compacted()
+                    hi = witness.palette
+                    break
+                lo = k + 1
+        for v, c in zip(bits(part), witness.colors):
             colors[v] = upper + c
         lower += lo
         upper += hi
-    witness = Coloring(tuple(colors[v] for v in verts)).compacted()
+    witness = Coloring(tuple(colors[v] for v in bits(full))).compacted()
     return ChromaticResult(lower, upper, witness, finished, ticker.nodes)
 
 
@@ -554,7 +535,7 @@ def k_colorable(g: Graph, k: int, budget: SolveBudget | None = None) -> bool:
             return False
         if not complete:
             raise _OutOfBudget
-        found = _k_color_search(g.rows, list(g.vertices()), k, ticker, clique)
+        found = _k_color_search(g.rows, g.full_mask, k, ticker, clique)
     except _OutOfBudget:
         raise BudgetExhausted(f"{k}-colorability unresolved within budget") from None
     return found is not None

@@ -9,7 +9,7 @@ one); a mask is validated against the graph order where it enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -89,13 +89,6 @@ def vertex_mask(g: Graph, within: int | None) -> int:
     if within < 0 or within >> g.n:
         raise ValueError(f"vertex mask out of range for order {g.n}")
     return within
-
-
-def restrict(g: Graph, within: int | None) -> tuple[Sequence[int], int]:
-    """Adjacency rows and vertex mask of G[within], kept in g's own ids;
-    the whole graph when within is None."""
-    full = vertex_mask(g, within)
-    return (g.rows if within is None else [r & full for r in g.rows]), full
 
 
 class Graph:

@@ -527,8 +527,8 @@ _ABSENT = {
 
 def _search(rows: Sequence[int], full: int, pattern: Pattern) -> tuple[int, ...] | None:
     """Backtracking core on G[full]: the host vertices of the first
-    embedding, or None.  Every candidate set is cut by full, so the rows may
-    be G's own or restricted to full."""
+    embedding, or None.  Every candidate set is cut by full, so the rows are
+    G's own, with no copy cut to full."""
     p = pattern.graph
     k = p.n
     if k > full.bit_count():
@@ -570,8 +570,8 @@ def find_induced(
     the module docstring).  A copy that is found comes from the search, as
     without the kernel.
     """
-    # The search and every kernel confine themselves to full, so the rows
-    # need no copy restricted to it.
+    # The search and every kernel cut their reads by full, so they take
+    # the host's own rows.
     full = vertex_mask(host, within)
     absent = _ABSENT.get(pattern.graph)
     if absent is not None and absent(host.rows, full):

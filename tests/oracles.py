@@ -21,7 +21,10 @@ the donor-mask scan must match pair for pair.  The reference first fit is
 the exact layer's earlier greedy coloring, which the classes of the clique
 search's color sort must match color for color.  The reference union and
 join are the combinators' earlier edge-list constructions, which the
-shifted-row constructions must match row for row.
+shifted-row constructions must match row for row.  restrict copies the
+adjacency rows cut to a vertex mask, as the solvers and the pattern search
+once did; the searches, which read the graph's own rows under the mask,
+must match a search of that copy.
 """
 
 from itertools import combinations, permutations, product
@@ -40,7 +43,7 @@ from chibound import (
 )
 from chibound.exact import _OutOfBudget, _Ticker, _color_sort, _greedy_maximal_clique
 from chibound.generators import _hunt_start, _unrank_pair
-from chibound.graphs import bits, components
+from chibound.graphs import bits, components, vertex_mask
 
 
 def has_edge(g: Graph, u: int, v: int) -> bool:
@@ -49,6 +52,13 @@ def has_edge(g: Graph, u: int, v: int) -> bool:
 
 def degree(g: Graph, v: int) -> int:
     return g.rows[v].bit_count()
+
+
+def restrict(g: Graph, within: int | None) -> tuple[list[int], int]:
+    """Adjacency rows and vertex mask of G[within], kept in g's own ids;
+    the whole vertex set when within is None."""
+    full = vertex_mask(g, within)
+    return [r & full for r in g.rows], full
 
 
 def brute_clique_number(g: Graph) -> int:

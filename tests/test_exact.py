@@ -43,6 +43,7 @@ from oracles import (
     reference_k_color_search,
     reference_level_k_color_search,
     reference_max_clique_search,
+    restrict,
     subset_chromatic_number,
 )
 
@@ -225,15 +226,18 @@ class TestWithinMask:
     """A masked solve answers exactly as a solve of the induced copy."""
 
     @given(
+        st.integers(min_value=0, max_value=9),
+        st.sampled_from([0.3, 0.5, 0.7]),
         st.integers(min_value=0, max_value=2**32),
-        st.integers(min_value=0, max_value=2**9 - 1),
         st.sampled_from([3, 40, 10_000]),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_matches_induced_copy(self, seed, mask, nodes):
-        g = gnp(9, 0.5, seed)
-        keep = [v for v in g.vertices() if mask >> v & 1]
-        sub = g.induced(keep)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_induced_copy(self, n, p, seed, nodes):
+        # The host has random edges outside the mask too, so a read that
+        # escapes the mask sees neighbors the induced copy lacks.
+        sub = gnp(n, p, seed)
+        g, mask = _embedded(sub, seed)
+        keep = list(bits(mask))
         budget = SolveBudget(node_limit=nodes)
         mine = clique_number(g, budget, within=mask)
         ref = clique_number(sub, budget)
@@ -244,6 +248,18 @@ class TestWithinMask:
         mine = chromatic_number(g, budget, within=mask)
         ref = chromatic_number(sub, budget)
         assert mine == ref
+        for cap in (lambda w: 2 * w, lambda w: 4, lambda w: 2):
+            assert _bounded(g, cap, budget, mask) == _bounded(sub, cap, budget, None)
+
+    def test_degree_is_read_within_the_mask(self):
+        # Vertex 3 lies outside the mask.  Its edges must not count toward
+        # the degrees the k search breaks ties by: counted, they give the
+        # 3-coloring (0, 1, 0, 2, 1, 1, 2).
+        g = gnp(8, 0.5, 3)
+        mask = 247
+        mine = chromatic_number(g, within=mask)
+        assert mine == chromatic_number(g.induced(list(bits(mask))))
+        assert mine.coloring == Coloring((0, 1, 1, 1, 1, 0, 2))
 
     def test_whole_mask_is_the_whole_graph(self):
         g = named_graph("grotzsch")
@@ -268,11 +284,27 @@ class TestWithinMask:
         assert value == 3 and coloring.n == 5
 
 
+def _bounded(g: Graph, cap, budget: SolveBudget, within: int | None):
+    """require_coloring's result, or the message of its BudgetExhausted."""
+    try:
+        return exact.require_coloring(g, cap, budget, within=within)
+    except BudgetExhausted as e:
+        return str(e)
+
+
+def _reference_on_masked_rows(rows, full, k, ticker, clique):
+    """The reference k search, which reads a row's bit count as the degree,
+    on the rows cut to the solved set."""
+    return reference_k_color_search(
+        [r & full for r in rows], list(bits(full)), k, ticker, clique
+    )
+
+
 def _same_as_reference(g: Graph, budget: SolveBudget, within: int | None = None):
     """The solve with the k search swapped for the reference search gives
     the same result, bounds, node count and coloring included."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exact, "_k_color_search", reference_k_color_search)
+        mp.setattr(exact, "_k_color_search", _reference_on_masked_rows)
         ref = chromatic_number(g, budget, within=within)
     assert chromatic_number(g, budget, within=within) == ref
 
@@ -351,8 +383,10 @@ class TestKColorSearchLevels:
     @staticmethod
     def _run(search, g: Graph, k: int, clique: list[int], budget: SolveBudget):
         ticker = exact._Ticker(budget)
+        # The reference takes the vertex list, the search the vertex mask.
+        verts = list(g.vertices()) if search is reference_level_k_color_search else g.full_mask
         try:
-            found = search(g.rows, list(g.vertices()), k, ticker, clique)
+            found = search(g.rows, verts, k, ticker, clique)
         except exact._OutOfBudget:
             return "out of budget", ticker.nodes
         return found, ticker.nodes
@@ -382,6 +416,37 @@ class TestKColorSearchLevels:
                 mine = self._run(exact._k_color_search, g, k, clique, cut)
                 assert mine == self._run(reference_level_k_color_search, g, k, clique, cut)
                 assert mine == ("out of budget", cut.node_limit + 1), k
+
+
+class TestUnrestrictedRows:
+    """The solvers hand the clique and k searches the graph's own rows and
+    the mask of the set they solve: each search must confine itself to the
+    mask, giving the result of a search of the rows cut to it, at the same
+    node count."""
+
+    @given(
+        st.integers(min_value=0, max_value=16),
+        st.sampled_from([0.2, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**32),
+        st.integers(min_value=0, max_value=2**16 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_result_and_nodes(self, n, p, seed, mask):
+        host = gnp(n, p, seed)
+        cut, full = restrict(host, mask & host.full_mask)
+
+        def both(search):
+            runs = []
+            for rows in (cut, host.rows):
+                ticker = exact._Ticker(SolveBudget())
+                runs.append((search(rows, ticker), ticker.nodes))
+            assert runs[0] == runs[1]
+            return runs[0][0]
+
+        for g in (None, host):
+            clique, _, _ = both(lambda rows, t: exact._max_clique_search(rows, full, t, g=g))
+        for k in range(len(clique), exact._greedy(cut, full).palette + 1):
+            both(lambda rows, t: exact._k_color_search(rows, full, k, t, clique))
 
 
 # The path 0-2-3-1: first-fit by id uses 3 colors where 2 suffice.

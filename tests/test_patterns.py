@@ -30,7 +30,6 @@ from chibound import (
     pattern_by_name,
     sample_class,
 )
-from chibound.graphs import restrict
 from chibound.patterns import _ABSENT, _ANCHORED, _search, in_class
 
 from oracles import (
@@ -41,6 +40,7 @@ from oracles import (
     embedding_is_induced,
     has_k1_union_k3,
     induced_embeddings,
+    restrict,
 )
 
 
