@@ -16,6 +16,15 @@ hammer and c5 by sweeping the anchored kernel over the vertices in id order,
 since each copy holds its last vertex.  The kernels are keyed by pattern
 graph.  When a kernel finds a copy, or the pattern has no kernel, the search
 finds the copy.  ``in_class`` gives the verdict from the kernels alone.
+
+A pattern whose complement is connected (co-connected: 2k3, c5, hammer,
+house, k1_union_k3, kite, p2_union_k3, p3_union_p2) has every copy inside
+one co-component of the host, so ``find_induced`` runs the kernel, and the
+search where the kernel finds a copy, on each co-component in turn.  Copies
+in disjoint parts differ in their first matched vertex, so the least copy in
+static order is the parts' first copy whose first matched vertex is lowest.
+A join, such as a kite-free tightness witness, costs its parts and not the
+cross edges between them.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from functools import cache
 from typing import Sequence
 
 from .catalog import named_graph
-from .graphs import Graph, complete, cycle, path, vertex_mask
+from .graphs import Graph, co_components, complete, cycle, path, vertex_mask
 
 MAX_PATTERN_ORDER = 8
 
@@ -154,6 +163,14 @@ def _match_plan(p: Graph) -> tuple:
         )
         for pos, pv in enumerate(order)
     )
+
+
+@cache
+def _co_connected(p: Graph) -> bool:
+    """Whether the pattern's complement is connected.  A copy in a host that
+    met two co-components would join its pieces there, and its complement
+    would not be connected, so each copy lies inside one co-component."""
+    return len(co_components(p, p.full_mask)) == 1
 
 
 def _clusters(rows: Sequence[int], m: int) -> bool:
@@ -531,8 +548,6 @@ def _search(rows: Sequence[int], full: int, pattern: Pattern) -> tuple[int, ...]
     G's own, with no copy cut to full."""
     p = pattern.graph
     k = p.n
-    if k > full.bit_count():
-        return None
     plan = _match_plan(p)
     assign = [0] * k
 
@@ -566,18 +581,32 @@ def find_induced(
     and finds the occurrence a search of the induced copy would find; its
     vertices are ids of the host.
 
-    A pattern with an absence kernel is proved absent by the kernel (see
-    the module docstring).  A copy that is found comes from the search, as
-    without the kernel.
+    A co-connected pattern is sought in each co-component of host[within]
+    in turn, since every copy lies inside one: the absence kernel (see the
+    module docstring) clears a part, or the search finds the part's first
+    copy.  Of those, the copy whose first matched vertex is lowest is the
+    whole search's first copy.  Other patterns are sought in host[within]
+    whole.
     """
-    # The search and every kernel cut their reads by full, so they take
+    # The search and every kernel cut their reads by the part, so they take
     # the host's own rows.
     full = vertex_mask(host, within)
-    absent = _ABSENT.get(pattern.graph)
-    if absent is not None and absent(host.rows, full):
-        return None
-    got = _search(host.rows, full, pattern)
-    return None if got is None else Embedding(pattern.name, got)
+    p = pattern.graph
+    absent = _ABSENT.get(p)
+    first = _match_plan(p)[0][0]
+    best = None
+    for part in co_components(host, full) if _co_connected(p) else (full,):
+        # Parts come by ascending lowest id, so a part whose lowest id is
+        # above best's first matched vertex holds no earlier copy, nor do
+        # the parts after it.
+        if best is not None and part & -part > 1 << best[first]:
+            break
+        if part.bit_count() < p.n or absent is not None and absent(host.rows, part):
+            continue
+        got = _search(host.rows, part, pattern)
+        if got is not None and (best is None or got[first] < best[first]):
+            best = got
+    return None if best is None else Embedding(pattern.name, best)
 
 
 def is_member(g: Graph, cls: ClassSpec) -> Membership:

@@ -21,6 +21,7 @@ from chibound import (
     cycle,
     disjoint_union,
     empty,
+    extremal_family,
     find_induced,
     gnp,
     is_member,
@@ -30,7 +31,9 @@ from chibound import (
     pattern_by_name,
     sample_class,
 )
-from chibound.patterns import _ABSENT, _ANCHORED, _search, in_class
+from chibound import patterns
+from chibound.graphs import co_components
+from chibound.patterns import _ABSENT, _ANCHORED, _co_connected, _search, in_class
 
 from oracles import (
     brute_find_induced,
@@ -198,6 +201,75 @@ class TestFindInducedOnJoins:
         host = Graph(j.n, [(perm[u], perm[v]) for u, v in j.edges()])
         emb = find_induced(host, PATTERNS["p3_union_p2"])
         assert emb is not None and frozenset(emb.vertices) == frozenset(range(1, 6))
+
+
+def _k2_first_join(copies: int) -> Graph:
+    """The join of copies of K2 + K3, the K2's ids first in each copy."""
+    return reduce(join, [disjoint_union(complete(2), complete(3))] * copies)
+
+
+def _spy(calls: list, fn):
+    """fn, recording the mask of every call in calls."""
+
+    def spy(rows, m, *args):
+        calls.append(m)
+        return fn(rows, m, *args)
+
+    return spy
+
+
+class TestCoComponentSplit:
+    """A co-connected pattern is sought one co-component at a time; any
+    other pattern is sought in the whole mask."""
+
+    def test_which_patterns_split(self):
+        split = {name for name, p in PATTERNS.items() if _co_connected(p.graph)}
+        assert split == {
+            "2k3", "c5", "hammer", "house", "k1_union_k3", "kite", "p2_union_k3", "p3_union_p2"
+        }
+
+    def test_k2_first_join_is_searched_by_part(self, monkeypatch):
+        # The whole search tries every triangle through the low K2s' parts
+        # before it reaches the first copy: seconds at 300 copies.
+        host = _k2_first_join(300)
+        masks: list[int] = []
+        monkeypatch.setattr(patterns, "_search", _spy(masks, _search))
+        emb = find_induced(host, PATTERNS["p2_union_k3"])
+        assert emb == Embedding("p2_union_k3", (0, 1, 2, 3, 4))
+        parts = co_components(host, host.full_mask)
+        assert len(parts) == 300
+        # Only the first part is searched: its copy maps the first plan
+        # vertex below every later part's lowest id.
+        assert masks == parts[:1]
+
+    def test_k2_first_join_matches_whole_search(self):
+        host = _k2_first_join(40)
+        for name in ("p2_union_k3", "k1_union_k3", "p3_union_p2", "house"):
+            pattern = PATTERNS[name]
+            whole = _search(host.rows, host.full_mask, pattern)
+            mine = find_induced(host, pattern)
+            assert mine == (None if whole is None else Embedding(name, whole)), name
+
+    def test_kernel_runs_once_per_part(self, monkeypatch):
+        g = extremal_family("kite-odd", 2)
+        parts = co_components(g, g.full_mask)
+        assert len(parts) == 2
+        hammer = PATTERNS["hammer"].graph
+        masks: list[int] = []
+        monkeypatch.setitem(_ABSENT, hammer, _spy(masks, _ABSENT[hammer]))
+        assert find_induced(g, PATTERNS["hammer"]) is None
+        assert masks == parts
+
+    @pytest.mark.parametrize("name", ["k4", "diamond"])
+    def test_other_patterns_see_the_whole_mask(self, monkeypatch, name):
+        g = extremal_family("kite-odd", 2)
+        pattern = PATTERNS[name]
+        masks: list[int] = []
+        monkeypatch.setattr(patterns, "_search", _spy(masks, _search))
+        if pattern.graph in _ABSENT:
+            monkeypatch.setitem(_ABSENT, pattern.graph, _spy(masks, _ABSENT[pattern.graph]))
+        assert find_induced(g, pattern) is not None
+        assert masks and set(masks) == {g.full_mask}
 
 
 KERNEL_PATTERNS = (
