@@ -9,13 +9,19 @@ lexicographically least one in that search order.
 Every forbidden pattern of every class in CLASSES (k3, k4, kite, hammer, c5,
 p3_union_p2, p2_union_k3, k1_union_k3) has a vertex-anchored kernel, which
 tells by bit operations on the host rows alone whether any copy holds a given
-vertex w, case by case over the role w plays in the copy.  Absence of p3,
-k3, k4, p3_union_p2, p2_union_k3, k1_union_k3 and 2k3 (which the K4Free
-colorer seeks) is decided by a whole-graph kernel, and absence of kite,
-hammer and c5 by sweeping the anchored kernel over the vertices in id order,
-since each copy holds its last vertex.  The kernels are keyed by pattern
-graph.  When a kernel finds a copy, or the pattern has no kernel, the search
-finds the copy.  ``in_class`` gives the verdict from the kernels alone.
+vertex w, case by case over the role w plays in the copy.  Absence of every
+one of them, and of p3 and 2k3 (which the K4Free colorer seeks), is decided
+by a whole-graph kernel.  Five patterns are a triangle T with more off it,
+and their kernel reads each triangle once, with far, the vertices anticomplete
+to T: a copy of k1_union_k3 has far non-empty, of p2_union_k3 an edge in far,
+of 2k3 a triangle in far, of the hammer a vertex that sees exactly one vertex
+of T and one of far, and of the kite a vertex that sees exactly two vertices
+of T (the centres) and one of far.  A triangle through x whose y sees every
+vertex off N[x] leaves far empty, so those ys are cut before the triangles are
+read.  Absence of c5 is the anchored kernel swept over the vertices in id
+order, since each copy holds its last vertex.  The kernels are keyed by
+pattern graph.  When a kernel finds a copy, or the pattern has no kernel, the
+search finds the copy.  ``in_class`` gives the verdict from the kernels alone.
 
 A pattern whose complement is connected (co-connected: 2k3, c5, hammer,
 house, k1_union_k3, kite, p2_union_k3, p3_union_p2) has every copy inside
@@ -212,60 +218,76 @@ def _k4_free(rows: Sequence[int], m: int) -> bool:
     return True
 
 
-def _triangles_dominate(rows: Sequence[int], m: int) -> bool:
-    """Whether G[m] is K1 + K3-free: every triangle dominates m, so no
-    vertex's non-neighbourhood holds a triangle."""
-    rest = m
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if not _triangle_free(rows, m & ~(rows[low.bit_length() - 1] | low)):
-            return False
-    return True
-
-
-def _edge_anchored(far_free):
-    """Kernel for P + P2, given far_free(rows, m) that tells G[m] is P-free:
-    every copy of P + P2 is a P in G - N[x] - N[y] for an edge xy, and back."""
-
-    def absent(rows: Sequence[int], m: int) -> bool:
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            rx = rows[low.bit_length() - 1]
-            near = rx & rest
-            while near:
-                b = near & -near
-                near ^= b
-                if not far_free(rows, m & ~(rx | rows[b.bit_length() - 1])):
-                    return False
-        return True
-
-    return absent
-
-
-def _no_2k3(rows: Sequence[int], m: int) -> bool:
-    """Whether G[m] is 2K3-free: no triangle xyz, x its lowest vertex,
-    leaves a triangle in G - N(x) - N(y) - N(z)."""
+def _no_p3_union_p2(rows: Sequence[int], m: int) -> bool:
+    """Whether G[m] is P3 + P2-free: every copy is a P3 in G - N[x] - N[y]
+    for an edge xy, and back."""
     rest = m
     while rest:
         low = rest & -rest
         rest ^= low
         rx = rows[low.bit_length() - 1]
-        ys = rx & rest
-        while ys:
-            b = ys & -ys
-            ys ^= b
-            ry = rows[b.bit_length() - 1]
-            zs = rx & ry & ys
-            rxy = rx | ry
-            while zs:
-                c = zs & -zs
-                zs ^= c
-                if not _triangle_free(rows, m & ~(rxy | rows[c.bit_length() - 1])):
-                    return False
+        near = rx & rest
+        while near:
+            b = near & -near
+            near ^= b
+            if not _clusters(rows, m & ~(rx | rows[b.bit_length() - 1])):
+                return False
     return True
+
+
+def _off_triangle(found):
+    """Absence kernel for a pattern made of a triangle T and more off it,
+    given found(rows, m, far, rx, ry, rz), which tells whether the rest lies
+    in G[m] about T = xyz, far being the non-empty set of vertices of m
+    anticomplete to T.  Each triangle is read once, as x < y < z.  A y that
+    sees every vertex of m off N[x] leaves far empty, so x's later
+    neighbours are first cut by the common neighbourhood of m - N[x], which
+    on a dense host holds most of them.  A triangle-free G[m] is cleared by
+    the cheaper triangle test alone."""
+
+    def absent(rows: Sequence[int], m: int) -> bool:
+        if _triangle_free(rows, m):
+            return True
+        rest = m
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            rx = rows[low.bit_length() - 1]
+            # seen: the later neighbours that see every vertex off N[x]
+            # read so far.
+            ys = seen = rx & rest
+            out = m & ~rx & ~low
+            while out and seen:
+                f = out & -out
+                out ^= f
+                seen &= rows[f.bit_length() - 1]
+            ys &= ~seen
+            while ys:
+                b = ys & -ys
+                ys ^= b
+                ry = rows[b.bit_length() - 1]
+                rxy = rx | ry
+                zs = ry & ys
+                while zs:
+                    c = zs & -zs
+                    zs ^= c
+                    rz = rows[c.bit_length() - 1]
+                    far = m & ~(rxy | rz)
+                    if far and found(rows, m, far, rx, ry, rz):
+                        return False
+        return True
+
+    return absent
+
+
+def _meets(rows: Sequence[int], far: int, near: int) -> bool:
+    """Whether some vertex of far has a neighbour in near."""
+    while far:
+        f = far & -far
+        if rows[f.bit_length() - 1] & near:
+            return True
+        far ^= f
+    return False
 
 
 def _edgeless(rows: Sequence[int], m: int) -> bool:
@@ -505,40 +527,39 @@ _ANCHORED = {
 }
 
 
-def _swept(anchored, triangle: bool = False):
-    """Absence kernel from an anchored one: each copy in G[m] holds its last
-    vertex w and lies in the part of m up to w.  A pattern that holds a
-    triangle (``triangle``) is absent at once from a triangle-free G[m]."""
-
-    def absent(rows: Sequence[int], m: int) -> bool:
-        if triangle and _triangle_free(rows, m):
-            return True
-        seen = 0
-        rest = m
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            seen |= low
-            if not anchored(rows, seen, low.bit_length() - 1):
-                return False
-        return True
-
-    return absent
+def _no_c5(rows: Sequence[int], m: int) -> bool:
+    """Whether G[m] has no induced C5: each copy holds its last vertex w and
+    lies in the part of m up to w, so the kernel anchored at w sweeps the
+    prefixes."""
+    seen = 0
+    rest = m
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        seen |= low
+        if not _c5_through(rows, seen, low.bit_length() - 1):
+            return False
+    return True
 
 
 # Absence kernels by pattern graph: kernel(rows, m) is True exactly when
-# G[m] has no induced copy of the pattern.
+# G[m] has no induced copy of the pattern.  Next to far, the hammer has a
+# vertex that sees exactly one vertex of T, and the kite one that sees two.
 _ABSENT = {
     path(3): _clusters,
     complete(3): _triangle_free,
     complete(4): _k4_free,
-    named_graph("p3_union_p2"): _edge_anchored(_clusters),
-    named_graph("p2_union_k3"): _edge_anchored(_triangle_free),
-    named_graph("k1_union_k3"): _triangles_dominate,
-    named_graph("2k3"): _no_2k3,
-    named_graph("kite"): _swept(_kite_through, triangle=True),
-    named_graph("hammer"): _swept(_hammer_through, triangle=True),
-    cycle(5): _swept(_c5_through),
+    named_graph("p3_union_p2"): _no_p3_union_p2,
+    named_graph("k1_union_k3"): _off_triangle(lambda *_: True),
+    named_graph("p2_union_k3"): _off_triangle(lambda rows, m, far, *_: not _edgeless(rows, far)),
+    named_graph("2k3"): _off_triangle(lambda rows, m, far, *_: not _triangle_free(rows, far)),
+    named_graph("hammer"): _off_triangle(
+        lambda rows, m, far, rx, ry, rz: _meets(rows, far, m & (rx ^ ry ^ rz) & ~(rx & ry & rz))
+    ),
+    named_graph("kite"): _off_triangle(
+        lambda rows, m, far, rx, ry, rz: _meets(rows, far, m & (rx | ry | rz) & ~(rx ^ ry ^ rz))
+    ),
+    cycle(5): _no_c5,
 }
 
 

@@ -365,6 +365,57 @@ class TestAbsenceKernels:
         assert find_induced(complete(3), renamed) is None
 
 
+OFF_TRIANGLE = ("k1_union_k3", "p2_union_k3", "2k3", "hammer", "kite")
+
+
+class _CountedRows(list):
+    """Adjacency rows that count their reads and fail past a limit."""
+
+    def __init__(self, rows, limit: int):
+        super().__init__(rows)
+        self.limit = limit
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        assert self.reads <= self.limit, "too many row reads"
+        return super().__getitem__(i)
+
+
+class TestOffTriangleKernels:
+    """The five patterns made of a triangle and more off it share one
+    absence kernel, read triangle by triangle."""
+
+    def test_every_graph_of_order_at_most_6(self):
+        # Rows straight from the edge bits; the sub-mask runs through every
+        # mask as the edges change.
+        kernels = [(PATTERNS[name], _ABSENT[PATTERNS[name].graph]) for name in OFF_TRIANGLE]
+        wrong = []
+        for n in range(7):
+            pairs = list(combinations(range(n), 2))
+            full = (1 << n) - 1
+            for code in range(1 << len(pairs)):
+                rows = [0] * n
+                for i, (u, v) in enumerate(pairs):
+                    if code >> i & 1:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+                for m in (full, code & full):
+                    for pattern, absent in kernels:
+                        if absent(rows, m) != (_search(rows, m, pattern) is None):
+                            wrong.append((pattern.name, n, code, m))
+        assert not wrong
+
+    @pytest.mark.parametrize("name", OFF_TRIANGLE)
+    def test_dense_host_reads_at_most_2n_rows(self, name):
+        # K_{2x200}: no vertex off N[x] but x's twin, which sees every later
+        # neighbour of x, so the prune leaves no triangle to read.
+        n = 400
+        full = (1 << n) - 1
+        rows = _CountedRows([full & ~(3 << (u & ~1)) for u in range(n)], 2 * n)
+        assert _ABSENT[PATTERNS[name].graph](rows, full)
+
+
 def _member_toggles(spec):
     """Every single-pair toggle (u, v, candidate) of a few sampled members of
     the class, dense and sparse."""
