@@ -53,8 +53,7 @@ def _gem() -> Graph:
 
 
 def _house() -> Graph:
-    g = complement(path(5))
-    return Graph(g.n, list(g.edges()), name="house")
+    return complement(path(5)).with_name("house")
 
 
 def _w4() -> Graph:
@@ -67,8 +66,7 @@ def _w4() -> Graph:
 
 
 def _paraglider() -> Graph:
-    g = complement(_p3_union_p2())
-    return Graph(g.n, list(g.edges()), name="paraglider")
+    return complement(_p3_union_p2()).with_name("paraglider")
 
 
 def _hvn() -> Graph:
@@ -86,8 +84,7 @@ def _crown() -> Graph:
 
 
 def _grotzsch() -> Graph:
-    g = mycielskian(cycle(5))
-    return Graph(g.n, list(g.edges()), name="grotzsch")
+    return mycielskian(cycle(5)).with_name("grotzsch")
 
 
 def _schlafli_complement() -> Graph:

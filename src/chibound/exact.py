@@ -16,8 +16,9 @@ complement, from ``graphs.co_components``) when at least two of them have an
 edge: clique number and chromatic number add over a join, so each part is
 searched on its own under the one shared budget.  A prime graph, or a join
 of one part with edgeless parts, is searched whole as before.  A split
-clique search still returns the clique the whole search would have
-returned; a split coloring colors the parts with disjoint palettes.
+clique search returns the union of the parts' maximum cliques, which can
+differ from the clique the whole search would have returned; a split
+coloring colors the parts with disjoint palettes.
 
 The chromatic solver tries k = omega, omega + 1, ... in turn on each part:
 the parts of a split join, or the whole graph as one part.
@@ -190,11 +191,14 @@ def _greedy(rows: Sequence[int], mask: int) -> Coloring:
     return Coloring(tuple(colors[v] - 1 for v in bits(mask)))
 
 
-def _worth_splitting(rows: Sequence[int], parts: list[int]) -> bool:
-    """Whether a join over these co-components is split: at least two of
-    them must have an edge.  A join whose other parts are edgeless (mostly
-    universal vertices) costs more to split than to search whole."""
-    return sum(1 for p in parts if any(rows[v] & p for v in bits(p))) >= 2
+def _parts(g: Graph, full: int) -> list[int]:
+    """The parts a solve of G[full] runs on: its co-components when at least
+    two of them have an edge, else [full].  A join whose other parts are
+    edgeless (mostly universal vertices) costs more to split than to search
+    whole."""
+    parts = co_components(g, full)
+    edged = sum(1 for p in parts if any(g.rows[v] & p for v in bits(p)))
+    return parts if edged >= 2 else [full]
 
 
 def _max_clique_search(
@@ -210,27 +214,25 @@ def _max_clique_search(
     root's greedy class count when the search did not complete).
 
     Only a search given its graph g may split, and only when its root bound
-    does not close it.  The parts are co-connected, so their own searches
-    are given no graph."""
+    does not close it.  A split search returns the union of the parts'
+    maximum cliques, which is a maximum clique of the join but can differ
+    from the clique the whole search would have found.  The parts are
+    co-connected, so their own searches are given no graph."""
     if best is None:
         best = _greedy_maximal_clique(rows, full)
     cur: list[int] = []
-    # Branches that cannot beat floor are pruned.  floor is len(best) until
-    # best reaches target; then it is the order, which ends the search.
-    floor = len(best)
-    target = None
 
     def expand(p_mask: int, order: list[tuple[int, int]]):
         # The branches run on a list, not the call stack, so a deep clique
         # needs no deep recursion.  One frame per open branch: [candidates
         # left, their color order, how many of its entries are untried];
         # cur holds the vertex each frame after the first branched on.
-        nonlocal best, floor
+        nonlocal best
         frames = [[p_mask, order, len(order)]]
         while frames:
             frame = frames[-1]
             p_mask, order, i = frame
-            if not i or len(cur) + order[i - 1][1] <= floor:
+            if not i or len(cur) + order[i - 1][1] <= len(best):
                 frames.pop()
                 if frames:
                     cur.pop()
@@ -245,9 +247,8 @@ def _max_clique_search(
                 order = _color_sort(rows, rest)
                 frames.append([rest, order, len(order)])
                 continue
-            if len(cur) > floor:
+            if len(cur) > len(best):
                 best = sorted(cur)
-                floor = len(rows) if len(best) == target else len(best)
             cur.pop()
 
     order = _color_sort(rows, full)
@@ -255,21 +256,9 @@ def _max_clique_search(
         if full:
             ticker.tick()
             if g is not None and order[-1][1] > len(best):
-                parts = co_components(g, full)
-                if _worth_splitting(rows, parts):
-                    clique, complete, upper = _clique_over_parts(rows, parts, ticker, best)
-                    if not complete or len(clique) == len(best):
-                        return clique, complete, upper
-                    # The parts proved the clique number.  The whole search
-                    # runs only until its first clique of that size, which
-                    # is the witness it would have returned unsplit; pruning
-                    # every branch too small for that size keeps its order.
-                    floor, target = upper - 1, upper
-                    try:
-                        expand(full, order)
-                    except _OutOfBudget:
-                        return clique, False, upper
-                    return best, True, upper
+                parts = _parts(g, full)
+                if len(parts) > 1:
+                    return _clique_over_parts(rows, parts, ticker, best)
             expand(full, order)
     except _OutOfBudget:
         # Each greedy class holds one clique vertex at most.
@@ -489,9 +478,7 @@ def _solve(
     upper = greedy.palette
     if lower == upper or not complete_omega:
         return ChromaticResult(lower, upper, greedy, lower == upper, ticker.nodes)
-    parts = co_components(g, full)
-    if not _worth_splitting(rows, parts):
-        parts = [full]
+    parts = _parts(g, full)
     # A maximum clique of a join meets each part in a maximum clique of that
     # part, so the parts need no clique search of their own.  Each part's
     # colors are shifted past the palettes of the parts before it; the

@@ -18,8 +18,9 @@ of 2k3 a triangle in far, of the hammer a vertex that sees exactly one vertex
 of T and one of far, and of the kite a vertex that sees exactly two vertices
 of T (the centres) and one of far.  A triangle through x whose y sees every
 vertex off N[x] leaves far empty, so those ys are cut before the triangles are
-read.  Absence of c5 is the anchored kernel swept over the vertices in id
-order, since each copy holds its last vertex.  The kernels are keyed by
+read; the p3_union_p2 kernel, a P3 in G - N[x] - N[y] for an edge xy, makes
+the same cut.  Absence of c5 is the anchored kernel swept over the vertices
+in id order, since each copy holds its last vertex.  The kernels are keyed by
 pattern graph.  When a kernel finds a copy, or the pattern has no kernel, the
 search finds the copy.  ``in_class`` gives the verdict from the kernels alone.
 
@@ -218,18 +219,33 @@ def _k4_free(rows: Sequence[int], m: int) -> bool:
     return True
 
 
+def _far_later(rows: Sequence[int], m: int, low: int, rx: int, later: int) -> int:
+    """The neighbours y in later of x = low (row rx) that leave
+    m - N[x] - N[y] non-empty: later & rx cut by the common neighbourhood of
+    m - N[x], which on a dense host holds most of them.  The intersection
+    stops once it is empty."""
+    ys = seen = rx & later
+    out = m & ~rx & ~low
+    while out and seen:
+        f = out & -out
+        out ^= f
+        seen &= rows[f.bit_length() - 1]
+    return ys & ~seen
+
+
 def _no_p3_union_p2(rows: Sequence[int], m: int) -> bool:
     """Whether G[m] is P3 + P2-free: every copy is a P3 in G - N[x] - N[y]
-    for an edge xy, and back."""
+    for an edge xy, and back.  Only the ys that leave that set non-empty
+    are read."""
     rest = m
     while rest:
         low = rest & -rest
         rest ^= low
         rx = rows[low.bit_length() - 1]
-        near = rx & rest
-        while near:
-            b = near & -near
-            near ^= b
+        ys = _far_later(rows, m, low, rx, rest)
+        while ys:
+            b = ys & -ys
+            ys ^= b
             if not _clusters(rows, m & ~(rx | rows[b.bit_length() - 1])):
                 return False
     return True
@@ -239,11 +255,10 @@ def _off_triangle(found):
     """Absence kernel for a pattern made of a triangle T and more off it,
     given found(rows, m, far, rx, ry, rz), which tells whether the rest lies
     in G[m] about T = xyz, far being the non-empty set of vertices of m
-    anticomplete to T.  Each triangle is read once, as x < y < z.  A y that
-    sees every vertex of m off N[x] leaves far empty, so x's later
-    neighbours are first cut by the common neighbourhood of m - N[x], which
-    on a dense host holds most of them.  A triangle-free G[m] is cleared by
-    the cheaper triangle test alone."""
+    anticomplete to T.  Each triangle is read once, as x < y < z, with y
+    and z among x's later neighbours that ``_far_later`` keeps: any other y
+    leaves far empty.  A triangle-free G[m] is cleared by the cheaper
+    triangle test alone."""
 
     def absent(rows: Sequence[int], m: int) -> bool:
         if _triangle_free(rows, m):
@@ -253,15 +268,7 @@ def _off_triangle(found):
             low = rest & -rest
             rest ^= low
             rx = rows[low.bit_length() - 1]
-            # seen: the later neighbours that see every vertex off N[x]
-            # read so far.
-            ys = seen = rx & rest
-            out = m & ~rx & ~low
-            while out and seen:
-                f = out & -out
-                out ^= f
-                seen &= rows[f.bit_length() - 1]
-            ys &= ~seen
+            ys = _far_later(rows, m, low, rx, rest)
             while ys:
                 b = ys & -ys
                 ys ^= b

@@ -48,6 +48,7 @@ from chibound.colorers import (
 from chibound.graphs import bits
 
 from oracles import reference_dominated_pair
+from test_patterns import _k2_first_join
 
 # The only audit locations allowed to record a soft-gap verdict.
 SOFT_ALLOWED = re.compile(r"^(split-hammer/j[23]-palette|second-nbhd/b\d+-palette)$")
@@ -415,6 +416,15 @@ class TestAcrossClasses:
             sys.setrecursionlimit(limit)
         check_run(g, col, trace, palette * palette)
         assert col.palette == palette
+        assert replay(g, trace) == []
+
+    def test_hammer_colorer_on_k2_first_join(self):
+        # 100 copies of K2 + K3 joined, each K2 first.  Every clique audit
+        # solves the join part by part, so this takes a fraction of a second.
+        g = _k2_first_join(100)
+        col, trace = color_hammer_free(g)
+        check_run(g, col, trace, 300 * 300)
+        assert (col.palette, len(trace.steps)) == (300, 701)
         assert replay(g, trace) == []
 
     def test_rejects_p3_union_p2(self):

@@ -84,9 +84,11 @@ class TestCliqueNumber:
 
     def test_deep_clique_runs_without_deep_recursion(self):
         # The join of 100 copies of K2 + K3, copy i on ids 5i..5i+4 with its
-        # K2 first: the greedy classes do not close the search at its root,
-        # so it grows a clique of 300 vertices one branch per vertex.  A
-        # call per branch would pass a limit of 60 frames above the caller's.
+        # K2 first: the greedy classes do not close the search at its root.
+        # clique_number splits the join and searches each copy on its own;
+        # k_colorable searches it whole and grows a clique of 300 vertices
+        # one branch per vertex.  A call per branch would pass a limit of 60
+        # frames above the caller's.
         n = 500
         g = Graph(n, [
             (u, v) for u in range(n) for v in range(u + 1, n)
@@ -96,9 +98,10 @@ class TestCliqueNumber:
         sys.setrecursionlimit(len(inspect.stack()) + 60)
         try:
             res = clique_number(g)
+            assert not exact.k_colorable(g, 299)
         finally:
             sys.setrecursionlimit(limit)
-        assert (res.value, res.complete, res.nodes_used) == (300, True, 598)
+        assert (res.value, res.complete, res.nodes_used) == (300, True, 299)
         assert _is_clique(g, res.vertices)
 
 
@@ -495,10 +498,10 @@ class TestJoinSplit:
         assert res.value == omega
         assert len(res.vertices) == omega
         assert _is_clique(j, res.vertices)
-        # The witness is the one the whole search returns unsplit.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(exact, "_worth_splitting", lambda rows, parts: False)
-            assert clique_number(j).vertices == res.vertices
+        # The witness holds a maximum clique of each part.
+        for part in co_components(j, j.full_mask):
+            held = sum(1 for v in res.vertices if part >> v & 1)
+            assert held == clique_number(j, within=part).value
         col = chromatic_number(j)
         assert col.value == chi
         assert col.coloring.palette == chi
@@ -579,9 +582,10 @@ class TestJoinSplit:
             col = chromatic_number(g, budget)
             assert col.nodes_used <= limit + 1 and col.lower <= 12 <= col.upper
 
-    def test_split_join_keeps_the_unsplit_witness(self):
+    def test_split_join_returns_the_parts_union(self):
         # Two Grotzsch parts: the split proves omega 4 in 9 nodes (103
-        # unsplit), and the greedy clique it starts from is the witness.
+        # unsplit).  Each part keeps its share of the greedy clique it
+        # starts from, so that clique is the witness.
         res = clique_number(join(named_graph("grotzsch"), named_graph("grotzsch")))
         assert res == CliqueResult((5, 10, 11, 12), 4, 4, True, 9)
 
@@ -664,11 +668,7 @@ def _check_bounded_coloring(g: Graph, mask: int, cap) -> None:
     assert res.lower <= chi <= res.upper == res.coloring.palette
     assert res.complete == (res.lower == res.upper)
     assert res.value in (None, chi)
-    rows = [r & mask for r in g.rows]
-    parts = co_components(g, mask)
-    if not exact._worth_splitting(rows, parts):
-        parts = [mask]
-    for part in parts:
+    for part in exact._parts(g, mask):
         w = sum(1 for v in clique if part >> v & 1)
         part_chi, _ = require_chromatic(g, within=part)
         mine, exact_part = (

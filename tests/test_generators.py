@@ -351,9 +351,7 @@ class TestHunt:
         assert res.chi == chromatic_number(res.graph).value
         assert res.omega in (None, clique_number(res.graph).value)
 
-    @pytest.mark.parametrize(
-        "n, seed, node_limit, omega", [(12, 0, 5, 7), (14, 1, 5, 10), (14, 2, 10, 10)]
-    )
+    @pytest.mark.parametrize("n, seed, node_limit, omega", [(12, 0, 5, 7), (14, 1, 5, 10)])
     def test_final_clique_bounds_that_meet_are_a_proof(self, n, seed, node_limit, omega):
         # Each final clique search runs out with lower = upper.
         budget = SolveBudget(node_limit=node_limit)
@@ -361,6 +359,15 @@ class TestHunt:
         cut = clique_number(res.graph, budget)
         assert not cut.complete and cut.lower == cut.upper
         assert res.omega == cut.value == clique_number(res.graph).value == omega
+
+    def test_final_clique_search_of_a_join_completes(self):
+        # The final graph joins three parts, and their searches prove omega
+        # within the budget.
+        budget = SolveBudget(node_limit=10)
+        res = hunt("KiteFree", n=14, steps=60, seed=2, budget=budget)
+        cut = clique_number(res.graph, budget)
+        assert cut.complete and cut.nodes_used <= 10
+        assert res.omega == cut.value == clique_number(res.graph).value == 10
 
     def test_unresolved_final_clique_number_is_none(self):
         budget = SolveBudget(node_limit=4)

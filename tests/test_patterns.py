@@ -365,7 +365,9 @@ class TestAbsenceKernels:
         assert find_induced(complete(3), renamed) is None
 
 
-OFF_TRIANGLE = ("k1_union_k3", "p2_union_k3", "2k3", "hammer", "kite")
+# The five off-triangle patterns and p3_union_p2: their kernels cut x's
+# later neighbours by the vertices off N[x].
+CUT = ("k1_union_k3", "p2_union_k3", "2k3", "hammer", "kite", "p3_union_p2")
 
 
 class _CountedRows(list):
@@ -384,12 +386,14 @@ class _CountedRows(list):
 
 class TestOffTriangleKernels:
     """The five patterns made of a triangle and more off it share one
-    absence kernel, read triangle by triangle."""
+    absence kernel, read triangle by triangle.  It and the p3_union_p2
+    kernel read only the later neighbours y of x that leave G - N[x] - N[y]
+    non-empty."""
 
     def test_every_graph_of_order_at_most_6(self):
         # Rows straight from the edge bits; the sub-mask runs through every
         # mask as the edges change.
-        kernels = [(PATTERNS[name], _ABSENT[PATTERNS[name].graph]) for name in OFF_TRIANGLE]
+        kernels = [(PATTERNS[name], _ABSENT[PATTERNS[name].graph]) for name in CUT]
         wrong = []
         for n in range(7):
             pairs = list(combinations(range(n), 2))
@@ -406,10 +410,10 @@ class TestOffTriangleKernels:
                             wrong.append((pattern.name, n, code, m))
         assert not wrong
 
-    @pytest.mark.parametrize("name", OFF_TRIANGLE)
+    @pytest.mark.parametrize("name", CUT)
     def test_dense_host_reads_at_most_2n_rows(self, name):
         # K_{2x200}: no vertex off N[x] but x's twin, which sees every later
-        # neighbour of x, so the prune leaves no triangle to read.
+        # neighbour of x, so the prune leaves no edge xy to read.
         n = 400
         full = (1 << n) - 1
         rows = _CountedRows([full & ~(3 << (u & ~1)) for u in range(n)], 2 * n)
