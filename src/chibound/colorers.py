@@ -28,6 +28,7 @@ from .graphs import (
     Coloring,
     Graph,
     bits,
+    co_components,
     components,
     is_independent,
     mask_of,
@@ -147,15 +148,19 @@ def _leaf(trace: ProofTrace, live: int) -> list[int] | None:
     return block
 
 
-def _dominated_pair(g: Graph, m: int) -> tuple[int, int] | None:
+def _dominated_pair(g: Graph, m: int, part_of: dict[int, int]) -> tuple[int, int] | None:
     """First ordered pair (u, v) in the mask with u, v nonadjacent and
     N(u) within N(v), neighborhoods taken inside the mask.  The donors of u
     are its non-neighbors that see every neighbor of u; the pair is the
-    lowest u with a donor and its lowest donor."""
+    lowest u with a donor and its lowest donor.  part_of[u] is u's
+    co-component in some G[m'] with m' holding m, which holds u's
+    co-component in G[m]: the donors lie in it and every vertex outside it
+    sees all of it, so only u's neighbors inside it are read."""
     rows = g.rows
     for u in bits(m):
-        donors = m & ~rows[u] & ~(1 << u)
-        for w in bits(rows[u] & m):
+        part = part_of[u] & m
+        donors = part & ~rows[u] & ~(1 << u)
+        for w in bits(rows[u] & part):
             donors &= rows[w]
             if not donors:
                 break
@@ -231,9 +236,11 @@ def color_kite_free(
 
 def _kite(trace: ProofTrace, live: int) -> list[int]:
     g = trace.g
+    # Removing a vertex never merges co-components: the lookup holds throughout.
+    part_of = {v: part for part in co_components(g, live) for v in bits(part)}
     rules: list[tuple[int, int]] = []
     while True:
-        pair = _dominated_pair(g, live)
+        pair = _dominated_pair(g, live, part_of)
         if pair is None:
             break
         u, v = pair

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .graphs import Graph, bits
+from .graphs import Graph, _from_rows
 
 FORMATS = ("dimacs", "graph6")
 
@@ -101,6 +101,10 @@ def write_graph6(g: Graph) -> str:
 
 
 def read_graph6(text: str) -> Graph:
+    """The graph of one graph6 line, read with no edge list: column v of
+    the body (v's neighbours below v), padded to n bits, is row v of an
+    n x n bit square, and u's adjacency row is read as one int from row u
+    of the square (its neighbours below) and one from column u (above)."""
     # Only ASCII whitespace is stripped: str.strip() would also drop the
     # control bytes 0x1c-0x1f, which are out of graph6 range.
     line = text.strip(" \t\r\n")
@@ -138,11 +142,13 @@ def read_graph6(text: str) -> Graph:
     flat = body.translate(_G6_BITS)
     if "1" in flat[need_bits:]:
         raise GraphParseError("non-zero padding bits")
-    edges = []
-    for v in range(1, n):
-        start = v * (v - 1) // 2
-        edges += [(u, v) for u in bits(int(flat[start:start + v][::-1], 2))]
-    return Graph(n, edges)
+    square = "".join(
+        [flat[v * (v - 1) // 2:v * (v + 1) // 2].ljust(n, "0") for v in range(n)]
+    )
+    return _from_rows(
+        int(square[u::n][::-1], 2) | int(square[u * n:(u + 1) * n][::-1], 2)
+        for u in range(n)
+    )
 
 
 def _detect_format(path: Path, fmt: str | None) -> str:

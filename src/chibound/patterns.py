@@ -18,7 +18,8 @@ of 2k3 a triangle in far, of the hammer a vertex that sees exactly one vertex
 of T and one of far, and of the kite a vertex that sees exactly two vertices
 of T (the centres) and one of far.  A triangle through x whose y sees every
 vertex off N[x] leaves far empty, so those ys are cut before the triangles are
-read; the p3_union_p2 kernel, a P3 in G - N[x] - N[y] for an edge xy, makes
+read, by a row read per vertex off N[x] when x's later neighbours outnumber
+them; the p3_union_p2 kernel, a P3 in G - N[x] - N[y] for an edge xy, makes
 the same cut.  Absence of c5 is the anchored kernel swept over the vertices
 in id order, since each copy holds its last vertex.  The kernels are keyed by
 pattern graph.  When a kernel finds a copy, or the pattern has no kernel, the
@@ -221,11 +222,15 @@ def _k4_free(rows: Sequence[int], m: int) -> bool:
 
 def _far_later(rows: Sequence[int], m: int, low: int, rx: int, later: int) -> int:
     """The neighbours y in later of x = low (row rx) that leave
-    m - N[x] - N[y] non-empty: later & rx cut by the common neighbourhood of
-    m - N[x], which on a dense host holds most of them.  The intersection
-    stops once it is empty."""
+    m - N[x] - N[y] non-empty, or a set holding them: later & rx cut by the
+    common neighbourhood of m - N[x], which on a dense host holds most of
+    them.  The cut reads a row per vertex off N[x], so it runs only when the
+    ys outnumber them: elsewhere, as on a sparse host, it would read rows
+    and cut nothing.  The intersection stops once it is empty."""
     ys = seen = rx & later
     out = m & ~rx & ~low
+    if out.bit_count() >= ys.bit_count():
+        return ys
     while out and seen:
         f = out & -out
         out ^= f
@@ -235,8 +240,8 @@ def _far_later(rows: Sequence[int], m: int, low: int, rx: int, later: int) -> in
 
 def _no_p3_union_p2(rows: Sequence[int], m: int) -> bool:
     """Whether G[m] is P3 + P2-free: every copy is a P3 in G - N[x] - N[y]
-    for an edge xy, and back.  Only the ys that leave that set non-empty
-    are read."""
+    for an edge xy, and back.  Only the ys that ``_far_later`` keeps are
+    read."""
     rest = m
     while rest:
         low = rest & -rest

@@ -1,10 +1,12 @@
 """Structural colorers: palette bounds, audits, branch coverage, reductions."""
 
 import inspect
+import random
 import re
 import sys
 from functools import reduce
 from operator import or_
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,11 +27,13 @@ from chibound import (
     color_k4_free,
     color_kite_free,
     color_p2k3_free,
+    complement,
     complete,
     cycle,
     disjoint_union,
     empty,
     evaluate_bound,
+    extremal_family,
     gnp,
     greedy_coloring,
     join,
@@ -45,10 +49,10 @@ from chibound.colorers import (
     _fold_classes,
     _wrap,
 )
-from chibound.graphs import bits
+from chibound.graphs import bits, components
 
 from oracles import reference_dominated_pair
-from test_patterns import _k2_first_join
+from test_patterns import _CountedRows, _k2_first_join
 
 # The only audit locations allowed to record a soft-gap verdict.
 SOFT_ALLOWED = re.compile(r"^(split-hammer/j[23]-palette|second-nbhd/b\d+-palette)$")
@@ -122,6 +126,35 @@ class TestClusterColor:
         assert verify_coloring(g, classes_coloring(g, classes)) is None
 
 
+def _part_lookup(g, m):
+    """Each vertex's co-component of G[m], read off the components of the
+    complement."""
+    return {v: part for part in components(complement(g), m) for v in bits(part)}
+
+
+def _check_removals(g, order):
+    """_dominated_pair agrees with the reference scan on the full mask and
+    after each removal in order, given the full mask's lookup."""
+    part_of = _part_lookup(g, g.full_mask)
+    m = g.full_mask
+    for v in order:
+        assert _dominated_pair(g, m, part_of) == reference_dominated_pair(g, m)
+        m &= ~(1 << v)
+
+
+def _check_reduction(g):
+    """The same along the kite reduction's own removals: each pair's
+    dominated vertex leaves the mask."""
+    part_of = _part_lookup(g, g.full_mask)
+    m = g.full_mask
+    while True:
+        pair = _dominated_pair(g, m, part_of)
+        assert pair == reference_dominated_pair(g, m)
+        if pair is None:
+            return
+        m &= ~(1 << pair[0])
+
+
 class TestDomination:
     """The kite procedure's reduction: remove the first vertex u whose
     neighborhood inside the part fits in a nonadjacent v's, then give u the
@@ -129,13 +162,14 @@ class TestDomination:
 
     def test_cycle_has_no_dominated_pair(self):
         g = cycle(5)
-        assert _dominated_pair(g, g.full_mask) is None
+        assert _dominated_pair(g, g.full_mask, _part_lookup(g, g.full_mask)) is None
 
     def test_edgeless_pair_reduces(self):
-        assert _dominated_pair(empty(2), 0b11) == (0, 1)
+        assert _dominated_pair(empty(2), 0b11, _part_lookup(empty(2), 0b11)) == (0, 1)
         # Neighborhoods are taken inside the mask: C5 minus vertex 2 is the
         # path 3-4-0-1, where N(1) = {0} lies in N(4) = {0, 3}.
-        assert _dominated_pair(cycle(5), 0b11011) == (1, 4)
+        g = cycle(5)
+        assert _dominated_pair(g, 0b11011, _part_lookup(g, 0b11011)) == (1, 4)
 
     @given(
         st.integers(min_value=1, max_value=14),
@@ -147,7 +181,42 @@ class TestDomination:
     def test_matches_reference_scan(self, n, p, seed, picked):
         g = gnp(n, p, seed)
         for m in (g.full_mask, picked & g.full_mask):
-            assert _dominated_pair(g, m) == reference_dominated_pair(g, m)
+            assert _dominated_pair(g, m, _part_lookup(g, m)) == reference_dominated_pair(g, m)
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=7), min_size=2, max_size=3),
+        st.sampled_from([0.2, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_joins_match_reference_after_removals(self, sizes, p, seed):
+        # The lookup is the full mask's co-components, kept through the
+        # removals, as in the kite reduction.
+        g = reduce(join, [gnp(n, p, seed + i) for i, n in enumerate(sizes)])
+        order = list(g.vertices())
+        random.Random(seed).shuffle(order)
+        _check_removals(g, order)
+        _check_reduction(g)
+
+    @pytest.mark.parametrize(
+        "family, k",
+        [("kite-even", k) for k in (1, 2, 3, 4)] + [("kite-odd", k) for k in (1, 2, 3)]
+        + [("hammer", 1), ("k4", 1)],
+    )
+    def test_witnesses_match_reference_after_removals(self, family, k):
+        g = extremal_family(family, k)
+        order = list(g.vertices())
+        random.Random(k).shuffle(order)
+        _check_removals(g, order)
+        _check_reduction(g)
+
+    def test_join_reads_no_row_outside_the_co_component(self):
+        # K_{2x300}: vertex 0 has no neighbour in its co-component {0, 1},
+        # so its own row (for the non-neighbours, then for the neighbours
+        # inside) is all the scan reads, not its 598 neighbours' rows.
+        g = reduce(join, [empty(2)] * 300)
+        counted = SimpleNamespace(rows=_CountedRows(g.rows, 2))
+        assert _dominated_pair(counted, g.full_mask, _part_lookup(g, g.full_mask)) == (0, 1)
 
     def test_star_fixpoint(self):
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])

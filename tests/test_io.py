@@ -1,5 +1,7 @@
 """DIMACS and graph6 reading, writing, and round-trip identity."""
 
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,10 @@ from chibound import (
     complete,
     cycle,
     dumps,
+    empty,
+    extremal_family,
     gnp,
+    join,
     loads,
     named_graph,
     read_dimacs,
@@ -89,6 +94,31 @@ class TestGraph6:
         line = write_graph6(g)
         assert decode_graph6_reference(line) == (n, set(g.edges()))
         assert read_graph6(line) == g
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            extremal_family("kite-even", 4),
+            extremal_family("kite-odd", 2),
+            *(reduce(join, [empty(2)] * k) for k in (1, 3, 31, 32, 60)),
+            empty(0),
+            empty(1),
+            empty(2),
+            complete(2),
+            gnp(63, 0.5, 1),
+            gnp(130, 0.3, 2),
+        ],
+        ids=lambda g: f"{g.name or 'n'}-{g.n}-{g.edge_count}",
+    )
+    def test_reader_matches_reference_decoder(self, g):
+        # The reader lays the columns out as one n x n bit square and reads
+        # each row from it: the dense joins (K_{2xk} among them), the
+        # smallest orders and the four-byte size form (orders from 63) all
+        # go through it.
+        line = write_graph6(g)
+        back = read_graph6(line)
+        assert (back.n, set(back.edges())) == decode_graph6_reference(line)
+        assert back.rows == g.rows
 
     def test_four_byte_size_form(self):
         g = Graph(100, [(0, 99)])

@@ -33,7 +33,14 @@ from chibound import (
 )
 from chibound import patterns
 from chibound.graphs import co_components
-from chibound.patterns import _ABSENT, _ANCHORED, _co_connected, _search, in_class
+from chibound.patterns import (
+    _ABSENT,
+    _ANCHORED,
+    _co_connected,
+    _far_later,
+    _search,
+    in_class,
+)
 
 from oracles import (
     brute_find_induced,
@@ -418,6 +425,18 @@ class TestOffTriangleKernels:
         full = (1 << n) - 1
         rows = _CountedRows([full & ~(3 << (u & ~1)) for u in range(n)], 2 * n)
         assert _ABSENT[PATTERNS[name].graph](rows, full)
+
+    def test_cut_reads_no_row_where_it_cannot_pay(self):
+        # The Schlafli complement is 10-regular of order 27: each x has 16
+        # vertices off N[x] and at most 10 later neighbours, so the cut,
+        # a row read per vertex off N[x], is skipped and every y is kept.
+        g = named_graph("schlafli_complement")
+        rows = _CountedRows(g.rows, 0)
+        full = g.full_mask
+        for x in g.vertices():
+            later = full >> x + 1 << x + 1
+            assert _far_later(rows, full, 1 << x, g.rows[x], later) == g.rows[x] & later
+        assert rows.reads == 0
 
 
 def _member_toggles(spec):
