@@ -148,16 +148,20 @@ def _leaf(trace: ProofTrace, live: int) -> list[int] | None:
     return block
 
 
-def _dominated_pair(g: Graph, m: int, part_of: dict[int, int]) -> tuple[int, int] | None:
+def _dominated_pair(
+    g: Graph, m: int, part_of: dict[int, int], start: int = 0
+) -> tuple[int, int] | None:
     """First ordered pair (u, v) in the mask with u, v nonadjacent and
     N(u) within N(v), neighborhoods taken inside the mask.  The donors of u
     are its non-neighbors that see every neighbor of u; the pair is the
     lowest u with a donor and its lowest donor.  part_of[u] is u's
     co-component in some G[m'] with m' holding m, which holds u's
     co-component in G[m]: the donors lie in it and every vertex outside it
-    sees all of it, so only u's neighbors inside it are read."""
+    sees all of it, so only u's neighbors inside it are read.  The scan
+    starts at vertex start: the caller knows that no u below it has a
+    donor."""
     rows = g.rows
-    for u in bits(m):
+    for u in bits(m >> start << start):
         part = part_of[u] & m
         donors = part & ~rows[u] & ~(1 << u)
         for w in bits(rows[u] & part):
@@ -239,8 +243,9 @@ def _kite(trace: ProofTrace, live: int) -> list[int]:
     # Removing a vertex never merges co-components: the lookup holds throughout.
     part_of = {v: part for part in co_components(g, live) for v in bits(part)}
     rules: list[tuple[int, int]] = []
+    start = 0
     while True:
-        pair = _dominated_pair(g, live, part_of)
+        pair = _dominated_pair(g, live, part_of, start)
         if pair is None:
             break
         u, v = pair
@@ -257,9 +262,14 @@ def _kite(trace: ProofTrace, live: int) -> list[int]:
         )
         rules.append((u, v))
         live &= ~(1 << u)
+        # Only u's neighbors inside its co-component can gain a donor: one
+        # outside it has its donors in its own, where every vertex sees u.
+        near = g.rows[u] & part_of[u] & live | 2 << u
+        start = (near & -near).bit_length() - 1
     classes = _kite_core(trace, live)
+    class_of = {v: i for i, c in enumerate(classes) for v in bits(c)} if rules else {}
     for u, v in reversed(rules):
-        i = next(i for i, c in enumerate(classes) if c >> v & 1)
+        class_of[u] = i = class_of[v]
         classes[i] |= 1 << u
     return classes
 

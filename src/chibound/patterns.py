@@ -20,19 +20,24 @@ of T (the centres) and one of far.  A triangle through x whose y sees every
 vertex off N[x] leaves far empty, so those ys are cut before the triangles are
 read, by a row read per vertex off N[x] when x's later neighbours outnumber
 them; the p3_union_p2 kernel, a P3 in G - N[x] - N[y] for an edge xy, makes
-the same cut.  Absence of c5 is the anchored kernel swept over the vertices
-in id order, since each copy holds its last vertex.  The kernels are keyed by
-pattern graph.  When a kernel finds a copy, or the pattern has no kernel, the
-search finds the copy.  ``in_class`` gives the verdict from the kernels alone.
+the same cut, and tests the far sets of all of x's kept ys in one call,
+skipping those of fewer than three vertices.  Absence of c5 is the anchored
+kernel swept over the vertices in id order, since each copy holds its last
+vertex.  The kernels are keyed by pattern graph.  When a kernel finds a copy,
+or the pattern has no kernel, the search finds the copy.  ``in_class`` gives
+the verdict from the kernels alone.
 
 A pattern whose complement is connected (co-connected: 2k3, c5, hammer,
 house, k1_union_k3, kite, p2_union_k3, p3_union_p2) has every copy inside
 one co-component of the host, so ``find_induced`` runs the kernel, and the
-search where the kernel finds a copy, on each co-component in turn.  Copies
-in disjoint parts differ in their first matched vertex, so the least copy in
-static order is the parts' first copy whose first matched vertex is lowest.
-A join, such as a kite-free tightness witness, costs its parts and not the
-cross edges between them.
+search where the kernel finds a copy, on each co-component in turn.  A
+kernel gives a verdict alone, so a part that does not start at vertex 0 but
+holds an id of 30 or more is handed to it copied, as its own rows shifted
+down to bit 0; the search reads the host's rows, and its copy has host ids.
+Copies in disjoint parts differ in their first matched vertex, so the least
+copy in static order is the parts' first copy whose first matched vertex is
+lowest.  A join, such as a kite-free tightness witness, costs its parts and
+not the cross edges between them.
 """
 
 from __future__ import annotations
@@ -181,19 +186,29 @@ def _co_connected(p: Graph) -> bool:
     return len(co_components(p, p.full_mask)) == 1
 
 
-def _clusters(rows: Sequence[int], m: int) -> bool:
-    """Whether G[m] is P3-free: each component is a clique, the closed
-    neighbourhood of each of its vertices."""
-    while m:
-        low = m & -m
-        comp = rest = rows[low.bit_length() - 1] & m | low
-        while rest:
-            b = rest & -rest
-            if rows[b.bit_length() - 1] & m | b != comp:
-                return False
-            rest ^= b
-        m ^= comp
-    return True
+def _clusters(rows: Sequence[int], m: int, out: int = 0, ys: int = 0) -> bool:
+    """Whether G[m] is P3-free, and G[out - N(y)] too for every y in ys:
+    each component is a clique, the closed neighbourhood of each of its
+    vertices.  A set out - N(y) of fewer than three vertices holds no P3
+    and is not read."""
+    while True:
+        while m:
+            low = m & -m
+            comp = rest = rows[low.bit_length() - 1] & m | low
+            while rest:
+                b = rest & -rest
+                if rows[b.bit_length() - 1] & m | b != comp:
+                    return False
+                rest ^= b
+            m ^= comp
+        while ys:
+            b = ys & -ys
+            ys ^= b
+            m = out & ~rows[b.bit_length() - 1]
+            if m.bit_count() > 2:
+                break
+        else:
+            return True
 
 
 def _triangle_free(rows: Sequence[int], m: int) -> bool:
@@ -220,17 +235,16 @@ def _k4_free(rows: Sequence[int], m: int) -> bool:
     return True
 
 
-def _far_later(rows: Sequence[int], m: int, low: int, rx: int, later: int) -> int:
-    """The neighbours y in later of x = low (row rx) that leave
-    m - N[x] - N[y] non-empty, or a set holding them: later & rx cut by the
-    common neighbourhood of m - N[x], which on a dense host holds most of
-    them.  The cut reads a row per vertex off N[x], so it runs only when the
-    ys outnumber them: elsewhere, as on a sparse host, it would read rows
-    and cut nothing.  The intersection stops once it is empty."""
-    ys = seen = rx & later
-    out = m & ~rx & ~low
+def _far_later(rows: Sequence[int], out: int, ys: int) -> int:
+    """The neighbours y in ys of a vertex x that leave out - N(y) non-empty,
+    out being m - N[x], or a set holding them: ys cut by the common
+    neighbourhood of out, which on a dense host holds most of them.  The cut
+    reads a row per vertex of out, so it runs only when the ys outnumber
+    them: elsewhere, as on a sparse host, it would read rows and cut
+    nothing.  The intersection stops once it is empty."""
     if out.bit_count() >= ys.bit_count():
         return ys
+    seen = ys
     while out and seen:
         f = out & -out
         out ^= f
@@ -239,20 +253,18 @@ def _far_later(rows: Sequence[int], m: int, low: int, rx: int, later: int) -> in
 
 
 def _no_p3_union_p2(rows: Sequence[int], m: int) -> bool:
-    """Whether G[m] is P3 + P2-free: every copy is a P3 in G - N[x] - N[y]
-    for an edge xy, and back.  Only the ys that ``_far_later`` keeps are
-    read."""
+    """Whether G[m] is P3 + P2-free: every copy is a P3 in out - N(y) for
+    an edge xy, out being m - N[x], and back.  Only the ys that
+    ``_far_later`` keeps are read, by one ``_clusters`` call per x."""
     rest = m
     while rest:
         low = rest & -rest
         rest ^= low
         rx = rows[low.bit_length() - 1]
-        ys = _far_later(rows, m, low, rx, rest)
-        while ys:
-            b = ys & -ys
-            ys ^= b
-            if not _clusters(rows, m & ~(rx | rows[b.bit_length() - 1])):
-                return False
+        out = m & ~rx & ~low
+        ys = _far_later(rows, out, rx & rest)
+        if ys and not _clusters(rows, 0, out, ys):
+            return False
     return True
 
 
@@ -273,7 +285,7 @@ def _off_triangle(found):
             low = rest & -rest
             rest ^= low
             rx = rows[low.bit_length() - 1]
-            ys = _far_later(rows, m, low, rx, rest)
+            ys = _far_later(rows, m & ~rx & ~low, rx & rest)
             while ys:
                 b = ys & -ys
                 ys ^= b
@@ -621,8 +633,11 @@ def find_induced(
     whole search's first copy.  Other patterns are sought in host[within]
     whole.
     """
-    # The search and every kernel cut their reads by the part, so they take
-    # the host's own rows.
+    # The search cuts its reads by the part, so it reads the host's rows and
+    # finds host ids.  A kernel gives a verdict alone, so a part at lo > 0
+    # that reaches bit 30 gets its own rows shifted down to bit 0, and its
+    # bit operations work on fewer 30-bit int digits.  A part below bit 30
+    # is one digit already, and a copy would only cost.
     full = vertex_mask(host, within)
     p = pattern.graph
     absent = _ABSENT.get(p)
@@ -634,8 +649,15 @@ def find_induced(
         # the parts after it.
         if best is not None and part & -part > 1 << best[first]:
             break
-        if part.bit_count() < p.n or absent is not None and absent(host.rows, part):
+        if part.bit_count() < p.n:
             continue
+        if absent is not None:
+            lo = (part & -part).bit_length() - 1 if part >> 30 else 0
+            rows = host.rows if lo == 0 else [
+                (r & part) >> lo for r in host.rows[lo:part.bit_length()]
+            ]
+            if absent(rows, part >> lo):
+                continue
         got = _search(host.rows, part, pattern)
         if got is not None and (best is None or got[first] < best[first]):
             best = got

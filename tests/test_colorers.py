@@ -7,6 +7,7 @@ import sys
 from functools import reduce
 from operator import or_
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,7 @@ from chibound import (
     sample_class,
     verify_coloring,
 )
+from chibound import colorers
 from chibound.colorers import (
     _cluster,
     _dominated_pair,
@@ -50,6 +52,7 @@ from chibound.colorers import (
     _wrap,
 )
 from chibound.graphs import bits, components
+from chibound.trace import ProofTrace
 
 from oracles import reference_dominated_pair
 from test_patterns import _CountedRows, _k2_first_join
@@ -155,6 +158,40 @@ def _check_reduction(g):
         m &= ~(1 << pair[0])
 
 
+def _reduction(g):
+    """The kite reduction on the whole of g, its core giving each vertex
+    left a class of its own: its rules (u, v), read off the audit steps,
+    and the classes after each u joins its donor v."""
+    trace = ProofTrace("KiteFree", g)
+    own = lambda trace, live: [1 << v for v in bits(live)]
+    with mock.patch.object(colorers, "_kite_core", own):
+        classes = colorers._kite(trace, g.full_mask)
+    rules = [
+        (dict(s.sets)["removed"].bit_length() - 1, dict(s.sets)["donor"].bit_length() - 1)
+        for s in trace.steps
+        if s.tag == "reduce/dominated-pair"
+    ]
+    return rules, classes
+
+
+def _check_rules(g):
+    """The reduction's rules are those of a scan that restarts at the
+    lowest live vertex after every removal, and each u takes v's class."""
+    m, expected = g.full_mask, []
+    while True:
+        pair = reference_dominated_pair(g, m)
+        if pair is None:
+            break
+        expected.append(pair)
+        m &= ~(1 << pair[0])
+    rules, classes = _reduction(g)
+    assert rules == expected
+    assert reduce(or_, classes, 0) == g.full_mask
+    assert sum(c.bit_count() for c in classes) == g.n
+    for u, v in rules:
+        assert any(c >> u & c >> v & 1 for c in classes)
+
+
 class TestDomination:
     """The kite procedure's reduction: remove the first vertex u whose
     neighborhood inside the part fits in a nonadjacent v's, then give u the
@@ -197,6 +234,7 @@ class TestDomination:
         random.Random(seed).shuffle(order)
         _check_removals(g, order)
         _check_reduction(g)
+        _check_rules(g)
 
     @pytest.mark.parametrize(
         "family, k",
@@ -209,6 +247,39 @@ class TestDomination:
         random.Random(k).shuffle(order)
         _check_removals(g, order)
         _check_reduction(g)
+        _check_rules(g)
+
+    @given(
+        st.lists(st.integers(min_value=1, max_value=6), min_size=2, max_size=3),
+        st.sampled_from([0.2, 0.5, 0.8]),
+        st.integers(min_value=0, max_value=2**32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_permuted_joins_reduce_as_a_restarted_scan(self, sizes, p, seed):
+        # The parts interleave in id order, so the scan resumes below u.
+        j = reduce(join, [gnp(n, p, seed + i) for i, n in enumerate(sizes)])
+        perm = list(range(j.n))
+        random.Random(seed).shuffle(perm)
+        _check_rules(Graph(j.n, [(perm[u], perm[v]) for u, v in j.edges()]))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 10, 31])
+    def test_cocktail_party_reduces_as_a_restarted_scan(self, k):
+        _check_rules(reduce(join, [empty(2)] * k))
+
+    def test_cocktail_party_scan_is_linear(self, monkeypatch):
+        # K_{2x300}: each pair (2i, 2i + 1) removes 2i, and the scan resumes
+        # at 2i + 1, whose part is now itself.  Two row reads per vertex
+        # scanned: a scan restarted at the lowest live vertex would read
+        # every odd vertex below u again, about 90,000 rows.
+        g = reduce(join, [empty(2)] * 300)
+        counted = SimpleNamespace(rows=_CountedRows(g.rows, 2 * g.n))
+        scan = colorers._dominated_pair
+        monkeypatch.setattr(
+            colorers, "_dominated_pair", lambda g, *args: scan(counted, *args)
+        )
+        rules, _ = _reduction(g)
+        assert rules == [(u, u + 1) for u in range(0, g.n, 2)]
+        assert counted.rows.reads == 2 * g.n
 
     def test_join_reads_no_row_outside_the_co_component(self):
         # K_{2x300}: vertex 0 has no neighbour in its co-component {0, 1},

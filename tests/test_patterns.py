@@ -258,14 +258,47 @@ class TestCoComponentSplit:
             assert mine == (None if whole is None else Embedding(name, whole)), name
 
     def test_kernel_runs_once_per_part(self, monkeypatch):
+        # Each part reaches the kernel shifted down to bit 0.  The Grotzsch
+        # part starts at vertex 0 and reads the host's rows, uncopied; the
+        # Schlafli part, ids 11..37, reaches bit 30 and reads its own rows.
         g = extremal_family("kite-odd", 2)
         parts = co_components(g, g.full_mask)
-        assert len(parts) == 2
+        assert len(parts) == 2 and parts[0] & 1
         hammer = PATTERNS["hammer"].graph
-        masks: list[int] = []
-        monkeypatch.setitem(_ABSENT, hammer, _spy(masks, _ABSENT[hammer]))
+        calls: list[tuple] = []
+        kernel = _ABSENT[hammer]
+
+        def spy(rows, m):
+            calls.append((rows, m))
+            return kernel(rows, m)
+
+        monkeypatch.setitem(_ABSENT, hammer, spy)
         assert find_induced(g, PATTERNS["hammer"]) is None
-        assert masks == parts
+        lows = [(part & -part).bit_length() - 1 for part in parts]
+        assert lows == [0, 11]
+        assert [m for _, m in calls] == [part >> lo for part, lo in zip(parts, lows)]
+        assert calls[0][0] is g.rows
+        assert calls[1][0] == [(r & parts[1]) >> 11 for r in g.rows[11:]]
+
+    @pytest.mark.parametrize(
+        "late",
+        [PATTERNS[name].graph for name in ("p3_union_p2", "kite", "hammer", "c5", "k4")]
+        + [named_graph("grotzsch"), named_graph("schlafli_complement")]
+        + [gnp(9, 0.5, 1), gnp(12, 0.3, 2), gnp(14, 0.7, 3)],
+        ids=["p3_union_p2", "kite", "hammer", "c5", "k4", "grotzsch", "schlafli_complement"]
+        + ["gnp-9", "gnp-12", "gnp-14"],
+    )
+    def test_late_part_past_bit_30(self, late):
+        # K_{2x16} holds ids 0..31, so the late graph's parts reach their
+        # kernels shifted down from bit 32 and on, and hold the copies.
+        host = join(reduce(join, [empty(2)] * 16), late)
+        parts = co_components(host, host.full_mask)
+        assert parts[16] & -parts[16] == 1 << 32
+        for name in KERNEL_PATTERNS:
+            pattern = PATTERNS[name]
+            whole = _search(host.rows, host.full_mask, pattern)
+            mine = find_induced(host, pattern)
+            assert mine == (None if whole is None else Embedding(name, whole)), name
 
     @pytest.mark.parametrize("name", ["k4", "diamond"])
     def test_other_patterns_see_the_whole_mask(self, monkeypatch, name):
@@ -426,6 +459,15 @@ class TestOffTriangleKernels:
         rows = _CountedRows([full & ~(3 << (u & ~1)) for u in range(n)], 2 * n)
         assert _ABSENT[PATTERNS[name].graph](rows, full)
 
+    def test_p3_union_p2_skips_far_sets_under_three(self):
+        # On C5 each edge xy leaves one vertex off N[x] and N[y], which
+        # holds no P3: the kernel reads x's row and y's, and no row of the
+        # far vertex.
+        g = cycle(5)
+        rows = _CountedRows(g.rows, 10)
+        assert _ABSENT[PATTERNS["p3_union_p2"].graph](rows, g.full_mask)
+        assert rows.reads == 10
+
     def test_cut_reads_no_row_where_it_cannot_pay(self):
         # The Schlafli complement is 10-regular of order 27: each x has 16
         # vertices off N[x] and at most 10 later neighbours, so the cut,
@@ -434,8 +476,8 @@ class TestOffTriangleKernels:
         rows = _CountedRows(g.rows, 0)
         full = g.full_mask
         for x in g.vertices():
-            later = full >> x + 1 << x + 1
-            assert _far_later(rows, full, 1 << x, g.rows[x], later) == g.rows[x] & later
+            ys = g.rows[x] & full >> x + 1 << x + 1
+            assert _far_later(rows, full & ~g.rows[x] & ~(1 << x), ys) == ys
         assert rows.reads == 0
 
 
