@@ -7,13 +7,16 @@ stops once the palette is within the leaf's audited bound), audit every
 structural fact on the concrete vertex sets, and finally assert the concrete
 palette against the class binding function.
 
-Two audit locations are allowed to record soft-gap verdicts: the per-side
-palette claims for the J2/J3 split of the hammer case inside the kite
-procedure, and the per-part palette claims over the second-neighborhood
-partition inside the C5 procedure.  Everything else is hard: a failure
-raises AuditViolation, because on in-class inputs it cannot happen unless
-the code (or the argument) is wrong.  The final palette assertion is always
-hard.
+Each audit call names a tag template of trace.CLAIMS, which fixes the
+step's kind, assertion and soft flag, and passes the step's sets, numbers
+and template fields.  Two claims are declared soft there and may record
+soft-gap verdicts: the per-side palette claims for the J2/J3 split of the
+hammer case inside the kite procedure (split-hammer/j2-palette, j3-palette),
+and the per-part palette claims over the second-neighborhood partition
+inside the C5 procedure (second-nbhd/b{idx}-palette).  Everything else is
+hard: a failure raises AuditViolation, because on in-class inputs it cannot
+happen unless the code (or the argument) is wrong.  The final palette
+assertion is always hard.
 """
 
 from __future__ import annotations
@@ -139,11 +142,7 @@ def _leaf(trace: ProofTrace, live: int) -> list[int] | None:
         return None
     block = _exact_block(trace, live, lambda w: 4)
     trace.audit(
-        "leaf/triangle-free",
-        "value-le",
-        "triangle-free remainder takes at most 4 colors",
-        sets={"X": live},
-        numbers={"value": len(block), "bound": 4},
+        "leaf/triangle-free", sets={"X": live}, numbers={"value": len(block), "bound": 4}
     )
     return block
 
@@ -217,10 +216,8 @@ def _wrap(
     omega = trace.clique(g.full_mask).lower
     bound = _bound_at(spec.name, omega)
     trace.audit(
-        "bound/final-palette",
-        "value-le",
-        f"palette within the {spec.name} binding function at omega={omega}",
-        numbers={"value": coloring.palette, "bound": bound},
+        "bound/final-palette", numbers={"value": coloring.palette, "bound": bound},
+        cls=spec.name, omega=omega,
     )
     bad = verify_coloring(g, coloring)
     if bad is not None:
@@ -249,17 +246,9 @@ def _kite(trace: ProofTrace, live: int) -> list[int]:
         if pair is None:
             break
         u, v = pair
-        trace.audit(
-            "reduce/dominated-pair",
-            "subset",
-            f"vertex {u} is dominated by nonadjacent {v} and will copy its color",
-            sets={
-                "X": g.rows[u] & live,
-                "Y": g.rows[v] & live,
-                "removed": 1 << u,
-                "donor": 1 << v,
-            },
-        )
+        trace.audit("reduce/dominated-pair", sets={
+            "X": g.rows[u] & live, "Y": g.rows[v] & live, "removed": 1 << u, "donor": 1 << v
+        }, u=u, v=v)
         rules.append((u, v))
         live &= ~(1 << u)
         # Only u's neighbors inside its co-component can gain a donor: one
@@ -286,21 +275,9 @@ def _kite_core(trace: ProofTrace, live: int) -> list[int]:
     emb = find_induced(g, PATTERNS["hammer"], within=live)
     if emb is not None:
         return _kite_split_hammer(trace, live, emb, omega)
-    trace.audit(
-        "leaf/k1k3-absent",
-        "k1k3-absent",
-        "no spare-edge or hammer split and dominated pairs removed leaves "
-        "no isolated-vertex-plus-triangle",
-        sets={"X": live},
-    )
+    trace.audit("leaf/k1k3-absent", sets={"X": live})
     block = _exact_block(trace, live, lambda w: 2 * w)
-    trace.audit(
-        "leaf/k1k3-free",
-        "value-le",
-        "a triangle-containing remainder without K1+K3 takes at most "
-        "2*omega colors",
-        numbers={"value": len(block), "bound": 2 * omega},
-    )
+    trace.audit("leaf/k1k3-free", numbers={"value": len(block), "bound": 2 * omega})
     return block
 
 
@@ -315,30 +292,10 @@ def _kite_split_p2k3(
     x2 = nw & g.rows[u2] & ~g.rows[u1]
     y = nw & g.rows[u1] & g.rows[u2]
     m = live & ~um & ~nw
-    trace.audit(
-        "split-p2k3/eq1-x1",
-        "independent",
-        "private neighbors of one endpoint of the spare edge are independent",
-        sets={"X": x1, "edge": um},
-    )
-    trace.audit(
-        "split-p2k3/eq1-x2",
-        "independent",
-        "private neighbors of the other endpoint are independent",
-        sets={"X": x2, "edge": um},
-    )
-    trace.audit(
-        "split-p2k3/m-anticomplete",
-        "anticomplete",
-        "the non-neighborhood of the spare edge misses both endpoints",
-        sets={"X": um, "Y": m},
-    )
-    trace.audit(
-        "split-p2k3/m-p3free",
-        "p3-free",
-        "non-neighborhood of the spare edge is a union of cliques",
-        sets={"X": m},
-    )
+    trace.audit("split-p2k3/eq1-x1", sets={"X": x1, "edge": um})
+    trace.audit("split-p2k3/eq1-x2", sets={"X": x2, "edge": um})
+    trace.audit("split-p2k3/m-anticomplete", sets={"X": um, "Y": m})
+    trace.audit("split-p2k3/m-p3free", sets={"X": m})
     c1 = mask_of(trace.clique(m).vertices)
     c1_closed = c1
     for v in bits(c1):
@@ -348,58 +305,26 @@ def _kite_split_p2k3(
         if g.rows[v] & y == y & ~(1 << v):
             d |= 1 << v
     c = y & ~d
-    trace.audit(
-        "split-p2k3/d-clique",
-        "clique",
-        "common neighbors complete to the rest of the common neighborhood "
-        "form a clique",
-        sets={"X": d},
-    )
-    trace.audit(
-        "split-p2k3/eq2-c-meets-c1",
-        "subset",
-        "every remaining common neighbor sees the largest remainder clique",
-        sets={"X": c, "Y": c1_closed},
-    )
-    trace.audit(
-        "split-p2k3/eq3-c-complete-c1",
-        "complete-between",
-        "remaining common neighbors are complete to the largest remainder clique",
-        sets={"X": c, "Y": c1},
-    )
+    trace.audit("split-p2k3/d-clique", sets={"X": d})
+    trace.audit("split-p2k3/eq2-c-meets-c1", sets={"X": c, "Y": c1_closed})
+    trace.audit("split-p2k3/eq3-c-complete-c1", sets={"X": c, "Y": c1})
     omega1 = trace.clique(c).lower
     trace.audit(
         "split-p2k3/clique-budget",
-        "value-le",
-        "remainder clique plus a clique of the recursed part fit in omega",
         numbers={"value": c1.bit_count() + omega1, "bound": omega},
     )
+    trace.audit("split-p2k3/edge-budget", numbers={"value": omega1 + 2, "bound": omega})
     trace.audit(
-        "split-p2k3/edge-budget",
-        "value-le",
-        "the spare edge extends any clique of the recursed part",
-        numbers={"value": omega1 + 2, "bound": omega},
-    )
-    trace.audit(
-        "split-p2k3/d-budget",
-        "value-le",
-        "the dominating clique, the spare edge, and a recursed-part clique "
-        "stack into one clique",
-        numbers={"value": d.bit_count() + 2 + omega1, "bound": omega},
+        "split-p2k3/d-budget", numbers={"value": d.bit_count() + 2 + omega1, "bound": omega}
     )
     cluster_block = _cluster(g, m | um)
     trace.audit(
         "split-p2k3/cluster-palette",
-        "value-le",
-        "cliques of the non-neighborhood plus the spare edge fit in "
-        "omega minus omega1 colors",
         numbers={"value": len(cluster_block), "bound": omega - omega1},
     )
     rec_block = _kite(trace, c)
     trace.audit(
         "split-p2k3/recursion-palette",
-        "value-le",
-        "recursed common-neighborhood part stays within twice its clique number",
         numbers={"value": len(rec_block), "bound": 2 * omega1},
     )
     merged = (
@@ -409,12 +334,7 @@ def _kite_split_p2k3(
         + _single_color_block(x2)
         + rec_block
     )
-    trace.audit(
-        "split-p2k3/total",
-        "value-le",
-        "spare-edge split stays within twice the clique number",
-        numbers={"value": len(merged), "bound": 2 * omega},
-    )
+    trace.audit("split-p2k3/total", numbers={"value": len(merged), "bound": 2 * omega})
     return merged
 
 
@@ -449,33 +369,16 @@ def _kite_split_hammer(
     v1, v2, v3, v4, v5 = emb.vertices
     km = 1 << v1 | 1 << v2 | 1 << v4 | 1 << v5
     cell, nm, rest = _anchor_cells(g, live, {1: v1, 2: v2, 4: v4, 5: v5})
-    trace.audit(
-        "split-hammer/cell-12-empty",
-        "empty-set",
-        "no vertex sees exactly the triangle edge of the hammer anchors",
-        sets={"X": cell(1, 2)},
-    )
-    trace.audit(
-        "split-hammer/cell-45-empty",
-        "empty-set",
-        "no vertex sees exactly the handle edge of the hammer anchors",
-        sets={"X": cell(4, 5)},
-    )
-    for i in (1, 2, 4, 5):
-        trace.audit(
-            f"split-hammer/cell-{i}-empty",
-            "empty-set",
-            "no vertex sees exactly one hammer anchor",
-            sets={"X": cell(i)},
-        )
+    trace.audit("split-hammer/cell-12-empty", sets={"X": cell(1, 2)})
+    trace.audit("split-hammer/cell-45-empty", sets={"X": cell(4, 5)})
+    for a in (1, 2, 4, 5):
+        trace.audit("split-hammer/cell-{a}-empty", sets={"X": cell(a)}, a=a)
     j2_parts = [(1, 4), (1, 5), (2, 4), (2, 5)]
     j3_parts = [(1, 2, 4), (1, 2, 5), (1, 4, 5), (2, 4, 5)]
     for part in j2_parts + j3_parts:
         trace.audit(
-            f"split-hammer/cell-{''.join(map(str, part))}-independent",
-            "independent",
-            "a mixed anchor cell is independent",
-            sets={"X": cell(*part)},
+            "split-hammer/cell-{cell}-independent", sets={"X": cell(*part)},
+            cell="".join(map(str, part)),
         )
     j2 = 0
     for part in j2_parts:
@@ -484,77 +387,31 @@ def _kite_split_hammer(
     for part in j3_parts:
         j3 |= cell(*part)
     full = cell(1, 2, 4, 5)
+    trace.audit("split-hammer/cells-cover", sets={"X": nm, "Y": j2 | j3 | full})
+    trace.audit("split-hammer/eq4-j2-j3", sets={"X": j2, "Y": j3})
     trace.audit(
-        "split-hammer/cells-cover",
-        "sets-equal",
-        "the anchor neighborhood is exactly the mixed cells plus the full cell",
-        sets={"X": nm, "Y": j2 | j3 | full},
+        "split-hammer/hammer-complete-full", sets={"X": mask_of(emb.vertices), "Y": full}
     )
     trace.audit(
-        "split-hammer/eq4-j2-j3",
-        "anticomplete",
-        "two-anchor cells are anticomplete to three-anchor cells",
-        sets={"X": j2, "Y": j3},
-    )
-    trace.audit(
-        "split-hammer/hammer-complete-full",
-        "complete-between",
-        "all five hammer vertices are complete to the full cell",
-        sets={"X": mask_of(emb.vertices), "Y": full},
-    )
-    trace.audit(
-        "split-hammer/full-cell-omega",
-        "omega-le",
-        "the full cell lives under the hammer triangle in clique space",
-        sets={"X": full},
-        numbers={"bound": omega - 3},
+        "split-hammer/full-cell-omega", sets={"X": full}, numbers={"bound": omega - 3}
     )
     full_block = _kite(trace, full)
     trace.audit(
         "split-hammer/recursion-palette",
-        "value-le",
-        "recursed full cell stays within twice its clique budget",
         numbers={"value": len(full_block), "bound": 2 * (omega - 3)},
     )
     j_blocks = []
-    for label, word, part in (("j2", "two", j2), ("j3", "three", j3)):
+    for tag, part in (("split-hammer/j2-palette", j2), ("split-hammer/j3-palette", j3)):
         block = _exact_block(trace, part, lambda w: 2)
-        trace.audit(
-            f"split-hammer/{label}-palette",
-            "value-le",
-            f"{word}-anchor cells together take at most 2 colors",
-            sets={"X": part},
-            numbers={"value": len(block), "bound": 2},
-            soft=True,
-        )
+        trace.audit(tag, sets={"X": part}, numbers={"value": len(block), "bound": 2})
         j_blocks.append(block)
     j_block = [a | b for a, b in zip_longest(*j_blocks, fillvalue=0)]
-    trace.audit(
-        "split-hammer/n-block-palette",
-        "value-le",
-        "mixed cells share one palette of at most 4 colors",
-        numbers={"value": len(j_block), "bound": 4},
-    )
-    trace.audit(
-        "split-hammer/rest-components",
-        "components-le-2",
-        "outside the anchor neighborhood only vertices and edges remain",
-        sets={"X": rest | km},
-    )
+    trace.audit("split-hammer/n-block-palette", numbers={"value": len(j_block), "bound": 4})
+    trace.audit("split-hammer/rest-components", sets={"X": rest | km})
     rest_block = _cluster(g, rest | km)
-    trace.audit(
-        "split-hammer/rest-palette",
-        "value-le",
-        "remainder plus anchors take at most 2 colors",
-        numbers={"value": len(rest_block), "bound": 2},
-    )
+    trace.audit("split-hammer/rest-palette", numbers={"value": len(rest_block), "bound": 2})
     merged = full_block + j_block + rest_block
-    trace.audit(
-        "split-hammer/total",
-        "value-le",
-        "hammer split stays within twice the clique number",
-        numbers={"value": len(merged), "bound": 2 * omega},
-    )
+    trace.audit("split-hammer/total", numbers={"value": len(merged), "bound": 2 * omega})
     return merged
 
 
@@ -589,31 +446,14 @@ def _p2k3_main(trace: ProofTrace, live: int) -> list[int]:
         b = outside & ~taken
         for i, ai in a_sets:
             if ai:
-                trace.audit(
-                    f"greedy-split/a{i}-components",
-                    "components-le-2",
-                    "a part missing one clique vertex splits into vertices and edges",
-                    sets={"X": ai, "missed": 1 << cliq[i - 1], "root": 1 << v1},
-                )
-        trace.audit(
-            "greedy-split/b-complete",
-            "complete-between",
-            "leftover outside vertices see the whole clique except its root",
-            sets={"X": b, "Y": mask_of(cliq[1:])},
-        )
-        trace.audit(
-            "greedy-split/b-independent",
-            "independent",
-            "leftover outside vertices are independent",
-            sets={"X": b},
-        )
+                trace.audit("greedy-split/a{i}-components", sets={
+                    "X": ai, "missed": 1 << cliq[i - 1], "root": 1 << v1
+                }, i=i)
+        trace.audit("greedy-split/b-complete", sets={"X": b, "Y": mask_of(cliq[1:])})
+        trace.audit("greedy-split/b-independent", sets={"X": b})
         nbhd = g.rows[v1] & live
         trace.audit(
-            "greedy-split/recursion-omega",
-            "omega-le",
-            "the root neighborhood drops the clique number by one",
-            sets={"X": nbhd},
-            numbers={"bound": omega - 1},
+            "greedy-split/recursion-omega", sets={"X": nbhd}, numbers={"bound": omega - 1}
         )
         levels.append((omega, a_sets, b | 1 << v1))
         live = nbhd
@@ -621,26 +461,19 @@ def _p2k3_main(trace: ProofTrace, live: int) -> list[int]:
     for omega, a_sets, base in reversed(levels):
         trace.audit(
             "greedy-split/recursion-palette",
-            "value-le",
-            "recursed neighborhood stays within its squared clique budget",
             numbers={"value": len(merged), "bound": (omega - 1) * (omega - 1)},
         )
         for i, ai in a_sets:
             if ai:
                 block = _cluster(g, ai)
                 trace.audit(
-                    f"greedy-split/a{i}-palette",
-                    "value-le",
-                    "a vertices-and-edges part takes at most 2 colors",
-                    numbers={"value": len(block), "bound": 2},
+                    "greedy-split/a{i}-palette", numbers={"value": len(block), "bound": 2},
+                    i=i,
                 )
                 merged += block
         merged += _single_color_block(base)
         trace.audit(
-            "greedy-split/total",
-            "value-le",
-            "clique-rooted split stays within the squared clique number",
-            numbers={"value": len(merged), "bound": omega * omega},
+            "greedy-split/total", numbers={"value": len(merged), "bound": omega * omega}
         )
     return merged
 
@@ -670,58 +503,29 @@ def _hammer_rec(trace: ProofTrace, live: int) -> list[int]:
         u1, u2 = emb.vertices[0], emb.vertices[1]
         trace.audit(
             "twin-edge/eq5-closed-equal",
-            "sets-equal",
-            "the spare edge endpoints have identical closed neighborhoods",
-            sets={
-                "X": (g.rows[u1] | 1 << u1) & live,
-                "Y": (g.rows[u2] | 1 << u2) & live,
-            },
+            sets={"X": (g.rows[u1] | 1 << u1) & live, "Y": (g.rows[u2] | 1 << u2) & live},
         )
         um = 1 << u1 | 1 << u2
         nbhd = g.rows[u1] & live & ~um
         rest = live & ~um & ~nbhd
-        trace.audit(
-            "twin-edge/pair-complete",
-            "complete-between",
-            "the twin edge is complete to its shared neighborhood",
-            sets={"X": um, "Y": nbhd},
-        )
-        trace.audit(
-            "twin-edge/n-omega",
-            "omega-le",
-            "the shared neighborhood drops the clique number by two",
-            sets={"X": nbhd},
-            numbers={"bound": omega - 2},
-        )
-        trace.audit(
-            "twin-edge/rest-p3free",
-            "p3-free",
-            "the remainder plus the twin edge is a union of cliques",
-            sets={"X": rest | um},
-        )
+        trace.audit("twin-edge/pair-complete", sets={"X": um, "Y": nbhd})
+        trace.audit("twin-edge/n-omega", sets={"X": nbhd}, numbers={"bound": omega - 2})
+        trace.audit("twin-edge/rest-p3free", sets={"X": rest | um})
         levels.append((omega, rest | um))
         live = nbhd
     merged = _p2k3_main(trace, live)
     for omega, rest in reversed(levels):
         trace.audit(
             "twin-edge/recursion-palette",
-            "value-le",
-            "recursed shared neighborhood stays within its squared clique budget",
             numbers={"value": len(merged), "bound": (omega - 2) * (omega - 2)},
         )
         rest_block = _cluster(g, rest)
         trace.audit(
-            "twin-edge/cluster-palette",
-            "value-le",
-            "remainder cliques fit in omega colors",
-            numbers={"value": len(rest_block), "bound": omega},
+            "twin-edge/cluster-palette", numbers={"value": len(rest_block), "bound": omega}
         )
         merged += rest_block
         trace.audit(
-            "twin-edge/total",
-            "value-le",
-            "twin-edge split stays within the squared clique number",
-            numbers={"value": len(merged), "bound": omega * omega},
+            "twin-edge/total", numbers={"value": len(merged), "bound": omega * omega}
         )
     return merged
 
@@ -760,18 +564,9 @@ def _c5_rec(trace: ProofTrace, live: int) -> list[int]:
         if cats[u] <= 2:
             a012 |= 1 << u
     aprime = n1 & ~a012
+    trace.audit("layers/aprime-clique", sets={"X": aprime})
     trace.audit(
-        "layers/aprime-clique",
-        "clique",
-        "neighbors whose second-sphere non-neighborhood holds a triangle "
-        "form a clique",
-        sets={"X": aprime},
-    )
-    trace.audit(
-        "layers/aprime-size",
-        "value-le",
-        "that clique extends by the root vertex",
-        numbers={"value": aprime.bit_count(), "bound": omega - 1},
+        "layers/aprime-size", numbers={"value": aprime.bit_count(), "bound": omega - 1}
     )
     if a012 == 0:
         # Unreachable: N(v) = aprime is a non-empty clique and v has largest
@@ -779,12 +574,7 @@ def _c5_rec(trace: ProofTrace, live: int) -> list[int]:
         raise RuntimeError("internal: C5 root has no low-category neighbor")
     c = trace.clique(a012).vertices
     omega0 = len(c)
-    trace.audit(
-        "second-nbhd/base-clique",
-        "value-le",
-        "the low-category clique extends by the root vertex",
-        numbers={"value": omega0, "bound": omega - 1},
-    )
+    trace.audit("second-nbhd/base-clique", numbers={"value": omega0, "bound": omega - 1})
     cm = mask_of(c)
     d = 0
     for u in bits(n2):
@@ -797,93 +587,42 @@ def _c5_rec(trace: ProofTrace, live: int) -> list[int]:
         bi = remaining & ~taken & ~g.rows[t]
         taken |= bi
         b_masks.append((t, bi))
-    trace.audit(
-        "second-nbhd/b-partition",
-        "sets-equal",
-        "second-sphere vertices missing part of the clique split by their "
-        "first missed clique vertex",
-        sets={"X": taken, "Y": remaining},
-    )
+    trace.audit("second-nbhd/b-partition", sets={"X": taken, "Y": remaining})
     b_block: list[int] = []
     for idx, (t, bi) in enumerate(b_masks, start=1):
         cat = cats[t]
         if cat == 0:
             trace.audit(
-                f"second-nbhd/b{idx}-empty",
-                "empty-set",
-                "a category-0 clique vertex has no second-sphere part",
-                sets={"X": bi, "anchor": 1 << t},
+                "second-nbhd/b{idx}-empty", sets={"X": bi, "anchor": 1 << t}, idx=idx
             )
             continue
         if not bi:
             continue
-        trace.audit(
-            f"second-nbhd/b{idx}-p3free",
-            "p3-free",
-            "a second-sphere part is a union of cliques",
-            sets={"X": bi, "anchor": 1 << t},
-        )
+        trace.audit("second-nbhd/b{idx}-p3free", sets={"X": bi, "anchor": 1 << t}, idx=idx)
         block = _cluster(g, bi)
         trace.audit(
-            f"second-nbhd/b{idx}-palette",
-            "value-le",
-            "a second-sphere part takes one color at category <= 1 and two "
-            "at category 2",
-            numbers={"value": len(block), "bound": 1 if cat <= 1 else 2},
-            soft=True,
+            "second-nbhd/b{idx}-palette",
+            numbers={"value": len(block), "bound": 1 if cat <= 1 else 2}, idx=idx,
         )
         b_block += block
-    trace.audit(
-        "second-nbhd/b-block",
-        "value-le",
-        "all second-sphere parts fit in twice the low-category clique size",
-        numbers={"value": len(b_block), "bound": 2 * omega0},
-    )
-    trace.audit(
-        "second-nbhd/d-omega",
-        "omega-le",
-        "vertices complete to the low-category clique drop the clique number "
-        "by its size",
-        sets={"X": d},
-        numbers={"bound": omega - omega0},
-    )
+    trace.audit("second-nbhd/b-block", numbers={"value": len(b_block), "bound": 2 * omega0})
+    trace.audit("second-nbhd/d-omega", sets={"X": d}, numbers={"bound": omega - omega0})
     a_block = _c5_rec(trace, a012)
     trace.audit(
         "second-nbhd/a-palette",
-        "value-le",
-        "recursed low-category neighbors stay within the binding at their "
-        "clique number",
         numbers={"value": len(a_block), "bound": BINDINGS["C5Free"](omega0)},
     )
     d_block = _c5_rec(trace, d)
     trace.audit(
         "second-nbhd/d-palette",
-        "value-le",
-        "recursed complete-side stays within the binding at the reduced "
-        "clique number",
         numbers={"value": len(d_block), "bound": BINDINGS["C5Free"](omega - omega0)},
     )
-    trace.audit(
-        "second-nbhd/far-anticomplete",
-        "anticomplete",
-        "the high-category clique sees nothing at distance three or beyond",
-        sets={"X": aprime, "Y": far},
-    )
-    trace.audit(
-        "second-nbhd/far-p3free",
-        "p3-free",
-        "distance three and beyond is a union of cliques",
-        sets={"X": far},
-    )
+    trace.audit("second-nbhd/far-anticomplete", sets={"X": aprime, "Y": far})
+    trace.audit("second-nbhd/far-p3free", sets={"X": far})
     far_block = [
         a | f for a, f in zip_longest(_clique_block(aprime), _cluster(g, far), fillvalue=0)
     ]
-    trace.audit(
-        "second-nbhd/far-block",
-        "value-le",
-        "the high-category clique and the far cliques share omega colors",
-        numbers={"value": len(far_block), "bound": omega},
-    )
+    trace.audit("second-nbhd/far-block", numbers={"value": len(far_block), "bound": omega})
     near = a_block + d_block + b_block
     merged = near + far_block
     # The root reuses a color from a part it cannot touch: the first class of
@@ -899,8 +638,6 @@ def _c5_rec(trace: ProofTrace, live: int) -> list[int]:
         merged.append(1 << v)
     trace.audit(
         "second-nbhd/total",
-        "value-le",
-        "second-neighborhood split stays within the binding",
         numbers={"value": len(merged), "bound": BINDINGS["C5Free"](omega)},
     )
     return merged
@@ -921,13 +658,7 @@ def _k4_rec(trace: ProofTrace, live: int) -> list[int]:
     if leaf is not None:
         return leaf
     g = trace.g
-    trace.audit(
-        "triangle-cap/omega",
-        "omega-le",
-        "without K4 the clique number stays at 3",
-        sets={"X": live},
-        numbers={"bound": 3},
-    )
+    trace.audit("triangle-cap/omega", sets={"X": live}, numbers={"bound": 3})
     emb = find_induced(g, PATTERNS["2k3"], within=live)
     if emb is not None:
         return _k4_two_triangles(trace, live, emb)
@@ -952,46 +683,23 @@ def _k4_two_triangles(trace: ProofTrace, live: int, emb: Embedding) -> list[int]
     tri = emb.vertices[:3]
     other = emb.vertices[3:]
     cell, _, rest = _anchor_cells(g, live, dict(enumerate(tri, 1)))
-    trace.audit(
-        "two-triangles/cell-123-empty",
-        "empty-set",
-        "no vertex sees the whole base triangle",
-        sets={"X": cell(1, 2, 3)},
-    )
-    for i in (1, 2, 3):
+    trace.audit("two-triangles/cell-123-empty", sets={"X": cell(1, 2, 3)})
+    for a in (1, 2, 3):
         trace.audit(
-            f"two-triangles/cell-{i}-empty",
-            "empty-set",
-            "no vertex sees exactly one base triangle vertex",
-            sets={"X": cell(i), "other-triangle": mask_of(other)},
+            "two-triangles/cell-{a}-empty",
+            sets={"X": cell(a), "other-triangle": mask_of(other)}, a=a,
         )
     for a, b in ((1, 2), (1, 3), (2, 3)):
         trace.audit(
-            f"two-triangles/cell-{a}{b}-independent",
-            "independent",
-            "a two-vertex cell of the base triangle is independent",
-            sets={"X": cell(a, b)},
+            "two-triangles/cell-{a}{b}-independent", sets={"X": cell(a, b)}, a=a, b=b
         )
-    trace.audit(
-        "two-triangles/rest-p3free",
-        "p3-free",
-        "outside the base triangle's neighborhood is a union of cliques",
-        sets={"X": rest},
-    )
+    trace.audit("two-triangles/rest-p3free", sets={"X": rest})
     rest_block = _cluster(g, rest)
     trace.audit(
-        "two-triangles/rest-palette",
-        "value-le",
-        "outside cliques take at most 3 colors",
-        numbers={"value": len(rest_block), "bound": 3},
+        "two-triangles/rest-palette", numbers={"value": len(rest_block), "bound": 3}
     )
     merged = _triangle_shades(tri, cell) + rest_block
-    trace.audit(
-        "two-triangles/total",
-        "value-le",
-        "two-triangle split takes at most 6 colors",
-        numbers={"value": len(merged), "bound": 6},
-    )
+    trace.audit("two-triangles/total", numbers={"value": len(merged), "bound": 6})
     return merged
 
 
@@ -1000,52 +708,19 @@ def _k4_spare_edge(trace: ProofTrace, live: int, emb: Embedding) -> list[int]:
     u1, u2 = emb.vertices[:2]
     tri = emb.vertices[2:]
     cell, _, rest = _anchor_cells(g, live, dict(enumerate(tri, 1)))
-    trace.audit(
-        "spare-edge/cell-123-empty",
-        "empty-set",
-        "no vertex sees the whole triangle",
-        sets={"X": cell(1, 2, 3)},
-    )
+    trace.audit("spare-edge/cell-123-empty", sets={"X": cell(1, 2, 3)})
     singles = cell(1) | cell(2) | cell(3)
     trace.audit(
-        "spare-edge/singles-complete-pair",
-        "complete-between",
-        "one-vertex cells are complete to the spare edge",
-        sets={"X": singles, "Y": 1 << u1 | 1 << u2},
+        "spare-edge/singles-complete-pair", sets={"X": singles, "Y": 1 << u1 | 1 << u2}
     )
-    trace.audit(
-        "spare-edge/singles-independent",
-        "independent",
-        "one-vertex cells together are independent",
-        sets={"X": singles},
-    )
+    trace.audit("spare-edge/singles-independent", sets={"X": singles})
     for a, b in ((1, 2), (1, 3), (2, 3)):
-        trace.audit(
-            f"spare-edge/cell-{a}{b}-independent",
-            "independent",
-            "a two-vertex cell of the triangle is independent",
-            sets={"X": cell(a, b)},
-        )
-    trace.audit(
-        "spare-edge/rest-components",
-        "components-le-2",
-        "without a second triangle the outside splits into vertices and edges",
-        sets={"X": rest},
-    )
+        trace.audit("spare-edge/cell-{a}{b}-independent", sets={"X": cell(a, b)}, a=a, b=b)
+    trace.audit("spare-edge/rest-components", sets={"X": rest})
     rest_block = _cluster(g, rest)
-    trace.audit(
-        "spare-edge/rest-palette",
-        "value-le",
-        "outside components take at most 2 colors",
-        numbers={"value": len(rest_block), "bound": 2},
-    )
+    trace.audit("spare-edge/rest-palette", numbers={"value": len(rest_block), "bound": 2})
     merged = _triangle_shades(tri, cell) + _single_color_block(singles) + rest_block
-    trace.audit(
-        "spare-edge/total",
-        "value-le",
-        "spare-edge split takes at most 6 colors",
-        numbers={"value": len(merged), "bound": 6},
-    )
+    trace.audit("spare-edge/total", numbers={"value": len(merged), "bound": 6})
     return merged
 
 

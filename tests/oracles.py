@@ -24,10 +24,13 @@ join are the combinators' earlier edge-list constructions, which the
 shifted-row constructions must match row for row.  restrict copies the
 adjacency rows cut to a vertex mask, as the solvers and the pattern search
 once did; the searches, which read the graph's own rows under the mask,
-must match a search of that copy.
+must match a search of that copy.  The reference bindings are the four
+binding functions the paper's abstract states, written out apart from the
+package's table.
 """
 
 from itertools import combinations, permutations, product
+from math import comb
 from typing import Sequence
 
 from chibound import (
@@ -557,3 +560,19 @@ def reference_max_clique_search(
     except _OutOfBudget:
         return best, False, order[-1][1]
     return best, True, len(best)
+
+
+# The four binding functions stated in the abstract (PAPER.md): 2*omega for
+# (P3+P2, kite)-free, omega^2 for (P3+P2, hammer)-free, (3*omega^2+omega)/2
+# for (P3+P2, C5)-free, and omega(omega+1)(omega+2)/6 for every (P3+P2)-free
+# graph, the bound the paper starts from (its ref. BA18).
+REFERENCE_BINDINGS = {
+    "KiteFree": lambda w: w + w,
+    "HammerFree": lambda w: w**2,
+    "C5Free": lambda w: w * (3 * w + 1) // 2,
+    "P3P2": lambda w: comb(w + 2, 3),
+}
+# The other classes' bindings (K4Free 9, P2K3Free omega^2, K1K3Free 2*omega,
+# TriangleFree 4) rest on the full paper, which is not in the repository, so
+# they have no reference here.
+FULL_PAPER_BINDINGS = ("K4Free", "P2K3Free", "K1K3Free", "TriangleFree")

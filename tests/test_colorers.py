@@ -54,7 +54,7 @@ from chibound.colorers import (
 from chibound.graphs import bits, components
 from chibound.trace import ProofTrace
 
-from oracles import reference_dominated_pair
+from oracles import FULL_PAPER_BINDINGS, REFERENCE_BINDINGS, reference_dominated_pair
 from test_patterns import _CountedRows, _k2_first_join
 
 # The only audit locations allowed to record a soft-gap verdict.
@@ -93,6 +93,14 @@ class TestEvaluateBound:
         assert evaluate_bound("K1K3Free", 3) == 6
         assert evaluate_bound("TriangleFree", 2) == 4
         assert evaluate_bound("P3P2", 3) == 10
+
+    def test_bindings_match_the_abstract(self):
+        # Every class either has a reference binding from the abstract or is
+        # listed as resting on the full paper.
+        assert sorted(colorers.BINDINGS) == sorted([*REFERENCE_BINDINGS, *FULL_PAPER_BINDINGS])
+        for name, reference in REFERENCE_BINDINGS.items():
+            for w in range(1, 13):
+                assert colorers.BINDINGS[name](w) == reference(w), (name, w)
 
     def test_name_normalization(self):
         assert evaluate_bound("kitefree", 2) == 4

@@ -59,7 +59,7 @@ def _improper_colorer(g, budget):
 
 def _false_audit_colorer(g, budget):
     trace = ProofTrace("KiteFree", g, budget)
-    trace.audit("stub/claim", "value-le", "two is at most one", numbers={"value": 2, "bound": 1})
+    trace.audit("bound/final-palette", numbers={"value": 2, "bound": 1}, cls="KiteFree", omega=1)
 
 
 def _rainbow_colorer(g, budget):
@@ -113,7 +113,7 @@ class TestRunSuite:
 
     @pytest.mark.parametrize("stub, g, note", [
         (_improper_colorer, complete(3), "improper"),
-        (_false_audit_colorer, complete(3), "audit:stub/claim"),
+        (_false_audit_colorer, complete(3), "audit:bound/final-palette"),
         (_rainbow_colorer, empty(3), "bound-exceeded"),
     ])
     def test_fail_verdicts(self, monkeypatch, stub, g, note):
@@ -121,7 +121,7 @@ class TestRunSuite:
         monkeypatch.setitem(suite.COLORERS, "KiteFree", stub)
         r = suite._run_instance(0, "KiteFree", g, None)
         assert (r.verdict, r.note) == ("fail", note)
-        assert r.violated == (note == "audit:stub/claim")
+        assert r.violated == (note == "audit:bound/final-palette")
         assert r.chi == r.omega == exact.clique_number(g).value
 
     def test_unknown_verdicts(self):

@@ -1,5 +1,6 @@
 """Audit-step evaluation, trace recording, and replay."""
 
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -7,22 +8,34 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chibound import (
+    COLORERS,
     AuditViolation,
     BudgetExhausted,
+    Graph,
     ProofTrace,
+    SampleConfig,
     SolveBudget,
+    class_by_name,
+    color_k4_free,
+    color_kite_free,
     complete,
     cycle,
     disjoint_union,
     empty,
     evaluate_step,
     gnp,
+    is_member,
     join,
     named_graph,
     path,
+    read_graph6,
     replay,
+    sample_class,
 )
+from chibound.trace import CLAIMS, _claim_of, _matcher
 from oracles import clique_components, has_k1_union_k3
+from test_golden import CASES
+from test_patterns import _k2_first_join
 
 
 def _eval(g, kind, sets=None, numbers=None):
@@ -163,16 +176,15 @@ class TestPatternAbsenceKinds:
 class TestProofTrace:
     def test_sets_are_masks(self):
         trace = ProofTrace("Demo", cycle(5))
-        trace.audit("root/indep", "independent", "mask form", sets={"X": 0b101})
+        trace.audit("greedy-split/b-independent", sets={"X": 0b101})
         assert trace.steps[0].sets == (("X", 0b101),)
         # An id list is not a set of the trace.
         with pytest.raises(TypeError):
-            trace.audit("root/ids", "independent", "id list", sets={"X": [0, 2]})
+            trace.audit("greedy-split/b-independent", sets={"X": [0, 2]})
 
     def test_holds_step_recorded(self):
         trace = ProofTrace("Demo", cycle(5))
-        ok = trace.audit("root/indep", "independent",
-                         "chosen set is independent", sets={"X": 0b101})
+        ok = trace.audit("greedy-split/b-independent", sets={"X": 0b101})
         assert ok
         step = trace.steps[0]
         assert step.verdict == "holds"
@@ -182,9 +194,9 @@ class TestProofTrace:
 
     def test_soft_failure_continues(self):
         trace = ProofTrace("Demo", cycle(5))
-        ok = trace.audit("root/padding", "independent",
-                         "palette slack stays tight", sets={"X": 0b011}, soft=True)
+        ok = trace.audit("second-nbhd/b{idx}-palette", numbers={"value": 2, "bound": 1}, idx=1)
         assert not ok
+        assert trace.steps[0].tag == "second-nbhd/b1-palette"
         assert trace.steps[0].verdict == "soft-gap"
         assert trace.soft_gap_count == 1
         assert trace.violated_count == 0
@@ -192,26 +204,39 @@ class TestProofTrace:
     def test_hard_failure_raises(self):
         trace = ProofTrace("Demo", cycle(5))
         with pytest.raises(AuditViolation) as exc:
-            trace.audit("root/bad", "clique", "span forms a clique",
-                        sets={"X": 0b111})
-        assert exc.value.step.tag == "root/bad"
+            trace.audit("split-hammer/n-block-palette", numbers={"value": 5, "bound": 4})
+        assert exc.value.step.tag == "split-hammer/n-block-palette"
         assert exc.value.step.verdict == "violated"
         assert exc.value.trace is trace
-        assert "root/bad" in str(exc.value)
+        assert "split-hammer/n-block-palette" in str(exc.value)
         assert trace.violated_count == 1
+
+    def test_claim_comes_from_the_table(self):
+        trace = ProofTrace("Demo", cycle(5))
+        trace.audit("bound/final-palette", numbers={"value": 3, "bound": 4},
+                    cls="KiteFree", omega=2)
+        step = trace.steps[0]
+        assert (step.tag, step.kind) == ("bound/final-palette", "value-le")
+        assert step.assertion == "palette within the KiteFree binding function at omega=2"
+        # A tag outside the table has no claim to record.
+        with pytest.raises(KeyError):
+            trace.audit("root/indep", sets={"X": 0b101})
 
     def test_serialize_shape(self):
         trace = ProofTrace("Demo", cycle(5))
-        trace.audit("a", "independent", "first", sets={"X": 0b101})
-        trace.audit("b", "value-le", "second",
-                    numbers={"value": 1, "bound": 3})
-        trace.audit("c", "empty-set", "third", sets={"X": 0, "Y": 0b11000})
+        trace.audit("greedy-split/b-independent", sets={"X": 0b101})
+        trace.audit("twin-edge/cluster-palette", numbers={"value": 1, "bound": 3})
+        trace.audit("two-triangles/cell-{a}-empty",
+                    sets={"X": 0, "other-triangle": 0b11000}, a=1)
         text = trace.serialize()
         lines = text.splitlines()
         assert lines[0] == "trace|Demo|steps=3"
-        assert lines[1] == "a|independent|holds|first|X=0,2|"
-        assert lines[2] == "b|value-le|holds|second||value=1;bound=3"
-        assert lines[3] == "c|empty-set|holds|third|X=;Y=3,4|"
+        assert lines[1] == ("greedy-split/b-independent|independent|holds|"
+                            "leftover outside vertices are independent|X=0,2|")
+        assert lines[2] == ("twin-edge/cluster-palette|value-le|holds|"
+                            "remainder cliques fit in omega colors||value=1;bound=3")
+        assert lines[3] == ("two-triangles/cell-1-empty|empty-set|holds|no vertex sees "
+                            "exactly one base triangle vertex|X=;other-triangle=3,4|")
         assert text.endswith("\n")
 
 
@@ -219,15 +244,15 @@ class TestReplay:
     def _trace_on_cycle(self):
         g = cycle(5)
         trace = ProofTrace("Demo", g)
-        trace.audit("ok/indep", "independent", "holds here", sets={"X": 0b101})
-        trace.audit("gap/indep", "independent", "soft here",
-                    sets={"X": 0b011}, soft=True)
-        trace.audit("ok/omega", "omega-le", "no triangle",
-                    sets={"X": 0b11111}, numbers={"bound": 2})
+        trace.audit("greedy-split/b-independent", sets={"X": 0b101})
+        trace.audit("second-nbhd/b{idx}-palette", numbers={"value": 2, "bound": 1}, idx=3)
+        trace.audit("twin-edge/n-omega", sets={"X": 0b11111}, numbers={"bound": 2})
+        trace.audit("split-p2k3/d-clique", sets={"X": 0b011})
         return g, trace
 
     def test_clean_replay(self):
         g, trace = self._trace_on_cycle()
+        assert [s.verdict for s in trace.steps] == ["holds", "soft-gap", "holds", "holds"]
         assert replay(g, trace) == []
 
     def test_mismatch_when_holds_step_breaks(self):
@@ -235,15 +260,135 @@ class TestReplay:
         # The omega-le step is flagged only if replay solves the clique on
         # K5 itself rather than reading the recording run's answer on C5.
         bad = replay(complete(5), trace)
-        assert [s.tag for s in bad] == ["ok/indep", "ok/omega"]
+        assert [s.tag for s in bad] == ["greedy-split/b-independent", "twin-edge/n-omega"]
+        bad = replay(empty(5), trace)
+        assert [s.tag for s in bad] == ["split-p2k3/d-clique"]
 
     def test_trace_budget_reaches_omega_steps(self):
         trace = ProofTrace("Demo", cycle(5), SolveBudget(node_limit=1))
         with pytest.raises(BudgetExhausted):
-            trace.audit("cap/omega", "omega-le", "small cliques",
-                        sets={"X": 0b11111}, numbers={"bound": 2})
+            trace.audit("twin-edge/n-omega", sets={"X": 0b11111}, numbers={"bound": 2})
 
     def test_mismatch_when_soft_gap_starts_holding(self):
-        _, trace = self._trace_on_cycle()
-        bad = replay(empty(5), trace)
-        assert [s.tag for s in bad] == ["gap/indep"]
+        g, trace = self._trace_on_cycle()
+        gap = trace.steps[1]
+        trace.steps[1] = replace(gap, numbers=(("value", 1), ("bound", 1)))
+        assert replay(g, trace) == [trace.steps[1]]
+
+
+def _host_traces():
+    """(graph, trace) for the golden corpus and the colorer tests' graphs
+    outside it: cliques, C5, the diamond, an edgeless graph, the cocktail
+    party K_{2x12} (clique indices past 9) and two short join chains, each
+    colored by every colorer whose class admits it."""
+    extra = [
+        complete(5), complete(6), cycle(5), empty(4), named_graph("diamond"),
+        Graph(24, [(u, v) for u in range(24) for v in range(u + 1, 24) if u // 2 != v // 2]),
+        reduce(join, [disjoint_union(complete(3), complete(2))] * 4),
+        _k2_first_join(4),
+    ]
+    out = [(g, COLORERS[key.rsplit("/", 1)[1]](g)[1]) for key, g in CASES.items()]
+    for g in extra:
+        out += [(g, c(g)[1]) for cls, c in COLORERS.items() if is_member(g, class_by_name(cls))]
+    return out
+
+
+@pytest.fixture(scope="module")
+def host_traces():
+    return _host_traces()
+
+
+class TestClaimTable:
+    def test_every_emitted_tag_matches_exactly_one_template(self, host_traces):
+        tags = {s.tag for _, t in host_traces for s in t.steps}
+        reached = set()
+        for tag in tags:
+            found = [template for template in CLAIMS if _matcher(template).fullmatch(tag)]
+            assert len(found) == 1, (tag, found)
+            reached.add(found[0])
+        # The corpus reaches every template, split-p2k3 included.
+        assert reached == set(CLAIMS)
+
+    def test_untampered_traces_replay_cleanly(self, host_traces):
+        for g, trace in host_traces:
+            assert replay(g, trace) == [], trace.label
+
+    def test_every_kind_is_evaluable(self):
+        run = ProofTrace("Demo", empty(1))
+        for kind, _, _ in CLAIMS.values():
+            evaluate_step(run, kind, {}, {"value": 0, "bound": 0})
+
+    def test_soft_claims_are_the_two_soft_sites(self):
+        soft = sorted(t for t, (_, _, is_soft) in CLAIMS.items() if is_soft)
+        assert soft == [
+            "second-nbhd/b{idx}-palette", "split-hammer/j2-palette", "split-hammer/j3-palette"
+        ]
+
+    def test_no_field_separator_in_tags_or_assertions(self, host_traces):
+        texts = [*CLAIMS, *(assertion for _, assertion, _ in CLAIMS.values())]
+        texts += [x for _, t in host_traces for s in t.steps for x in (s.tag, s.assertion)]
+        assert not [x for x in texts if "|" in x or "\n" in x]
+
+    def test_anchor_fields_keep_templates_apart(self):
+        # {a} is one digit, so the two-anchor cells never read as one anchor.
+        for tag, template in (
+            ("split-hammer/cell-12-empty", "split-hammer/cell-12-empty"),
+            ("split-hammer/cell-4-empty", "split-hammer/cell-{a}-empty"),
+            ("two-triangles/cell-123-empty", "two-triangles/cell-123-empty"),
+            ("two-triangles/cell-13-independent", "two-triangles/cell-{a}{b}-independent"),
+        ):
+            assert [t for t in CLAIMS if _matcher(t).fullmatch(tag)] == [template]
+        assert _claim_of("split-hammer/cell-1245-empty") is None
+
+
+def _hammer_split_trace():
+    g = sample_class(SampleConfig(n=9, p=0.5, seed=10, class_name="KiteFree"))
+    return g, color_kite_free(g)[1]
+
+
+def _kite_reduction_trace():
+    g = read_graph6("K^~^u~vNtz}~")
+    return g, color_kite_free(g)[1]
+
+
+def _tampered(trace, tag, changes):
+    """A copy of the trace with the first step of the tag changed."""
+    i = next(i for i, s in enumerate(trace.steps) if s.tag == tag)
+    out = ProofTrace(trace.label, trace.g)
+    out.steps = list(trace.steps)
+    out.steps[i] = replace(trace.steps[i], **changes)
+    return out, out.steps[i]
+
+
+class TestReplayChecksClaims:
+    """A trace edited to claim less, or other than, what its tag claims is a
+    mismatch, even where the edited step still evaluates as recorded."""
+
+    @pytest.mark.parametrize("make, tag, changes", [
+        # A weaker kind whose claim still holds: X equals Y, so X is in Y.
+        (_hammer_split_trace, "split-hammer/cells-cover", {"kind": "subset"}),
+        (_hammer_split_trace, "split-hammer/cells-cover",
+         {"assertion": "the anchor neighborhood holds the mixed cells plus the full cell"}),
+        (_kite_reduction_trace, "reduce/dominated-pair",
+         {"assertion": "vertex 1 is dominated by adjacent 0 and will copy its color"}),
+        (_kite_reduction_trace, "bound/final-palette",
+         {"assertion": "palette within the KiteFree binding function at omega 7"}),
+        (_hammer_split_trace, "split-hammer/cell-12-empty", {"tag": "split-hammer/cell-3-full"}),
+        (_kite_reduction_trace, "leaf/k1k3-free", {"tag": "leaf/k1k3-freedom"}),
+    ])
+    def test_edited_step_is_a_mismatch(self, make, tag, changes):
+        g, trace = make()
+        assert replay(g, trace) == []
+        edited, step = _tampered(trace, tag, changes)
+        assert replay(g, edited) == [step]
+
+    def test_soft_gap_under_a_hard_claim_is_a_mismatch(self):
+        # The clique cap fails on K27, so a soft gap there evaluates as
+        # recorded; only the claim, which is hard, makes it a mismatch.
+        g = named_graph("schlafli_complement")
+        trace = color_k4_free(g)[1]
+        assert replay(g, trace) == []
+        edited, step = _tampered(trace, "triangle-cap/omega", {"verdict": "soft-gap"})
+        assert not evaluate_step(ProofTrace("Demo", complete(27)), step.kind,
+                                 dict(step.sets), dict(step.numbers))
+        assert step in replay(complete(27), edited)
