@@ -2,7 +2,8 @@
 
 The random stream is a splitmix64 generator written out in full so corpora
 are reproducible bit-for-bit across platforms and languages; ``gnp`` takes
-each vertex pair's draw by its index.  Samplers reject until a draw passes
+each vertex pair's draw by its index, and draws the pairs of a column as one
+mix over 128-bit lanes of one int.  Samplers reject until a draw passes
 class membership, stopping a draw at the first vertex that closes a
 forbidden copy; the hunt hill-climbs over membership-preserving edge toggles
 looking for high-chromatic members.
@@ -11,7 +12,7 @@ looking for high-chromatic members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .catalog import named_graph
 # perfbench's tracer rebinds greedy_coloring here, so it stays bound.
@@ -24,17 +25,20 @@ from .exact import (
     require_chromatic,
     require_clique_number,
 )
-from .graphs import Graph, join
+from .graphs import Graph, _from_rows, join
 from .patterns import _ANCHORED, ClassSpec, class_by_name, in_class, is_member
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
 
-def _mix(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _mix(z: int, mask: int = _MASK64) -> int:
+    """splitmix64's output mix of z, or of every 64-bit value of z packed in
+    128-bit lanes when mask is the lanes' 64-bit mask: masking after each
+    xor-shift and each product keeps every lane inside its own 128 bits."""
+    z = (z ^ z >> 30 & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ z >> 27 & mask) * 0x94D049BB133111EB & mask
+    return z ^ z >> 31 & mask
 
 
 class SplitMix64:
@@ -60,21 +64,55 @@ class SplitMix64:
                 return draw % n
 
 
-def _grow(rows: list[int], edges: list[tuple[int, int]], p: float, seed: int):
-    """Draw G(n, p) into rows and edges, n = len(rows), one vertex at a time,
-    yielding w once they hold G[0..w].  Draw i of the stream is
-    _mix(seed + i * gamma), so the pair (u, w), u < w, takes draw
-    idx(u, w) + 1 = w + u*n - u*(u+3)/2 directly."""
+# Each byte 0 or 1 as the digit that int(..., 2) reads.
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
+def _lanes(values) -> int:
+    """Values below 2^64 packed into one int of 128-bit lanes, value i in
+    lane i."""
+    return sum(v << 128 * i for i, v in enumerate(values))
+
+
+@lru_cache(maxsize=32)
+def _order(n: int) -> tuple[int, int, int, int]:
+    """The lanes 0..n-1 of drawing G(n, p) a column at a time: 1, gamma and
+    the 64-bit mask in every lane, and lane u's offset
+    (idx(u, w) + 1 - w) * gamma mod 2^64, the same in every column w.  Each
+    is one int of 128n bits."""
+    ones = _lanes([1] * n)
+    offsets = _lanes([(u * n - u * (u + 3) // 2) * _GAMMA & _MASK64 for u in range(n)])
+    return ones, _GAMMA * ones, _MASK64 * ones, offsets
+
+
+def _grow(rows: list[int], p: float, seed: int):
+    """Draw G(n, p) into rows, n = len(rows), one vertex at a time, yielding
+    w once they hold G[0..w].
+
+    Draw i of the stream is _mix(seed + i * gamma), so the pair (u, w),
+    u < w, takes draw idx(u, w) + 1 = w + u*n - u*(u+3)/2 directly.  Column
+    w draws all its pairs as one _mix over lanes 0..w-1, lane u holding the
+    state of the pair (u, w); every lane's state advances by gamma per
+    column.  Bit 64 of (2^64 - 1 + threshold) - draw, set exactly when
+    draw < threshold (p = 0 and p = 1 included), is its lane's edge bit; the
+    bits above it are 0, so the byte that holds it is 0 or 1, and those
+    bytes, read from every lane at once as binary digits, give row w."""
     n = len(rows)
-    threshold = int(p * (_MASK64 + 1))
-    first = [seed + (u * n - u * (u + 3) // 2) * _GAMMA for u in range(n)]
-    for w in range(n):
-        at = w * _GAMMA
-        for u in range(w):
-            if _mix((first[u] + at) & _MASK64) < threshold:
-                rows[u] |= 1 << w
-                rows[w] |= 1 << u
-                edges.append((u, w))
+    if n:
+        yield 0
+    ones, gamma, mask, offsets = _order(n)
+    top = (_MASK64 + int(p * (_MASK64 + 1))) * ones
+    state = offsets + ((seed + _GAMMA) & _MASK64) * ones
+    for w in range(1, n):
+        cut = 128 * (n - w)
+        z = (top >> cut) - _mix(state & (mask >> cut), mask)
+        row = rows[w] = int(z.to_bytes(16 * w - 7, "big")[::16].translate(_DIGITS), 2)
+        bit = 1 << w
+        while row:
+            low = row & -row
+            rows[low.bit_length() - 1] |= bit
+            row ^= low
+        state += gamma
         yield w
 
 
@@ -85,10 +123,10 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("order must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("edge probability must be within [0, 1]")
-    edges: list[tuple[int, int]] = []
-    for _ in _grow([0] * n, edges, p, seed):
+    rows = [0] * n
+    for _ in _grow(rows, p, seed):
         pass
-    return Graph(n, edges, name=f"gnp-{n}")
+    return _from_rows(rows, name=f"gnp-{n}")
 
 
 @dataclass(frozen=True)
@@ -134,10 +172,10 @@ def sample_class(cfg: SampleConfig) -> Graph:
     kernels = [(p.graph.n - 1, _ANCHORED[p.graph]) for p in spec.forbidden]
     rng = SplitMix64(cfg.seed)
     for _ in range(cfg.max_tries):
-        rows, edges = [0] * cfg.n, []
-        grown = _grow(rows, edges, cfg.p, rng.next_u64())
+        rows = [0] * cfg.n
+        grown = _grow(rows, cfg.p, rng.next_u64())
         if all(k(rows, (2 << w) - 1, w) for w in grown for low, k in kernels if w >= low):
-            return Graph(cfg.n, edges, name=f"gnp-{cfg.n}")
+            return _from_rows(rows, name=f"gnp-{cfg.n}")
     raise SampleExhausted(cfg)
 
 
@@ -274,8 +312,10 @@ def hunt(
     by at most one, so a candidate needs one ``k_colorable`` decision.  An
     added edge is kept when the candidate is not c-colorable (chi c + 1), a
     removed one (a tie with fewer edges) when it is not (c - 1)-colorable.
-    A decision runs only when the greedy coloring uses more than k colors;
-    ``evaluations`` counts the start solve and each completed decision.
+    A decision runs only when the greedy coloring uses more than k colors
+    and the candidate is a member; the greedy bound, the cheaper test, runs
+    first.  ``evaluations`` counts the start solve and each completed
+    decision.
 
     Budget rule: the budget bounds the start solve and each decision on its
     own.  A start solve that runs out raises BudgetExhausted, a decision
@@ -304,11 +344,11 @@ def hunt(
     for _ in range(steps if pairs else 0):
         u, v = _unrank_pair(rng.below(pairs), n)
         cand = cur.toggled(u, v)
-        if not in_class(cand, spec, through=(u, v)):
-            continue
         added = cand.rows[u] >> v & 1
         k = cur_chi if added else cur_chi - 1
         if _color_sort(cand.rows, cand.full_mask)[-1][1] <= k:
+            continue
+        if not in_class(cand, spec, through=(u, v)):
             continue
         try:
             keep = not k_colorable(cand, k, budget)

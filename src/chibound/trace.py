@@ -7,13 +7,14 @@ and its soft flag, and audit() takes only the template, its fields, and the
 step's named sets and numbers.  Steps carry enough data (the kind, the named
 sets, the named numbers) to re-evaluate them later against the graph, which
 is what replay() does; replay also checks each step's kind, assertion and
-verdict against its tag's claim.  Every named set is a vertex mask: in the
-audit call, in TraceStep.sets as (name, mask) pairs, and in evaluate_step; a
-serialized step lists each set's vertex ids ascending.  A failed hard step
-raises immediately; a failed step whose claim is soft (the two soft sites
-are declared in CLAIMS) records a "soft-gap" verdict and execution
-continues, since the surrounding procedure still guarantees the final
-palette bound.
+verdict against its tag's claim, reading an assertion's vertices and class
+back from the step's sets and the trace's label.  Every named set is a
+vertex mask: in the audit call, in TraceStep.sets as (name, mask) pairs, and
+in evaluate_step; a serialized step lists each set's vertex ids ascending.
+A failed hard step raises immediately; a failed step whose claim is soft
+(the two soft sites are declared in CLAIMS) records a "soft-gap" verdict and
+execution continues, since the surrounding procedure still guarantees the
+final palette bound.
 
 A trace belongs to one coloring run: it holds the run's input graph, which
 every step is evaluated against, and the run's SolveBudget.  All vertex ids
@@ -228,7 +229,8 @@ def _matcher(template: str) -> re.Pattern[str]:
     # re.split keeps the captured field names: they are the odd parts.
     parts = re.split(r"\{(\w+)\}", template)
     return re.compile("".join(
-        f"(?:{_FIELDS.get(p, '[0-9]+')})" if i % 2 else re.escape(p) for i, p in enumerate(parts)
+        f"(?P<{p}>{_FIELDS.get(p, '[0-9]+')})" if i % 2 else re.escape(p)
+        for i, p in enumerate(parts)
     ))
 
 
@@ -238,6 +240,24 @@ def _claim_of(tag: str) -> tuple[str, str, bool, re.Pattern[str]] | None:
     the matcher of its assertion; None unless exactly one template matches."""
     found = [claim for t, claim in CLAIMS.items() if _matcher(t).fullmatch(tag)]
     return (*found[0], _matcher(found[0][1])) if len(found) == 1 else None
+
+
+def _says(step: TraceStep, assertion: str, says: re.Pattern[str], label: str) -> bool:
+    """The step's assertion is the claim's sentence with its fields filled
+    in, and the fields that the step or its trace record elsewhere read
+    back: {u} and {v} are the vertices of the step's removed and donor sets,
+    {cls} the trace's label.  Other fields are read by their shape only."""
+    if step.assertion == assertion:
+        return "{" not in assertion
+    said = says.fullmatch(step.assertion)
+    if said is None:
+        return False
+    fields = said.groupdict()
+    sets = dict(step.sets)
+    return fields.get("cls", label) == label and all(
+        sets.get(name) == 1 << int(fields[f])
+        for f, name in (("u", "removed"), ("v", "donor")) if f in fields
+    )
 
 
 @dataclass(frozen=True)
@@ -370,10 +390,11 @@ def replay(g: Graph, trace: ProofTrace) -> list[TraceStep]:
 
     A step replays cleanly when its tag matches exactly one CLAIMS template,
     its kind is that claim's, its assertion is the claim's sentence with the
-    fields filled in, it records no soft gap under a hard claim, and
-    re-evaluation agrees with the recorded verdict: holds-steps still hold,
-    soft-gap steps still fail.  Steps are evaluated on a fresh run, so
-    cliques are solved afresh on g.
+    fields filled in (a dominated pair's vertices read back from its removed
+    and donor sets, a class from the trace's label), it records no soft gap
+    under a hard claim, and re-evaluation agrees with the recorded verdict:
+    holds-steps still hold, soft-gap steps still fail.  Steps are evaluated
+    on a fresh run, so cliques are solved afresh on g.
     """
     run = ProofTrace(trace.label, g)
     bad = []
@@ -385,7 +406,7 @@ def replay(g: Graph, trace: ProofTrace) -> list[TraceStep]:
         kind, assertion, soft, says = found
         if not (
             step.kind == kind
-            and (step.assertion == assertion or says.fullmatch(step.assertion))
+            and _says(step, assertion, says, trace.label)
             and (soft or step.verdict != SOFT_GAP)
             and evaluate_step(run, step.kind, dict(step.sets), dict(step.numbers))
             == (step.verdict == HOLDS)

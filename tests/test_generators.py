@@ -29,6 +29,7 @@ from chibound import (
     write_graph6,
 )
 
+from chibound.generators import _grow
 from oracles import reference_hunt, reference_sample_class
 
 _MASK64 = (1 << 64) - 1
@@ -100,8 +101,13 @@ class TestGnp:
 
     def test_edge_decisions_follow_the_stream(self):
         # One draw per vertex pair in lexicographic order, edge present when
-        # the draw falls under floor(p * 2^64).
-        for n, p, seed in ((6, 0.37, 991), (0, 0.5, 1), (1, 0.5, 2), (2, 0.5, 3), (13, 0.6, _MASK64)):
+        # the draw falls under floor(p * 2^64).  A column is drawn as one
+        # packed mix over all its lanes, so the larger orders check columns
+        # of up to 199 lanes, at both ends of p and between.
+        cases = [(6, 0.37, 991), (0, 0.5, 1), (1, 0.5, 2), (2, 0.5, 3), (13, 0.6, _MASK64)]
+        for n in (31, 32, 33, 64, 65, 127, 128, 129, 200):
+            cases += [(n, p, 7919 * n) for p in (0.0, 1.0, 1 / 3, 0.999999)]
+        for n, p, seed in cases:
             threshold = int(p * (_MASK64 + 1))
             stream = iter(_reference_stream(seed, n * (n - 1) // 2))
             expected = [
@@ -111,6 +117,19 @@ class TestGnp:
                 if next(stream) < threshold
             ]
             assert list(gnp(n, p, seed).edges()) == expected, (n, p, seed)
+
+    def test_each_yield_holds_the_prefix_of_the_whole_draw(self):
+        # sample_class reads G[0..w] at each yield w: rows 0..w hold the whole
+        # draw's rows cut to 0..w, and the later rows are still empty.
+        for n in (*range(1, 71), 129):
+            whole = gnp(n, 0.4, n).rows
+            rows = [0] * n
+            seen = []
+            for w in _grow(rows, 0.4, n):
+                keep = (2 << w) - 1
+                assert rows == [r & keep if u <= w else 0 for u, r in enumerate(whole)], (n, w)
+                seen.append(w)
+            assert seen == list(range(n))
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):

@@ -371,6 +371,9 @@ class TestReplayChecksClaims:
          {"assertion": "the anchor neighborhood holds the mixed cells plus the full cell"}),
         (_kite_reduction_trace, "reduce/dominated-pair",
          {"assertion": "vertex 1 is dominated by adjacent 0 and will copy its color"}),
+        # The template itself, its fields left unfilled.
+        (_kite_reduction_trace, "reduce/dominated-pair",
+         {"assertion": CLAIMS["reduce/dominated-pair"][1]}),
         (_kite_reduction_trace, "bound/final-palette",
          {"assertion": "palette within the KiteFree binding function at omega 7"}),
         (_hammer_split_trace, "split-hammer/cell-12-empty", {"tag": "split-hammer/cell-3-full"}),
@@ -380,6 +383,27 @@ class TestReplayChecksClaims:
         g, trace = make()
         assert replay(g, trace) == []
         edited, step = _tampered(trace, tag, changes)
+        assert replay(g, edited) == [step]
+
+    def test_dominated_pair_names_its_removed_and_donor_vertices(self):
+        # The sentence keeps its template's shape and the sets still evaluate
+        # as recorded; only the vertices it names are not the step's.
+        g, trace = _kite_reduction_trace()
+        edited, step = _tampered(trace, "reduce/dominated-pair", {
+            "assertion": "vertex 5 is dominated by nonadjacent 9 and will copy its color"
+        })
+        sets = dict(step.sets)
+        assert (sets["removed"], sets["donor"]) == (1 << 1, 1 << 0)
+        assert replay(g, edited) == [step]
+
+    def test_final_palette_names_the_traced_class(self):
+        # The palette still fits the bound; only the class named is not the
+        # one the trace is labelled with.
+        g, trace = _kite_reduction_trace()
+        assert trace.label == "KiteFree"
+        edited, step = _tampered(trace, "bound/final-palette", {
+            "assertion": "palette within the C5Free binding function at omega=2"
+        })
         assert replay(g, edited) == [step]
 
     def test_soft_gap_under_a_hard_claim_is_a_mismatch(self):
