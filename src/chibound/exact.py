@@ -150,10 +150,16 @@ def verify_coloring(g: Graph, coloring: Coloring) -> tuple[int, int] | None:
 
 
 def _greedy_maximal_clique(rows: Sequence[int], full: int) -> list[int]:
-    """Grow a maximal clique greedily: best seed degree, then lowest ids."""
+    """Grow a maximal clique greedily: seed it with the vertex of highest
+    degree inside full, the lowest id on ties, then add the lowest id that
+    sees every vertex so far."""
     if not full:
         return []
-    seed = max(bits(full), key=lambda v: ((rows[v] & full).bit_count(), -v))
+    seed = top = -1
+    for v in bits(full):
+        d = (rows[v] & full).bit_count()
+        if d > top:
+            seed, top = v, d
     clique = [seed]
     cand = rows[seed] & full
     while cand:
@@ -211,7 +217,10 @@ def _max_clique_search(
     """Branch-and-bound maximum clique of G[full], starting from the maximal
     clique best (greedy by default); returns the best clique, whether the
     search completed, and a proven upper bound on the clique number (the
-    root's greedy class count when the search did not complete).
+    root's greedy class count when the search did not complete).  When the
+    root's class count is no more than len(best), the search returns best
+    after the root tick, with no split and no branch: one node, as a search
+    of the root would take.
 
     Only a search given its graph g may split, and only when its root bound
     does not close it.  A split search returns the union of the parts'
@@ -255,7 +264,9 @@ def _max_clique_search(
     try:
         if full:
             ticker.tick()
-            if g is not None and order[-1][1] > len(best):
+            if order[-1][1] <= len(best):
+                return best, True, len(best)
+            if g is not None:
                 parts = _parts(g, full)
                 if len(parts) > 1:
                     return _clique_over_parts(rows, parts, ticker, best)

