@@ -17,6 +17,10 @@ inside the C5 procedure (second-nbhd/b{idx}-palette).  Everything else is
 hard: a failure raises AuditViolation, because on in-class inputs it cannot
 happen unless the code (or the argument) is wrong.  The final palette
 assertion is always hard.
+
+Each procedure is a generator run by ``_run`` on one explicit stack: it
+yields a part to recurse into and is sent back that part's classes, and
+``yield from`` only hands its own part on to another procedure.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import zip_longest
 from operator import or_
-from typing import Callable
+from typing import Callable, Generator
 
 from .exact import SolveBudget, require_coloring, verify_coloring
 from .graphs import (
@@ -96,6 +100,26 @@ class ClassMembershipError(ValueError):
 # A colored block is a list of color-class masks: class i is the set of
 # vertices given the block's i-th color, and the block's palette is its
 # length.  Blocks colored on disjoint palette slices are concatenated.
+
+# A procedure on one part: it yields the procedure of each part it recurses
+# into, is sent back that part's classes, and returns its own.
+_Colors = Generator["_Colors", list[int], list[int]]
+
+
+def _run(proc: _Colors) -> list[int]:
+    """The classes of a procedure, run with the parts it recurses into on one
+    list: the top is sent its last part's classes, None at its start."""
+    stack, block = [proc], None
+    while stack:
+        try:
+            child = stack[-1].send(block)
+        except StopIteration as done:
+            stack.pop()
+            block = done.value
+        else:
+            stack.append(child)
+            block = None
+    return block
 
 
 def _cluster(g: Graph, m: int) -> list[int]:
@@ -197,7 +221,7 @@ def _wrap(
     class_name: str,
     g: Graph,
     budget: SolveBudget | None,
-    rec: Callable[[ProofTrace, int], list[int]],
+    rec: Callable[[ProofTrace, int], _Colors],
 ) -> tuple[Coloring, ProofTrace]:
     spec: ClassSpec = class_by_name(class_name)
     verdict = is_member(g, spec)
@@ -205,7 +229,7 @@ def _wrap(
         assert verdict.witness is not None
         raise ClassMembershipError(spec.name, verdict.witness)
     trace = ProofTrace(spec.name, g, budget)
-    classes = rec(trace, g.full_mask)
+    classes = _run(rec(trace, g.full_mask))
     if reduce(or_, classes, 0) != g.full_mask or sum(c.bit_count() for c in classes) != g.n:
         raise RuntimeError("internal: color classes do not partition the vertices")
     colors = [0] * g.n
@@ -235,7 +259,7 @@ def color_kite_free(
     return _wrap("KiteFree", g, budget, _kite)
 
 
-def _kite(trace: ProofTrace, live: int) -> list[int]:
+def _kite(trace: ProofTrace, live: int) -> _Colors:
     g = trace.g
     # Removing a vertex never merges co-components: the lookup holds throughout.
     part_of = {v: part for part in co_components(g, live) for v in bits(part)}
@@ -255,7 +279,7 @@ def _kite(trace: ProofTrace, live: int) -> list[int]:
         # outside it has its donors in its own, where every vertex sees u.
         near = g.rows[u] & part_of[u] & live | 2 << u
         start = (near & -near).bit_length() - 1
-    classes = _kite_core(trace, live)
+    classes = yield from _kite_core(trace, live)
     class_of = {v: i for i, c in enumerate(classes) for v in bits(c)} if rules else {}
     for u, v in reversed(rules):
         class_of[u] = i = class_of[v]
@@ -263,18 +287,16 @@ def _kite(trace: ProofTrace, live: int) -> list[int]:
     return classes
 
 
-def _kite_core(trace: ProofTrace, live: int) -> list[int]:
+def _kite_core(trace: ProofTrace, live: int) -> _Colors:
     leaf = _leaf(trace, live)
     if leaf is not None:
         return leaf
     g = trace.g
     omega = trace.clique(live).lower
-    emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
-    if emb is not None:
-        return _kite_split_p2k3(trace, live, emb, omega)
-    emb = find_induced(g, PATTERNS["hammer"], within=live)
-    if emb is not None:
-        return _kite_split_hammer(trace, live, emb, omega)
+    if (emb := find_induced(g, PATTERNS["p2_union_k3"], within=live)) is not None:
+        return (yield from _kite_split_p2k3(trace, live, emb, omega))
+    if (emb := find_induced(g, PATTERNS["hammer"], within=live)) is not None:
+        return (yield from _kite_split_hammer(trace, live, emb, omega))
     trace.audit("leaf/k1k3-absent", sets={"X": live})
     block = _exact_block(trace, live, lambda w: 2 * w)
     trace.audit("leaf/k1k3-free", numbers={"value": len(block), "bound": 2 * omega})
@@ -283,7 +305,7 @@ def _kite_core(trace: ProofTrace, live: int) -> list[int]:
 
 def _kite_split_p2k3(
     trace: ProofTrace, live: int, emb: Embedding, omega: int
-) -> list[int]:
+) -> _Colors:
     g = trace.g
     u1, u2 = emb.vertices[0], emb.vertices[1]
     um = 1 << u1 | 1 << u2
@@ -322,7 +344,7 @@ def _kite_split_p2k3(
         "split-p2k3/cluster-palette",
         numbers={"value": len(cluster_block), "bound": omega - omega1},
     )
-    rec_block = _kite(trace, c)
+    rec_block = yield _kite(trace, c)
     trace.audit(
         "split-p2k3/recursion-palette",
         numbers={"value": len(rec_block), "bound": 2 * omega1},
@@ -364,7 +386,7 @@ def _anchor_cells(
 
 def _kite_split_hammer(
     trace: ProofTrace, live: int, emb: Embedding, omega: int
-) -> list[int]:
+) -> _Colors:
     g = trace.g
     v1, v2, v3, v4, v5 = emb.vertices
     km = 1 << v1 | 1 << v2 | 1 << v4 | 1 << v5
@@ -395,7 +417,7 @@ def _kite_split_hammer(
     trace.audit(
         "split-hammer/full-cell-omega", sets={"X": full}, numbers={"bound": omega - 3}
     )
-    full_block = _kite(trace, full)
+    full_block = yield _kite(trace, full)
     trace.audit(
         "split-hammer/recursion-palette",
         numbers={"value": len(full_block), "bound": 2 * (omega - 3)},
@@ -425,56 +447,51 @@ def color_p2k3_free(
     return _wrap("P2K3Free", g, budget, _p2k3_main)
 
 
-def _p2k3_main(trace: ProofTrace, live: int) -> list[int]:
-    """One level per pass: split at a maximum clique's root and go on into
-    its neighborhood; the levels are colored back up, deepest first."""
+def _p2k3_main(trace: ProofTrace, live: int) -> _Colors:
+    """Split at a maximum clique's root and color its neighborhood, of
+    clique number omega - 1, as a part of its own."""
     g = trace.g
-    # (omega, a_sets, b | root) per level, outermost first.
-    levels: list[tuple[int, list[tuple[int, int]], int]] = []
-    while not is_independent(g, live):
-        cliq = trace.clique(live).vertices
-        omega = len(cliq)
-        v1 = cliq[0]
-        outside = live & ~g.rows[v1] & ~(1 << v1)
-        taken = 0
-        a_sets: list[tuple[int, int]] = []  # (clique index i, mask)
-        for i in range(2, omega + 1):
-            vi = cliq[i - 1]
-            ai = outside & ~taken & ~g.rows[vi]
-            taken |= ai
-            a_sets.append((i, ai))
-        b = outside & ~taken
-        for i, ai in a_sets:
-            if ai:
-                trace.audit("greedy-split/a{i}-components", sets={
-                    "X": ai, "missed": 1 << cliq[i - 1], "root": 1 << v1
-                }, i=i)
-        trace.audit("greedy-split/b-complete", sets={"X": b, "Y": mask_of(cliq[1:])})
-        trace.audit("greedy-split/b-independent", sets={"X": b})
-        nbhd = g.rows[v1] & live
-        trace.audit(
-            "greedy-split/recursion-omega", sets={"X": nbhd}, numbers={"bound": omega - 1}
-        )
-        levels.append((omega, a_sets, b | 1 << v1))
-        live = nbhd
-    merged = _single_color_block(live)
-    for omega, a_sets, base in reversed(levels):
-        trace.audit(
-            "greedy-split/recursion-palette",
-            numbers={"value": len(merged), "bound": (omega - 1) * (omega - 1)},
-        )
-        for i, ai in a_sets:
-            if ai:
-                block = _cluster(g, ai)
-                trace.audit(
-                    "greedy-split/a{i}-palette", numbers={"value": len(block), "bound": 2},
-                    i=i,
-                )
-                merged += block
-        merged += _single_color_block(base)
-        trace.audit(
-            "greedy-split/total", numbers={"value": len(merged), "bound": omega * omega}
-        )
+    if is_independent(g, live):
+        return _single_color_block(live)
+    cliq = trace.clique(live).vertices
+    omega = len(cliq)
+    v1 = cliq[0]
+    outside = live & ~g.rows[v1] & ~(1 << v1)
+    taken = 0
+    a_sets: list[tuple[int, int]] = []  # (clique index i, mask)
+    for i in range(2, omega + 1):
+        vi = cliq[i - 1]
+        ai = outside & ~taken & ~g.rows[vi]
+        taken |= ai
+        a_sets.append((i, ai))
+    b = outside & ~taken
+    for i, ai in a_sets:
+        if ai:
+            trace.audit("greedy-split/a{i}-components", sets={
+                "X": ai, "missed": 1 << cliq[i - 1], "root": 1 << v1
+            }, i=i)
+    trace.audit("greedy-split/b-complete", sets={"X": b, "Y": mask_of(cliq[1:])})
+    trace.audit("greedy-split/b-independent", sets={"X": b})
+    nbhd = g.rows[v1] & live
+    trace.audit(
+        "greedy-split/recursion-omega", sets={"X": nbhd}, numbers={"bound": omega - 1}
+    )
+    merged = yield _p2k3_main(trace, nbhd)
+    trace.audit(
+        "greedy-split/recursion-palette",
+        numbers={"value": len(merged), "bound": (omega - 1) * (omega - 1)},
+    )
+    for i, ai in a_sets:
+        if ai:
+            block = _cluster(g, ai)
+            trace.audit(
+                "greedy-split/a{i}-palette", numbers={"value": len(block), "bound": 2}, i=i
+            )
+            merged += block
+    merged += _single_color_block(b | 1 << v1)
+    trace.audit(
+        "greedy-split/total", numbers={"value": len(merged), "bound": omega * omega}
+    )
     return merged
 
 
@@ -488,45 +505,38 @@ def color_hammer_free(
     return _wrap("HammerFree", g, budget, _hammer_rec)
 
 
-def _hammer_rec(trace: ProofTrace, live: int) -> list[int]:
-    """One level per pass: split at a twin edge and go on into its
-    neighborhood; the last part, independent or free of P2+K3, goes to the
-    P2+K3-free procedure, and the levels are colored back up, deepest first."""
+def _hammer_rec(trace: ProofTrace, live: int) -> _Colors:
+    """Split at a twin edge and color its neighborhood, of clique number at
+    most omega - 2, as a part of its own; a part that is independent or free
+    of P2+K3 goes to the P2+K3-free procedure."""
     g = trace.g
-    # (omega, the rest plus the twin edge) per level, outermost first.
-    levels: list[tuple[int, int]] = []
-    while not is_independent(g, live):
-        emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
-        if emb is None:
-            break
-        omega = trace.clique(live).lower
-        u1, u2 = emb.vertices[0], emb.vertices[1]
-        trace.audit(
-            "twin-edge/eq5-closed-equal",
-            sets={"X": (g.rows[u1] | 1 << u1) & live, "Y": (g.rows[u2] | 1 << u2) & live},
-        )
-        um = 1 << u1 | 1 << u2
-        nbhd = g.rows[u1] & live & ~um
-        rest = live & ~um & ~nbhd
-        trace.audit("twin-edge/pair-complete", sets={"X": um, "Y": nbhd})
-        trace.audit("twin-edge/n-omega", sets={"X": nbhd}, numbers={"bound": omega - 2})
-        trace.audit("twin-edge/rest-p3free", sets={"X": rest | um})
-        levels.append((omega, rest | um))
-        live = nbhd
-    merged = _p2k3_main(trace, live)
-    for omega, rest in reversed(levels):
-        trace.audit(
-            "twin-edge/recursion-palette",
-            numbers={"value": len(merged), "bound": (omega - 2) * (omega - 2)},
-        )
-        rest_block = _cluster(g, rest)
-        trace.audit(
-            "twin-edge/cluster-palette", numbers={"value": len(rest_block), "bound": omega}
-        )
-        merged += rest_block
-        trace.audit(
-            "twin-edge/total", numbers={"value": len(merged), "bound": omega * omega}
-        )
+    if is_independent(g, live) or (
+        emb := find_induced(g, PATTERNS["p2_union_k3"], within=live)
+    ) is None:
+        return (yield from _p2k3_main(trace, live))
+    omega = trace.clique(live).lower
+    u1, u2 = emb.vertices[0], emb.vertices[1]
+    trace.audit(
+        "twin-edge/eq5-closed-equal",
+        sets={"X": (g.rows[u1] | 1 << u1) & live, "Y": (g.rows[u2] | 1 << u2) & live},
+    )
+    um = 1 << u1 | 1 << u2
+    nbhd = g.rows[u1] & live & ~um
+    rest = live & ~um & ~nbhd
+    trace.audit("twin-edge/pair-complete", sets={"X": um, "Y": nbhd})
+    trace.audit("twin-edge/n-omega", sets={"X": nbhd}, numbers={"bound": omega - 2})
+    trace.audit("twin-edge/rest-p3free", sets={"X": rest | um})
+    merged = yield _hammer_rec(trace, nbhd)
+    trace.audit(
+        "twin-edge/recursion-palette",
+        numbers={"value": len(merged), "bound": (omega - 2) * (omega - 2)},
+    )
+    rest_block = _cluster(g, rest | um)
+    trace.audit(
+        "twin-edge/cluster-palette", numbers={"value": len(rest_block), "bound": omega}
+    )
+    merged += rest_block
+    trace.audit("twin-edge/total", numbers={"value": len(merged), "bound": omega * omega})
     return merged
 
 
@@ -540,7 +550,7 @@ def color_c5_free(
     return _wrap("C5Free", g, budget, _c5_rec)
 
 
-def _c5_rec(trace: ProofTrace, live: int) -> list[int]:
+def _c5_rec(trace: ProofTrace, live: int) -> _Colors:
     leaf = _leaf(trace, live)
     if leaf is not None:
         return leaf
@@ -607,12 +617,12 @@ def _c5_rec(trace: ProofTrace, live: int) -> list[int]:
         b_block += block
     trace.audit("second-nbhd/b-block", numbers={"value": len(b_block), "bound": 2 * omega0})
     trace.audit("second-nbhd/d-omega", sets={"X": d}, numbers={"bound": omega - omega0})
-    a_block = _c5_rec(trace, a012)
+    a_block = yield _c5_rec(trace, a012)
     trace.audit(
         "second-nbhd/a-palette",
         numbers={"value": len(a_block), "bound": BINDINGS["C5Free"](omega0)},
     )
-    d_block = _c5_rec(trace, d)
+    d_block = yield _c5_rec(trace, d)
     trace.audit(
         "second-nbhd/d-palette",
         numbers={"value": len(d_block), "bound": BINDINGS["C5Free"](omega - omega0)},
@@ -653,7 +663,7 @@ def color_k4_free(
     return _wrap("K4Free", g, budget, _k4_rec)
 
 
-def _k4_rec(trace: ProofTrace, live: int) -> list[int]:
+def _k4_rec(trace: ProofTrace, live: int) -> _Colors:
     leaf = _leaf(trace, live)
     if leaf is not None:
         return leaf
@@ -665,7 +675,7 @@ def _k4_rec(trace: ProofTrace, live: int) -> list[int]:
     emb = find_induced(g, PATTERNS["p2_union_k3"], within=live)
     if emb is not None:
         return _k4_spare_edge(trace, live, emb)
-    return _p2k3_main(trace, live)
+    return (yield from _p2k3_main(trace, live))
 
 
 def _triangle_shades(tri: tuple[int, ...], cell: Callable[..., int]) -> list[int]:

@@ -171,9 +171,13 @@ def _reduction(g):
     left a class of its own: its rules (u, v), read off the audit steps,
     and the classes after each u joins its donor v."""
     trace = ProofTrace("KiteFree", g)
-    own = lambda trace, live: [1 << v for v in bits(live)]
+
+    def own(trace, live):
+        return [1 << v for v in bits(live)]
+        yield
+
     with mock.patch.object(colorers, "_kite_core", own):
-        classes = colorers._kite(trace, g.full_mask)
+        classes = colorers._run(colorers._kite(trace, g.full_mask))
     rules = [
         (dict(s.sets)["removed"].bit_length() - 1, dict(s.sets)["donor"].bit_length() - 1)
         for s in trace.steps
@@ -333,13 +337,22 @@ class TestWrap:
     """_wrap rejects a decomposition whose classes do not partition the
     vertices."""
 
+    @staticmethod
+    def _procedure(classes):
+        """A procedure that recurses nowhere and returns classes(live)."""
+        def rec(trace, live):
+            return classes(live)
+            yield
+
+        return rec
+
     def test_overlapping_classes_raise(self):
         with pytest.raises(RuntimeError, match="partition"):
-            _wrap("KiteFree", empty(3), None, lambda trace, live: [live, 1])
+            _wrap("KiteFree", empty(3), None, self._procedure(lambda live: [live, 1]))
 
     def test_missed_vertex_raises(self):
         with pytest.raises(RuntimeError, match="partition"):
-            _wrap("KiteFree", empty(3), None, lambda trace, live: [live & ~1])
+            _wrap("KiteFree", empty(3), None, self._procedure(lambda live: [live & ~1]))
 
 
 class TestKiteFree:
@@ -542,14 +555,19 @@ class TestAcrossClasses:
         (color_hammer_free, "cocktail-party", 200),
         (color_p2k3_free, "cocktail-party", 200),
         (color_hammer_free, "twin-edge-tower", 210),
+        (color_kite_free, "twin-edge-tower", 210),
+        (color_c5_free, "twin-edge-tower", 210),
+        (color_c5_free, "cocktail-party", 200),
     ])
     def test_long_chains_run_without_deep_recursion(self, colorer, host, palette):
         # On the cocktail party graph K_{2x200} the kite reduction removes
-        # one dominated vertex per pair and the clique-rooted chain goes one
-        # level per pair; the twin-edge chain goes one level per K3+K2 of a
-        # join of 70 of them.  The clique search runs on a list of frames,
-        # so the exact layer adds no depth; a call per level would pass a
-        # limit of 60 frames above the caller's.
+        # one dominated vertex per pair, and the clique-rooted chain and the
+        # C5 procedure go one level per pair; the twin-edge chain and the
+        # kite and C5 procedures go one level or more per K3+K2 of a join
+        # of 70 of them.  Every colorer runs its levels on the one stack of
+        # colorers._run, and the clique search runs on a list of frames, so
+        # neither adds depth; a call per level would pass a limit of 60
+        # frames above the caller's.
         if host == "cocktail-party":
             g = Graph(400, [
                 (u, v) for u in range(400) for v in range(u + 1, 400) if u // 2 != v // 2
