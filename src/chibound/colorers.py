@@ -591,30 +591,26 @@ def _c5_rec(trace: ProofTrace, live: int) -> _Colors:
         if g.rows[u] & cm == cm:
             d |= 1 << u
     remaining = n2 & ~d
-    taken = 0
-    b_masks: list[tuple[int, int]] = []
-    for t in c:
+    # Part bi holds the second-sphere vertices whose first missed clique vertex
+    # is t; the category-0 parts are claimed empty by one step, over their union.
+    taken = zero = anchors = 0
+    b_block: list[int] = []
+    for idx, t in enumerate(c, start=1):
         bi = remaining & ~taken & ~g.rows[t]
         taken |= bi
-        b_masks.append((t, bi))
-    trace.audit("second-nbhd/b-partition", sets={"X": taken, "Y": remaining})
-    b_block: list[int] = []
-    for idx, (t, bi) in enumerate(b_masks, start=1):
-        cat = cats[t]
-        if cat == 0:
+        if cats[t] == 0:
+            zero |= bi
+            anchors |= 1 << t
+        elif bi:
+            trace.audit("second-nbhd/b{idx}-p3free", sets={"X": bi, "anchor": 1 << t}, idx=idx)
+            block = _cluster(g, bi)
             trace.audit(
-                "second-nbhd/b{idx}-empty", sets={"X": bi, "anchor": 1 << t}, idx=idx
+                "second-nbhd/b{idx}-palette",
+                numbers={"value": len(block), "bound": 1 if cats[t] <= 1 else 2}, idx=idx,
             )
-            continue
-        if not bi:
-            continue
-        trace.audit("second-nbhd/b{idx}-p3free", sets={"X": bi, "anchor": 1 << t}, idx=idx)
-        block = _cluster(g, bi)
-        trace.audit(
-            "second-nbhd/b{idx}-palette",
-            numbers={"value": len(block), "bound": 1 if cat <= 1 else 2}, idx=idx,
-        )
-        b_block += block
+            b_block += block
+    trace.audit("second-nbhd/b-partition", sets={"X": taken, "Y": remaining})
+    trace.audit("second-nbhd/b-empty", sets={"X": zero, "anchors": anchors})
     trace.audit("second-nbhd/b-block", numbers={"value": len(b_block), "bound": 2 * omega0})
     trace.audit("second-nbhd/d-omega", sets={"X": d}, numbers={"bound": omega - omega0})
     a_block = yield _c5_rec(trace, a012)

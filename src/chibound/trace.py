@@ -156,8 +156,8 @@ CLAIMS: dict[str, tuple[str, str, bool]] = {
     "second-nbhd/b-partition": ("sets-equal",
         "second-sphere vertices missing part of the clique split by their first missed "
         "clique vertex", False),
-    "second-nbhd/b{idx}-empty": ("empty-set",
-        "a category-0 clique vertex has no second-sphere part", False),
+    "second-nbhd/b-empty": ("empty-set",
+        "the category-0 clique vertices have no second-sphere parts", False),
     "second-nbhd/b{idx}-p3free": ("p3-free",
         "a second-sphere part is a union of cliques", False),
     "second-nbhd/b{idx}-palette": ("value-le",

@@ -480,6 +480,13 @@ class TestHammerFree:
         assert exc.value.witness.pattern == "hammer"
 
 
+def _cocktail_party(k):
+    """K_{2xk}: 2k vertices, each adjacent to all but its pair partner."""
+    return Graph(2 * k, [
+        (u, v) for u in range(2 * k) for v in range(u + 1, 2 * k) if u // 2 != v // 2
+    ])
+
+
 class TestC5Free:
     def test_complete_graph(self):
         g = complete(6)
@@ -497,6 +504,19 @@ class TestC5Free:
         with pytest.raises(ClassMembershipError) as exc:
             color_c5_free(named_graph("grotzsch"))
         assert exc.value.witness.pattern == "c5"
+
+    @pytest.mark.parametrize("k", [10, 50, 200])
+    def test_cocktail_party_trace_is_linear(self, k):
+        # K_{2xk} goes one level per pair.  Each level claims its category-0
+        # clique vertices' second-sphere parts empty in one step, over their
+        # union, so the trace does not grow with the clique at each level.
+        g = _cocktail_party(k)
+        col, trace = color_c5_free(g)
+        tags = [s.tag for s in trace.steps]
+        assert len(trace.steps) == 13 * k - 24
+        assert tags.count("second-nbhd/b-empty") == tags.count("second-nbhd/total")
+        assert not [t for t in tags if re.fullmatch(r"second-nbhd/b\d+-empty", t)]
+        assert replay(g, trace) == []
 
     @given(
         st.integers(6, 16),
@@ -569,9 +589,7 @@ class TestAcrossClasses:
         # neither adds depth; a call per level would pass a limit of 60
         # frames above the caller's.
         if host == "cocktail-party":
-            g = Graph(400, [
-                (u, v) for u in range(400) for v in range(u + 1, 400) if u // 2 != v // 2
-            ])
+            g = _cocktail_party(200)
         else:
             g = reduce(join, [disjoint_union(complete(3), complete(2))] * 70)
         limit = sys.getrecursionlimit()

@@ -17,6 +17,7 @@ from chibound import (
     SolveBudget,
     TraceStep,
     class_by_name,
+    color_c5_free,
     color_k4_free,
     color_kite_free,
     complete,
@@ -365,6 +366,11 @@ def _kite_reduction_trace():
     return g, color_kite_free(g)[1]
 
 
+def _c5_sample_trace():
+    g = read_graph6("Kz]}~^~}}brK")
+    return g, color_c5_free(g)[1]
+
+
 def _tampered(trace, tag, changes):
     """A copy of the trace with the first step of the tag changed."""
     i = next(i for i, s in enumerate(trace.steps) if s.tag == tag)
@@ -392,6 +398,8 @@ class TestReplayChecksClaims:
          {"assertion": "palette within the KiteFree binding function at omega 7"}),
         (_hammer_split_trace, "split-hammer/cell-12-empty", {"tag": "split-hammer/cell-3-full"}),
         (_kite_reduction_trace, "leaf/k1k3-free", {"tag": "leaf/k1k3-freedom"}),
+        # One emptiness step per clique vertex matches no template.
+        (_c5_sample_trace, "second-nbhd/b-empty", {"tag": "second-nbhd/b1-empty"}),
     ])
     def test_edited_step_is_a_mismatch(self, make, tag, changes):
         g, trace = make()
